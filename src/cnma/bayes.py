@@ -22,18 +22,18 @@ dimension.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
-from .design import build_U, incidence_matrix
+from .design import ContrastDesign, build_V, build_V_anchored, incidence_matrix
 from .errors import (
     CnmaError,
     DisconnectedNetwork,
     EmptyNetwork,
-    NotPositiveDefinite,
     UnknownAnchor,
 )
 from .mcmc import (
@@ -46,9 +46,9 @@ from .mcmc import (
     summarize,
 )
 from .network import ContrastBlock, Network, Study, Treatment, arm_to_contrast
-from .numerics import chol, mvn_logpdf, rng_stream
+from .numerics import LOG_2PI, chol, rng_stream
 
-LOG_2PI = math.log(2.0 * math.pi)
+logger = logging.getLogger("cnma")
 
 MODEL_KINDS = ("anchored-arm", "unanchored-arm", "unanchored-contrast")
 
@@ -93,7 +93,35 @@ def _anchor_first(study: Study, anchor: Treatment) -> Study:
     return study
 
 
-class _ArmModel:
+class _Model:
+    """Terms shared by the model kinds: the effect block at ``d_sl`` with its
+    normal prior and, under random effects, sigma at ``sigma_pos`` with its
+    uniform prior."""
+
+    spec: ModelSpec
+    d_sl: slice
+    sigma_pos: int | None
+    dim: int
+
+    def _d_prior(self, x) -> float:
+        dv = self.spec.priors.d_variance
+        d = x[self.d_sl]
+        return float(-0.5 * (d @ d) / dv - 0.5 * d.size * (LOG_2PI + math.log(dv)))
+
+    def _sigma_bounds(self, x) -> float:
+        sigma = x[self.sigma_pos]
+        if 0.0 < sigma < self.spec.priors.sigma_upper:
+            return -math.log(self.spec.priors.sigma_upper)
+        return -np.inf
+
+    def initial_vector(self) -> np.ndarray:
+        x = np.zeros(self.dim)
+        if self.spec.random_effects:
+            x[self.sigma_pos] = self.spec.priors.sigma_upper / 2.0
+        return x
+
+
+class _ArmModel(_Model):
     """Precomputed arrays and log-posterior terms for the arm-level kinds.
 
     Reported parameterization: (d, alpha, eps, sigma) where alpha_i is the
@@ -122,7 +150,7 @@ class _ArmModel:
             self.d_components = network.components
         k = len(self.d_components)
 
-        arm_study, r, n, v_rows = [], [], [], []
+        arm_study, r, n = [], [], []
         self.arm_slices: list[slice] = []
         at = 0
         for i, study in enumerate(self.studies):
@@ -133,17 +161,15 @@ class _ArmModel:
                 arm_study.append(i)
                 r.append(float(arm.events))
                 n.append(float(arm.total))
-                row = np.zeros(k)
-                for comp in arm.treatment.components:
-                    if comp in self.d_components:
-                        row[self.d_components.index(comp)] = 1.0
-                    elif not anchored or comp != spec.anchor.components[0]:
-                        network.component_index(comp)  # raises UnknownComponent
-                v_rows.append(row)
         self.arm_study = np.array(arm_study, dtype=int)
         self.r = np.array(r)
         self.n = np.array(n)
-        self.V = np.array(v_rows)
+        self.V = np.vstack(
+            [
+                build_V_anchored(s, network, spec.anchor) if anchored else build_V(s, network)
+                for s in self.studies
+            ]
+        )
         self.V1 = np.array([self.V[sl.start] for sl in self.arm_slices])
         self.Vc = self.V - self.V1[self.arm_study]
         self.logc_total = float(
@@ -248,10 +274,6 @@ class _ArmModel:
             logits[self.eps_arm_positions] += x[self.eps_sl]
         return logits
 
-    def arm_logits(self, x: np.ndarray) -> np.ndarray:
-        """Per-arm linear predictors, in stored study/arm order (for checks)."""
-        return self._logits(np.asarray(x, dtype=float))
-
     def loglik(self, x: np.ndarray) -> float:
         logits = self._logits(x)
         return float(
@@ -287,11 +309,6 @@ class _ArmModel:
         return total
 
     # --- prior terms ----------------------------------------------------
-
-    def _d_prior(self, x) -> float:
-        dv = self.spec.priors.d_variance
-        d = x[self.d_sl]
-        return float(-0.5 * (d @ d) / dv - 0.5 * d.size * (LOG_2PI + math.log(dv)))
 
     def _alpha_prior_all(self, x) -> float:
         av = self.spec.priors.alpha_variance
@@ -350,12 +367,6 @@ class _ArmModel:
                 + quads.sum() / (sigma * sigma)
             )
         )
-
-    def _sigma_bounds(self, x) -> float:
-        sigma = x[self.sigma_pos]
-        if 0.0 < sigma < self.spec.priors.sigma_upper:
-            return -math.log(self.spec.priors.sigma_upper)
-        return -np.inf
 
     # --- assembled log posterior and partials ---------------------------
 
@@ -439,43 +450,19 @@ class _ArmModel:
             )
         return blocks, partials
 
-    def initial_vector(self) -> np.ndarray:
-        x = np.zeros(self.dim)
-        if self.spec.random_effects:
-            x[self.sigma_pos] = self.spec.priors.sigma_upper / 2.0
-        return x
 
-
-class _ContrastModel:
+class _ContrastModel(_Model):
     """Marginalized contrast-level model: y* ~ N(U* V d, S* + sigma^2 Sigma*)."""
 
     def __init__(self, blocks, network: Network, spec: ModelSpec):
-        self.blocks = tuple(blocks)
         self.network = network
         self.spec = spec
+        self.design = ContrastDesign(blocks, network)
         self.d_components = network.components
         c = len(self.d_components)
         self.d_sl = slice(0, c)
         self.sigma_pos = c if spec.random_effects else None
         self.dim = c + (1 if spec.random_effects else 0)
-
-        single_rows, single_y, single_var = [], [], []
-        self.multi: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for b in self.blocks:
-            U = build_U(b.n_arms, "baseline", b.baseline_arm)
-            X = U @ incidence_matrix(b.treatments, network)
-            if b.n_arms == 2:
-                single_rows.append(X[0])
-                single_y.append(b.y_star[0])
-                single_var.append(b.se[0] ** 2)
-            else:
-                m = b.n_arms - 1
-                sigma_star = np.full((m, m), 0.5)
-                np.fill_diagonal(sigma_star, 1.0)
-                self.multi.append((X, b.y_star, b.covariance(), sigma_star))
-        self.X1 = np.array(single_rows) if single_rows else np.zeros((0, c))
-        self.y1 = np.array(single_y)
-        self.var1 = np.array(single_var)
 
         names = [f"d[{comp}]" for comp in self.d_components]
         if spec.random_effects:
@@ -484,28 +471,7 @@ class _ContrastModel:
 
     def loglik(self, x: np.ndarray) -> float:
         sigma2 = x[self.sigma_pos] ** 2 if self.spec.random_effects else 0.0
-        total = 0.0
-        if self.y1.size:
-            mu = self.X1 @ x[self.d_sl]
-            var = self.var1 + sigma2
-            resid = self.y1 - mu
-            total += float(
-                -0.5 * np.sum(resid * resid / var + np.log(2.0 * np.pi * var))
-            )
-        for X, y, s_star, sigma_star in self.multi:
-            total += mvn_logpdf(y, X @ x[self.d_sl], s_star + sigma2 * sigma_star)
-        return total
-
-    def _d_prior(self, x) -> float:
-        dv = self.spec.priors.d_variance
-        d = x[self.d_sl]
-        return float(-0.5 * (d @ d) / dv - 0.5 * d.size * (LOG_2PI + math.log(dv)))
-
-    def _sigma_bounds(self, x) -> float:
-        sigma = x[self.sigma_pos]
-        if 0.0 < sigma < self.spec.priors.sigma_upper:
-            return -math.log(self.spec.priors.sigma_upper)
-        return -np.inf
+        return self.design.logpdf(x[self.d_sl], sigma2)
 
     def logpost(self, x: np.ndarray) -> float:
         if self.spec.random_effects:
@@ -540,25 +506,6 @@ class _ContrastModel:
             blocks.append(Block("sigma", (self.sigma_pos,), scale=0.4, log_scale=True))
             partials.append(self.logpost)
         return blocks, partials
-
-    def initial_vector(self) -> np.ndarray:
-        x = np.zeros(self.dim)
-        if self.spec.random_effects:
-            x[self.sigma_pos] = self.spec.priors.sigma_upper / 2.0
-        return x
-
-
-def logpost_anchored_arm(params, studies, spec: ModelSpec, network: Network) -> float:
-    """Log posterior of the anchored arm-level model at a parameter vector."""
-    return _ArmModel(studies, network, spec).logpost(np.asarray(params, dtype=float))
-
-
-def logpost_unanchored_arm(params, studies, spec: ModelSpec, network: Network) -> float:
-    return _ArmModel(studies, network, spec).logpost(np.asarray(params, dtype=float))
-
-
-def logpost_unanchored_contrast(params, blocks, spec: ModelSpec, network: Network) -> float:
-    return _ContrastModel(blocks, network, spec).logpost(np.asarray(params, dtype=float))
 
 
 @dataclass
@@ -608,7 +555,6 @@ class BayesFit:
 
     def treatment_effect_draws(self, treatments, reference: Treatment | None = None):
         """Draws of treatment-level effects (optionally versus a reference)."""
-        comps = self.network.components
         draws = self.component_effect_draws()
         M = incidence_matrix(treatments, self.network)
         vals = draws @ M.T
@@ -616,18 +562,6 @@ class BayesFit:
             ref_row = incidence_matrix([reference], self.network)[0]
             vals = vals - (draws @ ref_row)[:, None]
         return vals
-
-
-def replace_names(sample: PosteriorSample, names) -> PosteriorSample:
-    return PosteriorSample(
-        names=tuple(names),
-        draws=sample.draws,
-        acceptance=sample.acceptance,
-        rhat=sample.rhat,
-        ess=sample.ess,
-        scales_after_burnin=sample.scales_after_burnin,
-        scales_final=sample.scales_final,
-    )
 
 
 def _validate(spec: ModelSpec, data, network: Network):
@@ -650,37 +584,30 @@ def _validate(spec: ModelSpec, data, network: Network):
 
 
 def _d_preconditioner(model, network: Network, spec: ModelSpec) -> np.ndarray | None:
-    """Proposal shape for the effect block from a crude GLS information matrix."""
+    """Proposal shape for the effect block: the Cholesky factor of the inverse
+    of the fixed-effects GLS information X'WX plus the prior precision.
+
+    For the arm kinds the contrasts come from the arm counts (cc05); for the
+    anchored kind the anchor's row and column are dropped. On failure the
+    effect block falls back to an unshaped proposal, with a warning.
+    """
     try:
         if isinstance(model, _ArmModel):
-            cblocks = [arm_to_contrast(s, 0, "cc05") for s in model.studies]
+            blocks = [arm_to_contrast(s, 0, "cc05") for s in model.studies]
+            design = ContrastDesign(blocks, network)
         else:
-            cblocks = model.blocks
-        rows = []
-        weights = []
-        for b in cblocks:
-            U = build_U(b.n_arms, "baseline", b.baseline_arm)
-            X = U @ incidence_matrix(b.treatments, network)
-            if isinstance(model, _ArmModel) and spec.kind == "anchored-arm":
-                keep = [
-                    j
-                    for j, comp in enumerate(network.components)
-                    if comp in model.d_components
-                ]
-                X = X[:, keep]
-            rows.append(X)
-            weights.append(np.linalg.inv(b.covariance()))
-        X = np.vstack(rows)
-        total = sum(w.shape[0] for w in weights)
-        W = np.zeros((total, total))
-        at = 0
-        for w in weights:
-            m = w.shape[0]
-            W[at : at + m, at : at + m] = w
-            at += m
-        info = X.T @ W @ X + np.eye(X.shape[1]) / spec.priors.d_variance
+            design = model.design
+        keep = [network.component_index(comp) for comp in model.d_components]
+        info = design.information(0.0)[np.ix_(keep, keep)]
+        info += np.eye(len(keep)) / spec.priors.d_variance
         return chol(np.linalg.inv(info))
-    except (np.linalg.LinAlgError, NotPositiveDefinite, CnmaError):
+    except (np.linalg.LinAlgError, CnmaError) as exc:
+        logger.warning(
+            "%s: no effect-block preconditioner (%s: %s); using an unshaped proposal",
+            spec.kind,
+            type(exc).__name__,
+            exc,
+        )
         return None
 
 

@@ -3,17 +3,21 @@
 Per study: the component incidence matrix V (arms x components), its anchored
 reduction V1 (the anchor's column dropped), contrast matrices U in all-pairs
 or common-baseline form, and the compound-symmetry heterogeneity structures
-Sigma / Sigma*. Across studies: the stacked regression matrix X = rows of U V.
+Sigma / Sigma*. Across studies: the stacked regression matrix X = rows of U V,
+and ``ContrastDesign``, the stacked contrasts of a set of contrast blocks with
+their compound-symmetry covariance in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CnmaError, DisconnectedNetwork, UnknownAnchor
 from .network import Network, Study, Treatment
+from .numerics import LOG_2PI, pinv
 
 
 def incidence_row(treatment: Treatment, network: Network) -> np.ndarray:
@@ -78,19 +82,12 @@ def build_U(a: int, mode: str = "baseline", baseline_arm: int = 0) -> np.ndarray
     raise CnmaError(f"unknown contrast mode {mode!r}")
 
 
-def build_Sigma(a: int, zero_first: bool = False) -> np.ndarray:
-    """Compound-symmetry heterogeneity structure: unit diagonal, 1/2 elsewhere.
-
-    With ``zero_first`` the first row and column are zeroed, i.e. no
-    heterogeneity on the arm holding the anchor treatment.
-    """
+def build_Sigma(a: int) -> np.ndarray:
+    """Compound-symmetry heterogeneity structure: unit diagonal, 1/2 elsewhere."""
     if a < 2:
         raise CnmaError("Sigma needs >= 2 arms")
     sigma = np.full((a, a), 0.5)
     np.fill_diagonal(sigma, 1.0)
-    if zero_first:
-        sigma[0, :] = 0.0
-        sigma[:, 0] = 0.0
     return sigma
 
 
@@ -104,47 +101,102 @@ def build_Sigma_star(a: int) -> np.ndarray:
     return sigma
 
 
+def _contrast_rows(treatments, network: Network, mode: str, baseline_arm: int):
+    """Rows U V of one study's contrasts, columns in component index order."""
+    U = build_U(len(treatments), mode, baseline_arm)
+    return U @ incidence_matrix(treatments, network)
+
+
 def stack_X(network: Network, mode: str = "baseline") -> np.ndarray:
     """Vertical stack of U_i V_i over studies; columns follow component index order."""
     if not network.connected:
         raise DisconnectedNetwork("stack_X requires a connected network")
-    rows = []
-    for study in network.studies:
-        U = build_U(study.n_arms, mode=mode, baseline_arm=0)
-        V = build_V(study, network)
-        rows.append(U @ V)
+    rows = [_contrast_rows(s.treatments, network, mode, 0) for s in network.studies]
     return np.vstack(rows)
 
 
-@dataclass(frozen=True)
-class DesignSet:
-    """Every per-study matrix for one study, precomputed once."""
-
-    V: np.ndarray
-    V_anchored: np.ndarray | None
-    U_allpairs: np.ndarray
-    U_baseline: np.ndarray
-    Sigma: np.ndarray
-    Sigma_star: np.ndarray
+class GlsSolution(NamedTuple):
+    d_hat: np.ndarray
+    cov: np.ndarray  # (X'WX)^+
+    Q: float  # generalized Q: weighted residual sum of squares at d_hat
+    trace_P: float  # trace of P = W - W X (X'WX)^+ X'W
 
 
-def study_design_set(
-    study: Study,
-    network: Network,
-    baseline_arm: int = 0,
-    anchor: Treatment | None = None,
-) -> DesignSet:
-    a = study.n_arms
-    anchored = None
-    zero_first = False
-    if anchor is not None:
-        anchored = build_V_anchored(study, network, anchor)
-        zero_first = anchor in study.treatments
-    return DesignSet(
-        V=build_V(study, network),
-        V_anchored=anchored,
-        U_allpairs=build_U(a, "allpairs"),
-        U_baseline=build_U(a, "baseline", baseline_arm),
-        Sigma=build_Sigma(a, zero_first),
-        Sigma_star=build_Sigma_star(a),
-    )
+class ContrastDesign:
+    """The stacked baseline contrasts of a set of contrast blocks and the
+    algebra of their covariance.
+
+    Study i contributes rows X_i = U_i V_i, contrasts y*_i and, at
+    heterogeneity tau2, the covariance S*_i + tau2 Sigma*_i, which equals
+    diag(se_i^2 - se_b,i^2 + tau2/2) + (se_b,i^2 + tau2/2) 11'. A diagonal
+    plus a rank-one term has a closed-form inverse (Sherman-Morrison) and log
+    determinant (matrix determinant lemma), so every product with the
+    block-diagonal weight W = (S* + tau2 Sigma*)^-1 costs per-contrast
+    arithmetic plus one per-study sum (``np.add.reduceat``); no n x n matrix
+    is formed.
+    """
+
+    def __init__(self, blocks, network: Network):
+        blocks = tuple(blocks)
+        if not blocks:
+            raise CnmaError("no contrast blocks")
+        self.X = np.vstack(
+            [_contrast_rows(b.treatments, network, "baseline", b.baseline_arm) for b in blocks]
+        )
+        self.y = np.concatenate([b.y_star for b in blocks])
+        sizes = [b.y_star.size for b in blocks]
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.study = np.repeat(np.arange(len(blocks)), sizes)
+        self.shared = np.array([b.se_baseline**2 for b in blocks])
+        self.within = np.concatenate([b.se**2 for b in blocks]) - self.shared[self.study]
+
+    @cached_property
+    def rank(self) -> int:
+        return int(np.linalg.matrix_rank(self.X))
+
+    def _weights(self, tau2: float):
+        """Per contrast w = 1 / diagonal; per study the Sherman-Morrison
+        denominator 1 + s sum(w) and factor g = s / denominator, s being the
+        shared term, so that W_i = diag(w) - g w w'."""
+        w = 1.0 / (self.within + 0.5 * tau2)
+        s = self.shared + 0.5 * tau2
+        denom = 1.0 + s * np.add.reduceat(w, self.starts)
+        return w, s / denom, denom
+
+    def weigh(self, tau2: float, m: np.ndarray) -> np.ndarray:
+        """W @ m for a vector or matrix ``m`` with one row per contrast."""
+        w, g, _ = self._weights(tau2)
+        wm = w[:, None] * m.reshape(w.size, -1)
+        sums = np.add.reduceat(wm, self.starts)
+        out = wm - (w * g[self.study])[:, None] * sums[self.study]
+        return out.reshape(m.shape)
+
+    def information(self, tau2: float) -> np.ndarray:
+        """X'WX."""
+        return self.X.T @ self.weigh(tau2, self.X)
+
+    def logpdf(self, d: np.ndarray, tau2: float) -> float:
+        """Log density of y* under N(X d, S* + tau2 Sigma*)."""
+        w, g, denom = self._weights(tau2)
+        r = self.y - self.X @ d
+        wr = w * r
+        sums = np.add.reduceat(wr, self.starts)
+        quad = wr @ r - g @ (sums * sums)
+        logdet = np.sum(np.log(denom)) - np.sum(np.log(w))
+        return float(-0.5 * (r.size * LOG_2PI + logdet + quad))
+
+    def gls(self, tau2: float) -> GlsSolution:
+        """Generalized least squares with weights W at ``tau2``, through the
+        pseudoinverse of X'WX."""
+        WX = self.weigh(tau2, self.X)
+        cov = pinv(self.X.T @ WX)
+        d_hat = cov @ (WX.T @ self.y)
+        resid = self.y - self.X @ d_hat
+        w, g, _ = self._weights(tau2)
+        trace_W = np.sum(w) - g @ np.add.reduceat(w * w, self.starts)
+        return GlsSolution(
+            d_hat=d_hat,
+            cov=cov,
+            Q=float(resid @ self.weigh(tau2, resid)),
+            trace_P=float(trace_W - np.sum((WX @ cov) * WX)),
+        )

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .design import build_Sigma_star, build_U, incidence_matrix
+from .design import ContrastDesign, GlsSolution
 from .effects import contrast_vector
 from .errors import CnmaError, DisconnectedNetwork
-from .network import ContrastBlock, Network, Treatment
-from .numerics import pinv
+from .network import Network, Treatment
 
 
 @dataclass(frozen=True)
@@ -36,36 +35,15 @@ class FreqFit:
     tau2_truncated: bool
 
 
-def _block_design(block: ContrastBlock, network: Network) -> np.ndarray:
-    U = build_U(block.n_arms, "baseline", block.baseline_arm)
-    V = incidence_matrix(block.treatments, network)
-    return U @ V
-
-
-def _stacked(blocks, network):
-    X = np.vstack([_block_design(b, network) for b in blocks])
-    y = np.concatenate([b.y_star for b in blocks])
-    return X, y
-
-
-def _omega_inverse(blocks, tau2: float) -> np.ndarray:
-    """Block-diagonal inverse of S*_i + tau2 * Sigma*_i."""
-    total = sum(b.y_star.size for b in blocks)
-    w = np.zeros((total, total))
-    at = 0
-    for b in blocks:
-        m = b.y_star.size
-        cov = b.covariance() + tau2 * build_Sigma_star(b.n_arms)
-        w[at : at + m, at : at + m] = np.linalg.inv(cov)
-        at += m
-    return w
-
-
-def _wls(X, y, W):
-    xtwx = X.T @ W @ X
-    cov = pinv(xtwx)
-    d_hat = cov @ (X.T @ W @ y)
-    return d_hat, cov, xtwx
+def _moment_tau2(design: ContrastDesign, fixed: GlsSolution) -> tuple[float, int, bool]:
+    """(tau2, df, truncated) from the fixed-effects solution ``fixed``."""
+    df = design.y.size - design.rank
+    if df <= 0 or fixed.trace_P <= 0:
+        return 0.0, df, True
+    tau2 = (fixed.Q - df) / fixed.trace_P
+    if tau2 < 0.0:
+        return 0.0, df, True
+    return tau2, df, False
 
 
 def estimate_tau2(blocks, network: Network) -> tuple[float, float, int, bool]:
@@ -77,23 +55,10 @@ def estimate_tau2(blocks, network: Network) -> tuple[float, float, int, bool]:
     zero. Reduces to the classic two-stage moment estimator in pairwise
     meta-analysis. Returns (tau2, Q, df, truncated_or_undefined_flag).
     """
-    X, y = _stacked(blocks, network)
-    W = _omega_inverse(blocks, 0.0)
-    d_fe, cov_fe, xtwx = _wls(X, y, W)
-    rank = int(np.linalg.matrix_rank(X))
-    df = X.shape[0] - rank
-    resid = y - X @ d_fe
-    Q = float(resid @ W @ resid)
-    if df <= 0:
-        return 0.0, Q, df, True
-    P = W - W @ X @ pinv(xtwx) @ X.T @ W
-    trace_p = float(np.trace(P))
-    if trace_p <= 0:
-        return 0.0, Q, df, True
-    tau2 = (Q - df) / trace_p
-    if tau2 < 0.0:
-        return 0.0, Q, df, True
-    return tau2, Q, df, False
+    design = ContrastDesign(blocks, network)
+    fixed = design.gls(0.0)
+    tau2, df, truncated = _moment_tau2(design, fixed)
+    return tau2, fixed.Q, df, truncated
 
 
 def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
@@ -110,22 +75,20 @@ def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
     if not network.connected:
         raise DisconnectedNetwork("gls_fit requires a connected network")
 
-    tau2, Q, df, truncated = estimate_tau2(blocks, network)
+    design = ContrastDesign(blocks, network)
+    fixed = design.gls(0.0)
+    tau2, df, truncated = _moment_tau2(design, fixed)
     if effects_model == "fixed":
-        tau2_used = 0.0
+        tau2_used, solution = 0.0, fixed
     else:
-        tau2_used = tau2
-
-    X, y = _stacked(blocks, network)
-    W = _omega_inverse(blocks, tau2_used)
-    d_hat, cov, _ = _wls(X, y, W)
+        tau2_used, solution = tau2, design.gls(tau2)
     return FreqFit(
-        d_hat=d_hat,
-        cov_d=cov,
+        d_hat=solution.d_hat,
+        cov_d=solution.cov,
         tau2=tau2_used,
-        Q=Q,
+        Q=fixed.Q,
         df=df,
-        rank_X=int(np.linalg.matrix_rank(X)),
+        rank_X=design.rank,
         components=network.components,
         effects_model=effects_model,
         tau2_truncated=truncated,

@@ -5,11 +5,15 @@ All matrix arguments are plain numpy arrays (row-major, finite entries).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CnmaError, NotPositiveDefinite
 
 DEFAULT_PINV_RTOL = 1e-12
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def pinv(m: np.ndarray, rel_tol: float = DEFAULT_PINV_RTOL) -> np.ndarray:

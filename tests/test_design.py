@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnma.design import (
+    ContrastDesign,
     build_Sigma,
     build_Sigma_star,
     build_U,
     build_V,
     build_V_anchored,
+    incidence_matrix,
     stack_X,
-    study_design_set,
 )
 from cnma.errors import CnmaError, UnknownAnchor
-from cnma.network import ArmRecord, Study, build_network, parse_treatment
+from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
+from cnma.numerics import mvn_logpdf, pinv
 
 
 def study_from(labels, study_id="s"):
@@ -120,9 +122,6 @@ class TestSigma:
         expected = [[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]]
         assert np.array_equal(build_Sigma(3), expected)
 
-    def test_zero_first(self):
-        assert np.array_equal(build_Sigma(2, zero_first=True), [[0, 0], [0, 1]])
-
     def test_two_arm(self):
         assert np.array_equal(build_Sigma(2), [[1, 0.5], [0.5, 1]])
 
@@ -172,16 +171,6 @@ class TestStackX:
 
 
 class TestDesignSet:
-    def test_anchored_zero_first_only_when_anchor_present(self):
-        anchor = parse_treatment("E")
-        with_anchor = study_from(["E", "A"], "s1")
-        without = study_from(["B", "A"], "s2")
-        net = build_network([with_anchor, without])
-        ds1 = study_design_set(with_anchor, net, anchor=anchor)
-        ds2 = study_design_set(without, net, anchor=anchor)
-        assert ds1.Sigma[0, 0] == 0.0
-        assert ds2.Sigma[0, 0] == 1.0
-
     def test_anchored_unanchored_reparameterization(self):
         # For any study, V d - (V1 d1 + rowsums(V) * level_of_anchor) == 0
         # when d1_k = d_k - d_anchor, i.e. the two parameterizations give
@@ -204,3 +193,105 @@ class TestDesignSet:
 @given(a=st.integers(2, 6))
 def test_allpairs_row_count(a):
     assert build_U(a, "allpairs").shape == (a * (a - 1) // 2, a)
+
+
+POOL = tuple(parse_treatment(lab) for lab in ("A", "B", "C", "D", "A+B", "B+C", "A+C+D"))
+
+
+@st.composite
+def contrast_blocks(draw):
+    """1-4 contrast blocks of 2-5 arms with random se, se_baseline and baseline arm."""
+    blocks = []
+    for i in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(2, 5))
+        picks = draw(st.permutations(range(len(POOL))))[:a]
+        se_b = draw(st.floats(0.0, 0.5))
+        extra = draw(st.lists(st.floats(0.01, 1.0), min_size=a - 1, max_size=a - 1))
+        y_value = st.floats(-2.0, 2.0, allow_subnormal=False)
+        y = draw(st.lists(y_value, min_size=a - 1, max_size=a - 1))
+        blocks.append(
+            ContrastBlock(
+                study_id=f"s{i}",
+                baseline_arm=draw(st.integers(0, a - 1)),
+                y_star=np.array(y),
+                se=np.sqrt(se_b**2 + np.array(extra)),
+                se_baseline=se_b,
+                treatments=tuple(POOL[j] for j in picks),
+            )
+        )
+    return blocks
+
+
+def dense_reference(blocks, tau2):
+    """Per-block rows, contrasts and the dense block-diagonal weight matrix W."""
+    net = build_network(
+        Study(b.study_id, tuple(ArmRecord(t, 1, 10) for t in b.treatments)) for b in blocks
+    )
+    X = np.vstack(
+        [
+            incidence_matrix(b.non_baseline_treatments, net)
+            - incidence_matrix([b.treatments[b.baseline_arm]], net)
+            for b in blocks
+        ]
+    )
+    y = np.concatenate([b.y_star for b in blocks])
+    W = np.zeros((y.size, y.size))
+    at = 0
+    for b in blocks:
+        m = b.y_star.size
+        cov = b.covariance() + tau2 * build_Sigma_star(b.n_arms)
+        W[at : at + m, at : at + m] = np.linalg.inv(cov)
+        at += m
+    return net, X, y, W
+
+
+def close(actual, expected, scale):
+    """Equal within 1e-10 relative, or 1e-10 of ``scale``, the size of the
+    terms that cancel in ``expected``."""
+    np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-10 * np.max(scale))
+
+
+class TestContrastDesign:
+    @settings(max_examples=200, deadline=None)
+    @given(blocks=contrast_blocks(), sigma=st.floats(0.0, 2.0), seed=st.integers(0, 2**32))
+    def test_logpdf_matches_dense_mvn(self, blocks, sigma, seed):
+        net, X, _, _ = dense_reference(blocks, 0.0)
+        d = np.random.default_rng(seed).normal(size=net.n_components)
+        expected, at = 0.0, 0
+        for b in blocks:
+            m = b.y_star.size
+            cov = b.covariance() + sigma**2 * build_Sigma_star(b.n_arms)
+            expected += mvn_logpdf(b.y_star, X[at : at + m] @ d, cov)
+            at += m
+        actual = ContrastDesign(blocks, net).logpdf(d, sigma**2)
+        assert actual == pytest.approx(expected, rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocks=contrast_blocks(), sigma=st.floats(0.0, 2.0))
+    def test_weighted_products_match_dense(self, blocks, sigma):
+        tau2 = sigma**2
+        net, X, y, W = dense_reference(blocks, tau2)
+        design = ContrastDesign(blocks, net)
+        assert np.array_equal(design.X, X)
+        assert np.array_equal(design.y, y)
+
+        xtwx = X.T @ W @ X
+        xtwy = X.T @ W @ y
+        abs_xtwy = np.abs(X.T) @ np.abs(W) @ np.abs(y)
+        close(design.information(tau2), xtwx, np.abs(xtwx))
+        close(design.X.T @ design.weigh(tau2, design.y), xtwy, abs_xtwy)
+
+        cov = pinv(xtwx)
+        d_hat = cov @ xtwy
+        resid = y - X @ d_hat
+        P = W - W @ X @ cov @ X.T @ W
+        solution = design.gls(tau2)
+        close(solution.d_hat, d_hat, np.abs(cov) @ abs_xtwy)
+        close(solution.cov, cov, np.abs(cov))
+        close(solution.Q, resid @ W @ resid, np.abs(y) @ np.abs(W) @ np.abs(y))
+        close(solution.trace_P, np.trace(P), np.trace(W))
+
+    def test_no_blocks_rejected(self):
+        net = build_network([study_from(["A", "B"])])
+        with pytest.raises(CnmaError):
+            ContrastDesign([], net)

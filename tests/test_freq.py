@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cnma.design import stack_X
+from cnma.design import build_Sigma_star, stack_X
 from cnma.errors import CnmaError, DisconnectedNetwork
 from cnma.freq import FreqFit, estimate_tau2, gls_fit, p_scores
 from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
+from cnma.numerics import pinv
 
 
 def block(study_id, labels, y, se, baseline=0, se_baseline=0.05):
@@ -109,10 +112,67 @@ class TestGlsFit:
         X = stack_X(net, "allpairs")
         y = np.concatenate([b.y_star for b in blocks])
         w_inv = np.diag(1.0 / np.concatenate([b.se for b in blocks]) ** 2)
-        from cnma.numerics import pinv
-
         d_ap = pinv(X.T @ w_inv @ X) @ X.T @ w_inv @ y
         assert np.allclose(fit.d_hat, d_ap, atol=1e-10)
+
+
+POOL = ("A", "B", "C", "D", "A+B", "B+C", "A+C+D")
+
+
+def random_network_blocks(seed):
+    """Ten studies of 2-4 arms, baseline arm 0, noisy contrasts."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for i in range(10):
+        a = int(rng.integers(2, 5))
+        labels = [POOL[j] for j in rng.choice(len(POOL), size=a, replace=False)]
+        se_b = rng.uniform(0.05, 0.3)
+        se = np.sqrt(se_b**2 + rng.uniform(0.01, 0.2, size=a - 1))
+        blocks.append(block(f"s{i}", labels, rng.normal(0.0, 0.6, size=a - 1), se, 0, se_b))
+    return blocks
+
+
+def dense_gls(blocks, net, effects_model):
+    """The GLS fit and moment estimator through dense n x n W and P."""
+    X = stack_X(net)
+    y = np.concatenate([b.y_star for b in blocks])
+
+    def weights(tau2):
+        W = np.zeros((y.size, y.size))
+        at = 0
+        for b in blocks:
+            m = b.y_star.size
+            cov = b.covariance() + tau2 * build_Sigma_star(b.n_arms)
+            W[at : at + m, at : at + m] = np.linalg.inv(cov)
+            at += m
+        return W
+
+    W = weights(0.0)
+    cov = pinv(X.T @ W @ X)
+    resid = y - X @ cov @ X.T @ W @ y
+    Q = resid @ W @ resid
+    df = y.size - np.linalg.matrix_rank(X)
+    P = W - W @ X @ cov @ X.T @ W
+    tau2 = max(0.0, (Q - df) / np.trace(P)) if effects_model == "random" else 0.0
+    W = weights(tau2)
+    cov = pinv(X.T @ W @ X)
+    return cov @ X.T @ W @ y, cov, tau2, Q, df
+
+
+class TestGlsMatchesDense:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), effects_model=st.sampled_from(["fixed", "random"]))
+    def test_random_multi_arm_network(self, seed, effects_model):
+        blocks = random_network_blocks(seed)
+        net = network_of(blocks)
+        assume(net.connected)
+        d_hat, cov, tau2, Q, df = dense_gls(blocks, net, effects_model)
+        fit = gls_fit(blocks, net, effects_model)
+        assert fit.df == df > 0
+        np.testing.assert_allclose(fit.d_hat, d_hat, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(fit.cov_d, cov, rtol=1e-10, atol=1e-10 * np.abs(cov).max())
+        assert fit.tau2 == pytest.approx(tau2, rel=1e-10, abs=1e-12)
+        assert fit.Q == pytest.approx(Q, rel=1e-10)
 
 
 class TestEstimateTau2:
