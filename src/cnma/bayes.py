@@ -82,6 +82,11 @@ class ModelSpec:
         return self.effects == "random"
 
 
+def _log_binomial_coefficients(r: np.ndarray, n: np.ndarray) -> float:
+    """Sum of log C(n, r) over arms: the binomial likelihood's constant."""
+    return float(np.sum(gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1)))
+
+
 def _anchor_first(study: Study, anchor: Treatment) -> Study:
     """Reorder arms so the anchor treatment, when present, is arm 1."""
     for j, arm in enumerate(study.arms):
@@ -102,6 +107,8 @@ class _Model:
     d_sl: slice
     sigma_pos: int | None
     dim: int
+    # the coordinates whose reported values differ from the sampled ones
+    remapped_sl = slice(0, 0)
 
     def _d_prior(self, x) -> float:
         dv = self.spec.priors.d_variance
@@ -150,69 +157,38 @@ class _ArmModel(_Model):
             self.d_components = network.components
         k = len(self.d_components)
 
-        arm_study, r, n = [], [], []
-        self.arm_slices: list[slice] = []
-        at = 0
-        for i, study in enumerate(self.studies):
-            a = study.n_arms
-            self.arm_slices.append(slice(at, at + a))
-            at += a
-            for arm in study.arms:
-                arm_study.append(i)
-                r.append(float(arm.events))
-                n.append(float(arm.total))
-        self.arm_study = np.array(arm_study, dtype=int)
-        self.r = np.array(r)
-        self.n = np.array(n)
+        arms = [(i, arm) for i, study in enumerate(self.studies) for arm in study.arms]
+        self.arm_study = np.array([i for i, _ in arms], dtype=int)
+        self.r = np.array([float(arm.events) for _, arm in arms])
+        self.n = np.array([float(arm.total) for _, arm in arms])
+        self.m = np.array([s.n_arms - 1 for s in self.studies], dtype=int)
+        # offset of each study's first arm in the stacked arm arrays
+        self.arm_starts = np.cumsum(self.m + 1) - (self.m + 1)
         self.V = np.vstack(
             [
                 build_V_anchored(s, network, spec.anchor) if anchored else build_V(s, network)
                 for s in self.studies
             ]
         )
-        self.V1 = np.array([self.V[sl.start] for sl in self.arm_slices])
+        self.V1 = self.V[self.arm_starts]
         self.Vc = self.V - self.V1[self.arm_study]
-        self.logc_total = float(
-            np.sum(gammaln(self.n + 1) - gammaln(self.r + 1) - gammaln(self.n - self.r + 1))
-        )
-        self.logc_study = [
-            float(
-                np.sum(
-                    gammaln(self.n[sl] + 1)
-                    - gammaln(self.r[sl] + 1)
-                    - gammaln(self.n[sl] - self.r[sl] + 1)
-                )
-            )
-            for sl in self.arm_slices
-        ]
+        self.logc_total = _log_binomial_coefficients(self.r, self.n)
 
         n_studies = len(self.studies)
-        self.m = np.array([s.n_arms - 1 for s in self.studies], dtype=int)
         self.has_eps = spec.random_effects
         n_eps = int(self.m.sum()) if self.has_eps else 0
 
         self.d_sl = slice(0, k)
-        self.alpha_sl = slice(k, k + n_studies)
+        self.alpha_sl = self.remapped_sl = slice(k, k + n_studies)
         self.eps_sl = slice(k + n_studies, k + n_studies + n_eps)
         self.sigma_pos = k + n_studies + n_eps if spec.random_effects else None
         self.dim = k + n_studies + n_eps + (1 if spec.random_effects else 0)
 
         if self.has_eps:
-            eps_arm_positions = []
-            self.eps_x_slices: list[slice] = []  # into the full parameter vector
-            estart = 0
-            eps_local_starts = []
-            for i, study in enumerate(self.studies):
-                a = study.n_arms
-                base = self.arm_slices[i].start
-                eps_arm_positions.extend(range(base + 1, base + a))
-                self.eps_x_slices.append(
-                    slice(self.eps_sl.start + estart, self.eps_sl.start + estart + a - 1)
-                )
-                eps_local_starts.append(estart)
-                estart += a - 1
-            self.eps_arm_positions = np.array(eps_arm_positions, dtype=int)
-            self.eps_starts = np.array(eps_local_starts, dtype=int)
+            # every arm but each study's first carries a latent
+            self.eps_arm_positions = np.setdiff1d(np.arange(self.r.size), self.arm_starts)
+            # offset of each study's first latent within the eps block
+            self.eps_starts = np.cumsum(self.m) - self.m
             # log det of the contrast compound-symmetry block, per study
             self.eps_logdets = np.log(self.m + 1.0) - self.m * math.log(2.0)
 
@@ -224,26 +200,6 @@ class _ArmModel(_Model):
         if spec.random_effects:
             names.append("sigma")
         self.names = tuple(names)
-
-        # scalar-math views of the per-study terms (hot path: the per-study
-        # partial evaluators run tens of thousands of times per chain)
-        self._study_arms: list[list[tuple[float, float, list, int]]] = []
-        self._v1_cols: list[list[int]] = []
-        for i, study in enumerate(self.studies):
-            sl = self.arm_slices[i]
-            arms = []
-            for local, gpos in enumerate(range(sl.start, sl.stop)):
-                nz = [
-                    (int(j), float(self.Vc[gpos, j]))
-                    for j in range(k)
-                    if self.Vc[gpos, j] != 0.0
-                ]
-                epos = -1
-                if self.has_eps and local >= 1:
-                    epos = self.eps_x_slices[i].start + (local - 1)
-                arms.append((float(self.r[gpos]), float(self.n[gpos]), nz, epos))
-            self._study_arms.append(arms)
-            self._v1_cols.append([int(j) for j in range(k) if self.V1[i, j] != 0.0])
 
     # --- parameterization maps -------------------------------------------
 
@@ -292,22 +248,6 @@ class _ArmModel(_Model):
             + self.logc_total
         )
 
-    def _loglik_study_internal(self, x: np.ndarray, i: int) -> float:
-        alpha = float(x[self.alpha_sl.start + i])
-        total = self.logc_study[i]
-        for r, n, nz, epos in self._study_arms[i]:
-            lo = alpha
-            for j, sign in nz:
-                lo += sign * float(x[j])
-            if epos >= 0:
-                lo += float(x[epos])
-            if lo >= 0.0:
-                softplus = lo + math.log1p(math.exp(-lo)) if lo < 35.0 else lo
-            else:
-                softplus = math.log1p(math.exp(lo)) if lo > -35.0 else 0.0
-            total += r * lo - n * softplus
-        return total
-
     # --- prior terms ----------------------------------------------------
 
     def _alpha_prior_all(self, x) -> float:
@@ -319,35 +259,6 @@ class _ArmModel(_Model):
         av = self.spec.priors.alpha_variance
         a = x[self.alpha_sl] - self.V1 @ x[self.d_sl]
         return float(-0.5 * (a @ a) / av - 0.5 * a.size * (LOG_2PI + math.log(av)))
-
-    def _alpha_prior_internal_one(self, x, i) -> float:
-        av = self.spec.priors.alpha_variance
-        a = float(x[self.alpha_sl.start + i])
-        for j in self._v1_cols[i]:
-            a -= float(x[j])
-        return -0.5 * a * a / av - 0.5 * (LOG_2PI + math.log(av))
-
-    def _eps_prior_one(self, x, i) -> float:
-        sigma = float(x[self.sigma_pos])
-        if sigma <= 0.0:
-            return -np.inf
-        sl = self.eps_x_slices[i]
-        m = sl.stop - sl.start
-        if m == 1:
-            e = float(x[sl.start])
-            quad = e * e
-        else:
-            s = ss = 0.0
-            for p in range(sl.start, sl.stop):
-                v = float(x[p])
-                s += v
-                ss += v * v
-            quad = 2.0 * (ss - s * s / (m + 1.0))
-        return -0.5 * (
-            m * (LOG_2PI + 2.0 * math.log(sigma))
-            + float(self.eps_logdets[i])
-            + quad / (sigma * sigma)
-        )
 
     def _eps_prior_all(self, x) -> float:
         sigma = x[self.sigma_pos]
@@ -393,6 +304,88 @@ class _ArmModel(_Model):
             total += self._eps_prior_all(x) + bounds
         return float(total)
 
+    def _study_partials(self, i: int):
+        """The partials of study i's two blocks, built for one fit.
+
+        Each is study i's log-likelihood in the sampling parameterization plus
+        that block's prior: alpha_i's normal prior, or the compound-symmetry
+        prior of eps_i. They use scalar math with the study's constants worked
+        out once, since each runs tens of thousands of times per chain; the
+        eps partial is None under fixed effects.
+        """
+        start = int(self.arm_starts[i])
+        stop = start + int(self.m[i]) + 1
+        alpha_pos = self.alpha_sl.start + i
+        eps_start = self.eps_sl.start + int(self.eps_starts[i]) if self.has_eps else -1
+        # per arm: events, total, nonzero (column, Vc entry) pairs, latent position
+        arms = tuple(
+            (
+                float(self.r[g]),
+                float(self.n[g]),
+                tuple((int(j), float(self.Vc[g, j])) for j in np.flatnonzero(self.Vc[g])),
+                eps_start + local - 1 if self.has_eps and local >= 1 else -1,
+            )
+            for local, g in enumerate(range(start, stop))
+        )
+        logc = _log_binomial_coefficients(self.r[start:stop], self.n[start:stop])
+        exp, log1p = math.exp, math.log1p
+
+        def loglik(x) -> float:
+            item = x.item
+            alpha = item(alpha_pos)
+            total = logc
+            for r, n, nz, epos in arms:
+                lo = alpha
+                for j, sign in nz:
+                    lo += sign * item(j)
+                if epos >= 0:
+                    lo += item(epos)
+                if lo >= 0.0:
+                    softplus = lo + log1p(exp(-lo)) if lo < 35.0 else lo
+                else:
+                    softplus = log1p(exp(lo)) if lo > -35.0 else 0.0
+                total += r * lo - n * softplus
+            return total
+
+        av = self.spec.priors.alpha_variance
+        alpha_norm = 0.5 * (LOG_2PI + math.log(av))
+        v1_cols = tuple(int(j) for j in np.flatnonzero(self.V1[i]))
+
+        def alpha_partial(x) -> float:
+            # the reported baseline alpha_i = a_i - (V d)_{arm 1}
+            a = x.item(alpha_pos)
+            for j in v1_cols:
+                a -= x.item(j)
+            return loglik(x) + (-0.5 * a * a / av - alpha_norm)
+
+        if not self.has_eps:
+            return alpha_partial, None
+
+        m = stop - start - 1
+        eps_positions = tuple(range(eps_start, eps_start + m))
+        logdet = float(self.eps_logdets[i])
+        sigma_pos = self.sigma_pos
+
+        def eps_partial(x) -> float:
+            sigma = x.item(sigma_pos)
+            if sigma <= 0.0:
+                return loglik(x) - math.inf
+            if m == 1:
+                e = x.item(eps_start)
+                quad = e * e
+            else:
+                s = ss = 0.0
+                for p in eps_positions:
+                    v = x.item(p)
+                    s += v
+                    ss += v * v
+                quad = 2.0 * (ss - s * s / (m + 1.0))
+            return loglik(x) + -0.5 * (
+                m * (LOG_2PI + 2.0 * math.log(sigma)) + logdet + quad / (sigma * sigma)
+            )
+
+        return alpha_partial, eps_partial
+
     def blocks_and_partials(self, d_chol):
         k = len(self.d_components)
         blocks = [
@@ -413,23 +406,17 @@ class _ArmModel(_Model):
             blocks.append(Block("sigma", (self.sigma_pos,), scale=0.4, log_scale=True))
             partials.append(lambda x: self._eps_prior_all(x) + self._sigma_bounds(x))
 
+        per_study = [self._study_partials(i) for i in range(len(self.studies))]
         for i, study in enumerate(self.studies):
             blocks.append(Block(f"alpha[{study.id}]", (self.alpha_sl.start + i,), scale=0.3))
-            partials.append(
-                lambda x, i=i: self._loglik_study_internal(x, i)
-                + self._alpha_prior_internal_one(x, i)
-            )
+            partials.append(per_study[i][0])
 
         if self.has_eps:
             for i, study in enumerate(self.studies):
-                esl = self.eps_x_slices[i]
-                blocks.append(
-                    Block(f"eps[{study.id}]", tuple(range(esl.start, esl.stop)), scale=0.3)
-                )
-                partials.append(
-                    lambda x, i=i: self._loglik_study_internal(x, i)
-                    + self._eps_prior_one(x, i)
-                )
+                start = self.eps_sl.start + int(self.eps_starts[i])
+                dims = tuple(range(start, start + int(self.m[i])))
+                blocks.append(Block(f"eps[{study.id}]", dims, scale=0.3))
+                partials.append(per_study[i][1])
             # likelihood-invariant translation: move d and let every latent
             # absorb the contrast change, so effects are not pinned by the
             # current latents (acceptance depends on the priors only)
@@ -653,12 +640,17 @@ def fit(
         model.logpost_internal, inits_internal, blocks, config, partials=partials
     )
     draws = model.reported_draws(raw.draws)
+    # run_chains' diagnostics stand for every column reported_draws leaves as sampled
+    rhat, ess = raw.rhat, raw.ess
+    for j in range(model.dim)[model.remapped_sl]:
+        rhat[j] = _rhat(draws[:, :, j])
+        ess[j] = _ess(draws[:, :, j])
     sample = PosteriorSample(
         names=model.names,
         draws=draws,
         acceptance=raw.acceptance,
-        rhat=np.array([_rhat(draws[:, :, j]) for j in range(draws.shape[-1])]),
-        ess=np.array([_ess(draws[:, :, j]) for j in range(draws.shape[-1])]),
+        rhat=rhat,
+        ess=ess,
         scales_after_burnin=raw.scales_after_burnin,
         scales_final=raw.scales_final,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .errors import CnmaError, UnknownComponent
 from .network import Treatment
@@ -81,7 +81,7 @@ def derive_relative_effect(
     if is_cov:
         var = float(w @ arr @ w)
         se = float(np.sqrt(max(var, 0.0)))
-        z = stats.norm.ppf(1.0 - tail)
+        z = ndtri(1.0 - tail)
         return EffectEstimate(
             comparator, target, point, point - z * se, point + z * se, se, "freq"
         )
@@ -128,8 +128,14 @@ def sucra(
         raise CnmaError("draws must be N x n_treatments")
     if draws.shape[0] < 100:
         raise CnmaError("sucra needs >= 100 draws")
+    if not np.all(np.isfinite(draws)):
+        raise CnmaError("sucra needs finite draws")
     signed = -draws if direction == "higher-better" else draws
-    ranks = stats.rankdata(signed, axis=1, method="average")
+    # average rank within each draw: the number of values below, plus the
+    # mean position among the ties (the value itself included)
+    below = (signed[:, None, :] < signed[:, :, None]).sum(axis=2)
+    ties = (signed[:, None, :] == signed[:, :, None]).sum(axis=2)
+    ranks = below + (ties + 1) / 2
     mean_rank = ranks.mean(axis=0)
     scores = (n_t - mean_rank) / (n_t - 1)
     return RankingReport(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .design import ContrastDesign, GlsSolution
 from .effects import contrast_vector
@@ -121,6 +121,6 @@ def p_scores(
                     f"zero standard error between {k.label!r} and {l.label!r}"
                 )
             z = diff / np.sqrt(var)
-            probs.append(stats.norm.cdf(z if direction == "higher-better" else -z))
+            probs.append(ndtr(z if direction == "higher-better" else -z))
         scores[k] = float(np.mean(probs))
     return scores

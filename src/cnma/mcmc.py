@@ -11,6 +11,11 @@ Per-block partial log posteriors may be supplied: a block's partial must
 include every term of the log posterior that depends on that block's
 coordinates, and is used in place of the full log posterior when forming the
 acceptance ratio. This keeps per-study updates O(study) instead of O(data).
+
+The sampler moves the state vector in place: a proposal writes the block's
+new coordinates into ``x`` and a rejection writes the saved ones back. A
+partial (or the log posterior) must therefore neither keep a reference to
+``x`` nor modify it; it may only read it during the call.
 """
 
 from __future__ import annotations
@@ -41,8 +46,11 @@ class McmcConfig:
     def __post_init__(self):
         if self.n_chains < 2:
             raise McmcError("need >= 2 chains for convergence diagnostics")
-        if self.burn_in <= 0 or self.keep <= 0 or self.thin < 1:
-            raise McmcError("burn_in, keep must be > 0 and thin >= 1")
+        if self.burn_in <= 0 or self.thin < 1:
+            raise McmcError("burn_in must be > 0 and thin >= 1")
+        if self.keep < 4:
+            # rhat splits each chain in half and needs >= 4 draws per chain
+            raise McmcError("keep must be >= 4")
         if self.adapt_window < 2:
             raise McmcError("adapt_window must be >= 2")
 
@@ -113,8 +121,26 @@ def _check_blocks(blocks, dim: int) -> None:
         raise McmcError("plain blocks must partition all dimensions")
 
 
+def _coordinates(block: Block):
+    """Where a block's coordinates sit in the state vector: an int for a
+    1-coordinate additive block (the sampler's scalar path), a slice when the
+    coordinates are contiguous, an index array otherwise."""
+    dims = tuple(int(d) for d in block.dims)
+    if (
+        len(dims) == 1
+        and not block.log_scale
+        and block.cov_chol is None
+        and block.shift_map is None
+    ):
+        return dims[0]
+    if dims and dims == tuple(range(dims[0], dims[0] + len(dims))):
+        return slice(dims[0], dims[0] + len(dims))
+    return np.array(dims, dtype=int)
+
+
 def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
     rng = rng_stream(config.seed, chain_index)
+    normal, uniform = rng.standard_normal, rng.random
     x = np.array(x0, dtype=float)
     dim = x.size
     lp0 = logpost(x)
@@ -123,59 +149,67 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
 
     n_blocks = len(blocks)
     evaluators = partials if partials is not None else [logpost] * n_blocks
-    scales = np.array([b.scale for b in blocks], dtype=float)
-    targets = np.array([b.resolved_target(config) for b in blocks])
-    dims_list = [np.asarray(b.dims, dtype=int) for b in blocks]
+    scales = [float(b.scale) for b in blocks]
+    targets = [float(b.resolved_target(config)) for b in blocks]
+    where = [_coordinates(b) for b in blocks]
 
-    accepts = np.zeros(n_blocks, dtype=int)
-    window_accepts = np.zeros(n_blocks, dtype=int)
-    zero_windows = np.zeros(n_blocks, dtype=int)
+    accepts = [0] * n_blocks
+    window_accepts = [0] * n_blocks
+    zero_windows = [0] * n_blocks
     post_burnin_proposals = 0
 
-    total = config.burn_in + config.keep * config.thin
+    burn_in, thin = config.burn_in, config.thin
+    total = burn_in + config.keep * thin
     kept = np.empty((config.keep, dim))
     kept_at = 0
     scales_after_burnin = None
 
     for it in range(total):
-        adapting = it < config.burn_in
+        adapting = it < burn_in
         if adapting:
             # Robbins-Monro gain, decaying per proposal; damped at the start
             gain = (10.0 + it) ** -0.6
-        for bi, block in enumerate(blocks):
-            idx = dims_list[bi]
-            cur = x[idx]
-            if block.shift_map is not None:
-                k = block.shift_map.shape[1]
-                z = rng.standard_normal(k)
-                delta = scales[bi] * (block.cov_chol @ z if block.cov_chol is not None else z)
-                new = cur.copy()
-                new[:k] += delta
-                new[k:] -= block.shift_map @ delta
+        for bi in range(n_blocks):
+            block, at, evaluate = blocks[bi], where[bi], evaluators[bi]
+            # propose in place; ``saved`` restores the block on rejection
+            if isinstance(at, int):
+                saved = x.item(at)
+                step = scales[bi] * normal()
+                lp_old = evaluate(x)
+                x[at] = saved + step
                 jacobian = 0.0
             else:
-                z = rng.standard_normal(idx.size)
-                step = scales[bi] * (block.cov_chol @ z if block.cov_chol is not None else z)
-                if block.log_scale:
-                    new = cur * np.exp(step)
-                    jacobian = float(np.sum(step))
-                else:
-                    new = cur + step
+                saved = x[at].copy()
+                if block.shift_map is not None:
+                    k = block.shift_map.shape[1]
+                    z = normal(k)
+                    delta = scales[bi] * (block.cov_chol @ z if block.cov_chol is not None else z)
+                    new = saved.copy()
+                    new[:k] += delta
+                    new[k:] -= block.shift_map @ delta
                     jacobian = 0.0
-
-            lp_old = evaluators[bi](x)
-            x_prop = x.copy()
-            x_prop[idx] = new
-            lp_new = evaluators[bi](x_prop)
+                else:
+                    z = normal(saved.size)
+                    step = scales[bi] * (block.cov_chol @ z if block.cov_chol is not None else z)
+                    if block.log_scale:
+                        new = saved * np.exp(step)
+                        jacobian = float(np.sum(step))
+                    else:
+                        new = saved + step
+                        jacobian = 0.0
+                lp_old = evaluate(x)
+                x[at] = new
+            lp_new = evaluate(x)
             if math.isnan(lp_old) or math.isnan(lp_new):
                 raise McmcError(f"log posterior returned NaN in block {block.name!r}")
 
-            accepted = math.log(rng.random()) < lp_new - lp_old + jacobian
+            accepted = math.log(uniform()) < lp_new - lp_old + jacobian
             if accepted:
-                x = x_prop
                 window_accepts[bi] += 1
                 if not adapting:
                     accepts[bi] += 1
+            else:
+                x[at] = saved
             if adapting:
                 scales[bi] *= math.exp(gain * ((1.0 if accepted else 0.0) - targets[bi]))
 
@@ -192,19 +226,18 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
                         )
                 else:
                     zero_windows[bi] = 0
-            window_accepts[:] = 0
+            window_accepts = [0] * n_blocks
 
-        if it == config.burn_in - 1:
-            scales_after_burnin = scales.copy()
+        if it == burn_in - 1:
+            scales_after_burnin = list(scales)
 
         if not adapting:
             post_burnin_proposals += 1
-            offset = it - config.burn_in
-            if (offset + 1) % config.thin == 0:
+            if (it - burn_in + 1) % thin == 0:
                 kept[kept_at] = x
                 kept_at += 1
 
-    rates = accepts / max(post_burnin_proposals, 1)
+    rates = np.array(accepts) / max(post_burnin_proposals, 1)
     return kept, rates, scales_after_burnin, scales
 
 

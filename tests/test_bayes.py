@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from cnma import bayes
+from cnma import bayes, mcmc
 from cnma.design import build_Sigma_star, stack_X
 from cnma.effects import contrast_vector
 from cnma.errors import CnmaError, EmptyNetwork, NotPositiveDefinite, UnknownAnchor
@@ -143,3 +143,50 @@ def test_preconditioner_fallback_is_logged(studies, network, monkeypatch, caplog
         r.name == "cnma" and "NotPositiveDefinite" in r.getMessage() for r in caplog.records
     )
     assert np.all(np.isfinite(fit.sample.draws))
+
+
+@pytest.mark.parametrize("effects", ["fixed", "random"])
+@pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
+def test_block_partials_track_logpost(kind, effects, studies, network):
+    # a move of one block changes its partial as much as the log posterior
+    spec, data = inputs(kind, studies, effects)
+    model = bayes.build_model(spec, data, network)
+    blocks, partials = model.blocks_and_partials(bayes._d_preconditioner(model, network, spec))
+    # d, then alpha per study; under random effects also sigma, eps per study and d-shift
+    assert len(partials) == (3 + 2 * len(studies) if effects == "random" else 1 + len(studies))
+    x = model.to_internal(bayes._initial_vectors(model, McmcConfig(seed=3), spec)[0])
+    rng = np.random.default_rng(3)
+    for block, partial in zip(blocks, partials):
+        y = x.copy()
+        dims = list(block.dims)
+        if block.shift_map is not None:
+            k = block.shift_map.shape[1]
+            delta = 0.3 * rng.standard_normal(k)
+            y[dims[:k]] += delta
+            y[dims[k:]] -= block.shift_map @ delta
+        elif block.log_scale:
+            y[dims] *= np.exp(0.3 * rng.standard_normal(len(dims)))
+        else:
+            y[dims] += 0.3 * rng.standard_normal(len(dims))
+        change = model.logpost_internal(y) - model.logpost_internal(x)
+        assert np.isfinite(change)
+        assert partial(y) - partial(x) == pytest.approx(change, abs=1e-9), block.name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_diagnostics_are_those_of_reported_draws(kind, studies, network, monkeypatch):
+    # run_chains' values are reused except where reported_draws remaps a column
+    calls = []
+
+    def counted_rhat(chains):
+        calls.append(1)
+        return mcmc.rhat(chains)
+
+    monkeypatch.setattr(bayes, "_rhat", counted_rhat)
+    spec, data = inputs(kind, studies)
+    fit = bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=2))
+    draws = fit.sample.draws
+    for j in range(draws.shape[-1]):
+        assert fit.sample.rhat[j] == mcmc.rhat(draws[:, :, j])
+        assert fit.sample.ess[j] == mcmc.ess(draws[:, :, j])
+    assert len(calls) == (0 if kind == "unanchored-contrast" else len(studies))

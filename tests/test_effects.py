@@ -134,6 +134,24 @@ class TestSucra:
         report = sucra(draws, [parse_treatment(x) for x in "ABC"])
         assert [t.label for t in report.ordering()] == ["B", "C", "A"]
 
+    @pytest.mark.parametrize("direction", ["higher-better", "lower-better"])
+    def test_tied_draws_take_average_ranks(self, direction):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(4)
+        draws = rng.integers(0, 3, size=(300, 5)).astype(float)
+        report = sucra(draws, [parse_treatment(f"t{i}") for i in range(5)], direction)
+        signed = -draws if direction == "higher-better" else draws
+        mean_rank = rankdata(signed, axis=1, method="average").mean(axis=0)
+        assert np.array_equal(list(report.scores.values()), (5 - mean_rank) / 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draws_rejected(self, bad):
+        draws = np.tile([1.0, 2.0], (150, 1))
+        draws[7, 1] = bad
+        with pytest.raises(CnmaError, match="finite"):
+            sucra(draws, [parse_treatment(x) for x in "AB"])
+
 
 class TestVerifyUniqueAnchor:
     def effects_vs_e(self):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from cnma.errors import McmcError
 from cnma.mcmc import Block, McmcConfig, PosteriorSample, ess, rhat, run_chains, summarize
+from cnma.numerics import rng_stream
 
 
 def std_normal_logpost(x):
@@ -13,6 +16,44 @@ def quick_config(**overrides):
     base = dict(n_chains=2, burn_in=500, keep=2000, seed=123)
     base.update(overrides)
     return McmcConfig(**base)
+
+
+def _copying_reference(logpost, x0, blocks, config, chain_index):
+    """The sampler's sweep with a copied state per proposal: kept draws and
+    final scales of one chain."""
+    rng = rng_stream(config.seed, chain_index)
+    x = np.array(x0, dtype=float)
+    scales = np.array([b.scale for b in blocks])
+    kept = []
+    for it in range(config.burn_in + config.keep * config.thin):
+        for bi, block in enumerate(blocks):
+            idx = np.asarray(block.dims)
+            cur = x[idx]
+            chol = block.cov_chol
+            if block.shift_map is not None:
+                k = block.shift_map.shape[1]
+                z = rng.standard_normal(k)
+                delta = scales[bi] * (chol @ z if chol is not None else z)
+                new = cur.copy()
+                new[:k] += delta
+                new[k:] -= block.shift_map @ delta
+                jacobian = 0.0
+            else:
+                z = rng.standard_normal(idx.size)
+                step = scales[bi] * (chol @ z if chol is not None else z)
+                new = cur * np.exp(step) if block.log_scale else cur + step
+                jacobian = float(np.sum(step)) if block.log_scale else 0.0
+            x_prop = x.copy()
+            x_prop[idx] = new
+            accepted = math.log(rng.random()) < logpost(x_prop) - logpost(x) + jacobian
+            if accepted:
+                x = x_prop
+            if it < config.burn_in:
+                target = block.resolved_target(config)
+                scales[bi] *= math.exp((10.0 + it) ** -0.6 * (float(accepted) - target))
+        if it >= config.burn_in and (it - config.burn_in + 1) % config.thin == 0:
+            kept.append(x)
+    return np.array(kept), scales.tolist()
 
 
 class TestRunChains:
@@ -163,6 +204,65 @@ class TestRunChains:
             run_chains(
                 logpost, np.zeros(1), [Block("x", (0,), 0.5)], quick_config()
             )
+
+    def test_keep_below_four_rejected(self):
+        # rhat needs 4 draws per chain; the config fails before any sweep runs
+        with pytest.raises(McmcError, match="keep"):
+            McmcConfig(keep=3)
+
+    def test_rejected_proposals_restore_every_coordinate(self):
+        # every block kind: scalar, contiguous with covariance shaping,
+        # multiplicative, and a shift over non-contiguous coordinates; any
+        # move is rejected, so every evaluation must see the start bit for bit
+        x0 = np.array([0.1, -0.7, 1.3, 0.4, 2.5, -1.9])
+        seen = []
+
+        def only_start(x):
+            seen.append(np.array_equal(x, x0))
+            return 0.0 if seen[-1] else -np.inf
+
+        blocks = [
+            Block("a", (0,), 0.5),
+            Block("bc", (1, 2), 0.5, cov_chol=np.array([[1.0, 0.0], [0.3, 0.9]])),
+            Block("d", (3,), 0.5, log_scale=True),
+            Block("e", (4,), 0.5),
+            Block("f", (5,), 0.5),
+            Block("shift", (0, 3, 5), 0.5, shift_map=np.array([[1.0], [-0.5]])),
+        ]
+        config = quick_config(burn_in=30, keep=20)
+        sample = run_chains(only_start, x0, blocks, config, partials=[only_start] * 6)
+        # per proposal: the current state, then the proposed one; the first
+        # call of each chain checks its start
+        per_chain = len(seen) // config.n_chains
+        for chain in (seen[:per_chain], seen[per_chain:]):
+            assert all(chain[1::2]) and not any(chain[2::2])
+        assert np.array_equal(sample.draws, np.broadcast_to(x0, sample.draws.shape))
+        assert all(rate == 0.0 for rate in sample.acceptance.values())
+
+    def test_same_chain_as_copying_reference(self):
+        # the sweep proposes in place; this reference copies the state for
+        # every proposal, as the sampler once did, and must agree bit for bit
+        prec = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+
+        def logpost(x):
+            if x[4] <= 0.0:
+                return -np.inf
+            return float(-0.5 * x[:3] @ prec @ x[:3] - x[3] ** 2 - x[4] + np.log(x[4]))
+
+        blocks = [
+            Block("a", (0,), 0.8),
+            Block("bc", (1, 2), 0.6, cov_chol=np.array([[1.0, 0.0], [0.4, 0.8]])),
+            Block("d", (3,), 0.7),
+            Block("s", (4,), 0.4, log_scale=True),
+            Block("shift", (0, 3, 1), 0.3, shift_map=np.array([[0.5], [1.0]])),
+        ]
+        config = quick_config(burn_in=200, keep=100, thin=2)
+        x0 = np.array([0.3, -0.2, 0.1, 0.5, 1.2])
+        sample = run_chains(logpost, x0, blocks, config)
+        for c in range(config.n_chains):
+            kept, scales = _copying_reference(logpost, x0, blocks, config, c)
+            assert np.array_equal(sample.draws[c], kept)
+            assert [sample.scales_final[f"{b.name}[{c}]"] for b in blocks] == scales
 
     def test_per_chain_inits(self):
         inits = np.array([[5.0], [-5.0]])
