@@ -18,6 +18,12 @@ a-dimensional compound-symmetry latent against a common arm yields exactly
 this law, and the direction it removes is absorbed by the diffuse per-study
 baseline, so contrast inference is unchanged while sampling loses a redundant
 dimension.
+
+Each model kind has one log likelihood and one log posterior, its ``loglik``
+and ``logpost``. Both take the sampling parameterization that the sampler
+moves through: for the arm kinds the study baselines are arm-1 logits (see
+``_ArmModel``). A model's ``to_internal`` maps reported vectors there, and its
+``reported_draws`` maps the draws back.
 """
 
 from __future__ import annotations
@@ -99,16 +105,38 @@ def _anchor_first(study: Study, anchor: Treatment) -> Study:
 
 
 class _Model:
-    """Terms shared by the model kinds: the effect block at ``d_sl`` with its
-    normal prior and, under random effects, sigma at ``sigma_pos`` with its
-    uniform prior."""
+    """Terms shared by the model kinds.
 
-    spec: ModelSpec
-    d_sl: slice
-    sigma_pos: int | None
-    dim: int
+    The vector holds the effect block at ``d_sl``, then the kind's per-study
+    coordinates, then, under random effects, sigma at ``sigma_pos``. The
+    effects get a normal prior and sigma a uniform one. ``to_internal`` and
+    ``reported_draws`` are the identity unless a kind remaps coordinates.
+    """
+
     # the coordinates whose reported values differ from the sampled ones
     remapped_sl = slice(0, 0)
+
+    def __init__(self, network: Network, spec: ModelSpec, d_components, study_names=()):
+        self.network = network
+        self.spec = spec
+        self.d_components = tuple(d_components)
+        # each effect coordinate's column among network.components
+        self.d_columns = np.array(
+            [network.component_index(c) for c in self.d_components], dtype=int
+        )
+        self.d_sl = slice(0, len(self.d_components))
+        names = [f"d[{c}]" for c in self.d_components] + list(study_names)
+        self.sigma_pos = len(names) if spec.random_effects else None
+        if spec.random_effects:
+            names.append("sigma")
+        self.names = tuple(names)
+        self.dim = len(names)
+
+    def to_internal(self, x: np.ndarray) -> np.ndarray:
+        return np.array(x, dtype=float)
+
+    def reported_draws(self, draws: np.ndarray) -> np.ndarray:
+        return np.array(draws)
 
     def _d_prior(self, x) -> float:
         dv = self.spec.priors.d_variance
@@ -120,6 +148,26 @@ class _Model:
         if 0.0 < sigma < self.spec.priors.sigma_upper:
             return -math.log(self.spec.priors.sigma_upper)
         return -np.inf
+
+    def _study_prior(self, x) -> float:
+        """Prior terms of the per-study coordinates."""
+        return 0.0
+
+    def logpost(self, x: np.ndarray) -> float:
+        """Log posterior at one vector in the sampling parameterization."""
+        bounds = self._sigma_bounds(x) if self.spec.random_effects else 0.0
+        if bounds == -math.inf:
+            return -math.inf
+        return float(self.loglik(x) + self._d_prior(x) + self._study_prior(x) + bounds)
+
+    def _shared_blocks(self, d_chol) -> list[Block]:
+        """The effect block and, under random effects, the sigma block."""
+        k = len(self.d_components)
+        scale = 2.38 / math.sqrt(max(k, 1))
+        blocks = [Block("d", tuple(range(k)), scale=scale, cov_chol=d_chol)]
+        if self.spec.random_effects:
+            blocks.append(Block("sigma", (self.sigma_pos,), scale=0.4, log_scale=True))
+        return blocks
 
     def initial_vector(self) -> np.ndarray:
         x = np.zeros(self.dim)
@@ -144,18 +192,18 @@ class _ArmModel(_Model):
         anchored = spec.kind == "anchored-arm"
         if anchored:
             studies = [_anchor_first(s, spec.anchor) for s in studies]
-        self.studies = tuple(studies)
-        self.network = network
-        self.spec = spec
-
-        if anchored:
             anchor_comp = spec.anchor.components[0]
-            self.d_components = tuple(
-                c for c in network.components if c != anchor_comp
-            )
+            d_components = [c for c in network.components if c != anchor_comp]
         else:
-            self.d_components = network.components
-        k = len(self.d_components)
+            d_components = network.components
+        self.studies = tuple(studies)
+        self.has_eps = spec.random_effects
+
+        study_names = [f"alpha[{s.id}]" for s in self.studies]
+        if self.has_eps:
+            for study in self.studies:
+                study_names += [f"eps[{study.id}:{j + 1}]" for j in range(study.n_arms - 1)]
+        super().__init__(network, spec, d_components, study_names)
 
         arms = [(i, arm) for i, study in enumerate(self.studies) for arm in study.arms]
         self.arm_study = np.array([i for i, _ in arms], dtype=int)
@@ -174,15 +222,10 @@ class _ArmModel(_Model):
         self.Vc = self.V - self.V1[self.arm_study]
         self.logc_total = _log_binomial_coefficients(self.r, self.n)
 
-        n_studies = len(self.studies)
-        self.has_eps = spec.random_effects
+        k, n_studies = self.d_sl.stop, len(self.studies)
         n_eps = int(self.m.sum()) if self.has_eps else 0
-
-        self.d_sl = slice(0, k)
         self.alpha_sl = self.remapped_sl = slice(k, k + n_studies)
         self.eps_sl = slice(k + n_studies, k + n_studies + n_eps)
-        self.sigma_pos = k + n_studies + n_eps if spec.random_effects else None
-        self.dim = k + n_studies + n_eps + (1 if spec.random_effects else 0)
 
         if self.has_eps:
             # every arm but each study's first carries a latent
@@ -192,26 +235,14 @@ class _ArmModel(_Model):
             # log det of the contrast compound-symmetry block, per study
             self.eps_logdets = np.log(self.m + 1.0) - self.m * math.log(2.0)
 
-        names = [f"d[{c}]" for c in self.d_components]
-        names += [f"alpha[{s.id}]" for s in self.studies]
-        if self.has_eps:
-            for study in self.studies:
-                names += [f"eps[{study.id}:{j + 1}]" for j in range(study.n_arms - 1)]
-        if spec.random_effects:
-            names.append("sigma")
-        self.names = tuple(names)
-
     # --- parameterization maps -------------------------------------------
 
     def to_internal(self, x: np.ndarray) -> np.ndarray:
-        """(d, alpha, ...) -> (d, arm-1 logit, ...)."""
+        """(d, alpha, ...) -> (d, arm-1 logit, ...), for one vector or a stack."""
         y = np.array(x, dtype=float)
-        y[self.alpha_sl] = x[self.alpha_sl] + self.V1 @ x[self.d_sl]
-        return y
-
-    def to_reported(self, x: np.ndarray) -> np.ndarray:
-        y = np.array(x, dtype=float)
-        y[self.alpha_sl] = x[self.alpha_sl] - self.V1 @ x[self.d_sl]
+        # one matrix-vector product per row: a row of a stack gets the same
+        # bits as the vector alone
+        y[..., self.alpha_sl] += (self.V1 @ y[..., self.d_sl, None])[..., 0]
         return y
 
     def reported_draws(self, draws: np.ndarray) -> np.ndarray:
@@ -222,45 +253,25 @@ class _ArmModel(_Model):
         )
         return out
 
-    # --- likelihood terms (reported parameterization) ---------------------
+    # --- log likelihood and priors (sampling parameterization) ------------
 
-    def _logits(self, x: np.ndarray) -> np.ndarray:
-        logits = x[self.alpha_sl][self.arm_study] + self.V @ x[self.d_sl]
+    def loglik(self, x: np.ndarray):
+        """Binomial log likelihood, logit = a_i + (V - V_{arm 1}) d + eps: a
+        float for one vector, an array for a matrix holding one per row."""
+        # x.T puts the coordinates first for one vector and for rows alike
+        xt = x.T
+        logits = xt[self.alpha_sl][self.arm_study] + self.Vc @ xt[self.d_sl]
         if self.has_eps and self.eps_arm_positions.size:
-            logits[self.eps_arm_positions] += x[self.eps_sl]
-        return logits
+            logits[self.eps_arm_positions] += xt[self.eps_sl]
+        return self.r @ logits - self.n @ np.logaddexp(0.0, logits) + self.logc_total
 
-    def loglik(self, x: np.ndarray) -> float:
-        logits = self._logits(x)
-        return float(
-            np.sum(self.r * logits - self.n * np.logaddexp(0.0, logits))
-            + self.logc_total
-        )
-
-    # --- likelihood terms (sampling parameterization) ---------------------
-
-    def _loglik_internal(self, x: np.ndarray) -> float:
-        logits = x[self.alpha_sl][self.arm_study] + self.Vc @ x[self.d_sl]
-        if self.has_eps and self.eps_arm_positions.size:
-            logits[self.eps_arm_positions] += x[self.eps_sl]
-        return float(
-            np.sum(self.r * logits - self.n * np.logaddexp(0.0, logits))
-            + self.logc_total
-        )
-
-    # --- prior terms ----------------------------------------------------
-
-    def _alpha_prior_all(self, x) -> float:
-        av = self.spec.priors.alpha_variance
-        a = x[self.alpha_sl]
-        return float(-0.5 * (a @ a) / av - 0.5 * a.size * (LOG_2PI + math.log(av)))
-
-    def _alpha_prior_internal_all(self, x) -> float:
+    def _alpha_prior(self, x) -> float:
+        # the normal prior is on the reported baseline alpha_i = a_i - (V d)_{arm 1}
         av = self.spec.priors.alpha_variance
         a = x[self.alpha_sl] - self.V1 @ x[self.d_sl]
         return float(-0.5 * (a @ a) / av - 0.5 * a.size * (LOG_2PI + math.log(av)))
 
-    def _eps_prior_all(self, x) -> float:
+    def _eps_prior(self, x) -> float:
         sigma = x[self.sigma_pos]
         if not 0.0 < sigma:
             return -np.inf
@@ -279,30 +290,12 @@ class _ArmModel(_Model):
             )
         )
 
-    # --- assembled log posterior and partials ---------------------------
+    def _study_prior(self, x) -> float:
+        if self.has_eps:
+            return self._alpha_prior(x) + self._eps_prior(x)
+        return self._alpha_prior(x)
 
-    def logpost(self, x: np.ndarray) -> float:
-        """Log posterior in the reported (d, alpha, eps, sigma) parameterization."""
-        total = self.loglik(x) + self._d_prior(x) + self._alpha_prior_all(x)
-        if self.spec.random_effects:
-            bounds = self._sigma_bounds(x)
-            if not np.isfinite(bounds):
-                return -np.inf
-            total += self._eps_prior_all(x) + bounds
-        return float(total)
-
-    def logpost_internal(self, x: np.ndarray) -> float:
-        total = (
-            self._loglik_internal(x)
-            + self._d_prior(x)
-            + self._alpha_prior_internal_all(x)
-        )
-        if self.spec.random_effects:
-            bounds = self._sigma_bounds(x)
-            if not np.isfinite(bounds):
-                return -np.inf
-            total += self._eps_prior_all(x) + bounds
-        return float(total)
+    # --- block partials ---------------------------------------------------
 
     def _study_partials(self, i: int):
         """The partials of study i's two blocks, built for one fit.
@@ -387,24 +380,10 @@ class _ArmModel(_Model):
         return alpha_partial, eps_partial
 
     def blocks_and_partials(self, d_chol):
-        k = len(self.d_components)
-        blocks = [
-            Block(
-                "d",
-                tuple(range(self.d_sl.start, self.d_sl.stop)),
-                scale=2.38 / math.sqrt(max(k, 1)),
-                cov_chol=d_chol,
-            )
-        ]
-        partials = [
-            lambda x: self._loglik_internal(x)
-            + self._d_prior(x)
-            + self._alpha_prior_internal_all(x)
-        ]
-
+        blocks = self._shared_blocks(d_chol)
+        partials = [lambda x: self.loglik(x) + self._d_prior(x) + self._alpha_prior(x)]
         if self.spec.random_effects:
-            blocks.append(Block("sigma", (self.sigma_pos,), scale=0.4, log_scale=True))
-            partials.append(lambda x: self._eps_prior_all(x) + self._sigma_bounds(x))
+            partials.append(lambda x: self._eps_prior(x) + self._sigma_bounds(x))
 
         per_study = [self._study_partials(i) for i in range(len(self.studies))]
         for i, study in enumerate(self.studies):
@@ -431,68 +410,28 @@ class _ArmModel(_Model):
                 )
             )
             partials.append(
-                lambda x: self._d_prior(x)
-                + self._alpha_prior_internal_all(x)
-                + self._eps_prior_all(x)
+                lambda x: self._d_prior(x) + self._alpha_prior(x) + self._eps_prior(x)
             )
         return blocks, partials
 
 
 class _ContrastModel(_Model):
-    """Marginalized contrast-level model: y* ~ N(U* V d, S* + sigma^2 Sigma*)."""
+    """Marginalized contrast-level model: y* ~ N(U* V d, S* + sigma^2 Sigma*).
+
+    It has no per-study coordinates, so the sampling and reported
+    parameterizations coincide."""
 
     def __init__(self, blocks, network: Network, spec: ModelSpec):
-        self.network = network
-        self.spec = spec
+        super().__init__(network, spec, network.components)
         self.design = ContrastDesign(blocks, network)
-        self.d_components = network.components
-        c = len(self.d_components)
-        self.d_sl = slice(0, c)
-        self.sigma_pos = c if spec.random_effects else None
-        self.dim = c + (1 if spec.random_effects else 0)
-
-        names = [f"d[{comp}]" for comp in self.d_components]
-        if spec.random_effects:
-            names.append("sigma")
-        self.names = tuple(names)
 
     def loglik(self, x: np.ndarray) -> float:
         sigma2 = x[self.sigma_pos] ** 2 if self.spec.random_effects else 0.0
         return self.design.logpdf(x[self.d_sl], sigma2)
 
-    def logpost(self, x: np.ndarray) -> float:
-        if self.spec.random_effects:
-            bounds = self._sigma_bounds(x)
-            if not np.isfinite(bounds):
-                return -np.inf
-            return self.loglik(x) + self._d_prior(x) + bounds
-        return self.loglik(x) + self._d_prior(x)
-
-    # the contrast model has no per-study baselines, so the sampling and
-    # reported parameterizations coincide
-    logpost_internal = logpost
-
-    def to_internal(self, x: np.ndarray) -> np.ndarray:
-        return np.array(x, dtype=float)
-
-    def reported_draws(self, draws: np.ndarray) -> np.ndarray:
-        return np.array(draws)
-
     def blocks_and_partials(self, d_chol):
-        k = len(self.d_components)
-        blocks = [
-            Block(
-                "d",
-                tuple(range(k)),
-                scale=2.38 / math.sqrt(max(k, 1)),
-                cov_chol=d_chol,
-            )
-        ]
-        partials = [self.logpost]
-        if self.spec.random_effects:
-            blocks.append(Block("sigma", (self.sigma_pos,), scale=0.4, log_scale=True))
-            partials.append(self.logpost)
-        return blocks, partials
+        blocks = self._shared_blocks(d_chol)
+        return blocks, [self.logpost] * len(blocks)
 
 
 @dataclass
@@ -529,10 +468,8 @@ class BayesFit:
         columns line up with ``network.components`` for every model.
         """
         pooled = self.sample.pooled()
-        d_draws = pooled[:, self.model.d_sl]
-        full = np.zeros((d_draws.shape[0], self.network.n_components))
-        for j, comp in enumerate(self.model.d_components):
-            full[:, self.network.component_index(comp)] = d_draws[:, j]
+        full = np.zeros((pooled.shape[0], self.network.n_components))
+        full[:, self.model.d_columns] = pooled[:, self.model.d_sl]
         return full
 
     def sigma_draws(self) -> np.ndarray | None:
@@ -584,9 +521,9 @@ def _d_preconditioner(model, network: Network, spec: ModelSpec) -> np.ndarray | 
             design = ContrastDesign(blocks, network)
         else:
             design = model.design
-        keep = [network.component_index(comp) for comp in model.d_components]
+        keep = model.d_columns
         info = design.information(0.0)[np.ix_(keep, keep)]
-        info += np.eye(len(keep)) / spec.priors.d_variance
+        info += np.eye(keep.size) / spec.priors.d_variance
         return chol(np.linalg.inv(info))
     except (np.linalg.LinAlgError, CnmaError) as exc:
         logger.warning(
@@ -634,11 +571,8 @@ def fit(
     model = build_model(spec, data, network)
     d_chol = _d_preconditioner(model, network, spec)
     blocks, partials = model.blocks_and_partials(d_chol)
-    inits = _initial_vectors(model, config, spec)
-    inits_internal = np.array([model.to_internal(v) for v in inits])
-    raw = run_chains(
-        model.logpost_internal, inits_internal, blocks, config, partials=partials
-    )
+    inits = model.to_internal(_initial_vectors(model, config, spec))
+    raw = run_chains(model.logpost, inits, blocks, config, partials=partials)
     draws = model.reported_draws(raw.draws)
     # run_chains' diagnostics stand for every column reported_draws leaves as sampled
     rhat, ess = raw.rhat, raw.ess
@@ -672,18 +606,8 @@ def dic(fit_result: BayesFit, data=None) -> DicResult:
         raise CnmaError("data does not match the fitted studies")
 
     pooled = fit_result.sample.pooled()
-    d = pooled[:, model.d_sl]
-    alpha = pooled[:, model.alpha_sl]
-    logits = alpha[:, model.arm_study] + d @ model.V.T
-    if model.has_eps and model.eps_arm_positions.size:
-        logits[:, model.eps_arm_positions] += pooled[:, model.eps_sl]
-    ll = (
-        np.sum(model.r * logits - model.n * np.logaddexp(0.0, logits), axis=1)
-        + model.logc_total
-    )
-    deviances = -2.0 * ll
-    deviance_bar = float(deviances.mean())
-    deviance_at_mean = float(-2.0 * model.loglik(pooled.mean(axis=0)))
+    deviance_bar = float(np.mean(-2.0 * model.loglik(model.to_internal(pooled))))
+    deviance_at_mean = float(-2.0 * model.loglik(model.to_internal(pooled.mean(axis=0))))
     p_d = deviance_bar - deviance_at_mean
     result = DicResult(
         deviance_bar=deviance_bar,

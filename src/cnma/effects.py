@@ -17,6 +17,8 @@ from .errors import CnmaError, UnknownComponent
 from .network import Treatment
 from .numerics import quantile
 
+DIRECTIONS = ("higher-better", "lower-better")
+
 
 def _component_positions(treatment: Treatment, components) -> list[int]:
     positions = []
@@ -119,6 +121,8 @@ def sucra(
     treatments, SUCRA_k = (T - E[rank_k]) / (T - 1) where rank 1 is best;
     ties within a draw take average ranks.
     """
+    if direction not in DIRECTIONS:
+        raise CnmaError(f"unknown direction {direction!r}")
     draws = np.asarray(draws, dtype=float)
     treatments = list(treatments)
     n_t = len(treatments)

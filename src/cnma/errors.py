@@ -39,7 +39,3 @@ class UnknownComponent(CnmaError):
 
 class McmcError(CnmaError):
     """Sampler failure: non-finite log posterior, scale collapse, or bad configuration."""
-
-
-class DataFormatError(CnmaError):
-    """A data table violates the expected schema."""

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .design import ContrastDesign, GlsSolution
-from .effects import contrast_vector
+from .effects import DIRECTIONS, contrast_vector
 from .errors import CnmaError, DisconnectedNetwork
 from .network import Network, Treatment
 
@@ -104,6 +104,8 @@ def p_scores(
     averaged over l != k. Uses the fitted covariance to propagate uncertainty
     to treatment-level differences.
     """
+    if direction not in DIRECTIONS:
+        raise CnmaError(f"unknown direction {direction!r}")
     treatments = list(treatments)
     if len(treatments) < 2:
         raise CnmaError("p_scores needs >= 2 treatments")

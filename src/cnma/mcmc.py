@@ -28,6 +28,11 @@ import numpy as np
 from .errors import McmcError
 from .numerics import quantile, rng_stream
 
+# Robbins-Monro acceptance targets: a block of one coordinate, a larger block
+TARGET_RATE_SCALAR = 0.44
+TARGET_RATE_BLOCK = 0.234
+# burn-in iterations per adaptation window
+ADAPTATION_WINDOW = 50
 # consecutive all-rejected adaptation windows before declaring scale collapse
 COLLAPSE_WINDOWS = 20
 
@@ -38,9 +43,6 @@ class McmcConfig:
     burn_in: int = 2000
     keep: int = 5000
     thin: int = 1
-    target_acceptance_block: float = 0.234
-    target_acceptance_scalar: float = 0.44
-    adapt_window: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -51,8 +53,6 @@ class McmcConfig:
         if self.keep < 4:
             # rhat splits each chain in half and needs >= 4 draws per chain
             raise McmcError("keep must be >= 4")
-        if self.adapt_window < 2:
-            raise McmcError("adapt_window must be >= 2")
 
 
 @dataclass
@@ -71,15 +71,7 @@ class Block:
     scale: float = 0.1
     log_scale: bool = False
     cov_chol: np.ndarray | None = None
-    target_acceptance: float | None = None
     shift_map: np.ndarray | None = None
-
-    def resolved_target(self, config: McmcConfig) -> float:
-        if self.target_acceptance is not None:
-            return self.target_acceptance
-        if len(self.dims) == 1:
-            return config.target_acceptance_scalar
-        return config.target_acceptance_block
 
 
 @dataclass
@@ -150,7 +142,7 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
     n_blocks = len(blocks)
     evaluators = partials if partials is not None else [logpost] * n_blocks
     scales = [float(b.scale) for b in blocks]
-    targets = [float(b.resolved_target(config)) for b in blocks]
+    targets = [TARGET_RATE_SCALAR if len(b.dims) == 1 else TARGET_RATE_BLOCK for b in blocks]
     where = [_coordinates(b) for b in blocks]
 
     accepts = [0] * n_blocks
@@ -213,7 +205,7 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
             if adapting:
                 scales[bi] *= math.exp(gain * ((1.0 if accepted else 0.0) - targets[bi]))
 
-        if adapting and (it + 1) % config.adapt_window == 0:
+        if adapting and (it + 1) % ADAPTATION_WINDOW == 0:
             # collapse watch: a block rejecting everything for many windows in
             # a row cannot be rescued by further shrinking
             for bi in range(n_blocks):

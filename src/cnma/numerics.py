@@ -16,11 +16,11 @@ DEFAULT_PINV_RTOL = 1e-12
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def pinv(m: np.ndarray, rel_tol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
+def pinv(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``rel_tol`` times the largest singular value are
-    treated as exactly zero.
+    Singular values below ``DEFAULT_PINV_RTOL`` times the largest singular
+    value are treated as exactly zero.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -28,15 +28,15 @@ def pinv(m: np.ndarray, rel_tol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros_like(m.T)
-    keep = s > rel_tol * s[0]
+    keep = s > DEFAULT_PINV_RTOL * s[0]
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (vt.T * s_inv) @ u.T
 
 
-def chol(m: np.ndarray, jitter_floor: float = 0.0) -> np.ndarray:
+def chol(m: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor L with L @ L.T == m.
 
-    Raises NotPositiveDefinite when a pivot falls at or below ``jitter_floor``.
+    Raises NotPositiveDefinite when m is not positive definite.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -44,12 +44,9 @@ def chol(m: np.ndarray, jitter_floor: float = 0.0) -> np.ndarray:
     if not np.allclose(m, m.T, atol=1e-10):
         raise CnmaError("chol requires a symmetric matrix")
     try:
-        lower = np.linalg.cholesky(m)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
-    if jitter_floor > 0.0 and np.any(np.diag(lower) <= np.sqrt(jitter_floor)):
-        raise NotPositiveDefinite("pivot at or below jitter floor")
-    return lower
 
 
 def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.special import expit
+from scipy.stats import binom, norm
 
 from cnma import bayes, mcmc
 from cnma.design import build_Sigma_star, stack_X
@@ -132,7 +134,7 @@ def test_validate_rejects_empty_data(network):
 
 
 def test_preconditioner_fallback_is_logged(studies, network, monkeypatch, caplog):
-    def failing_chol(m, jitter_floor=0.0):
+    def failing_chol(m):
         raise NotPositiveDefinite("forced")
 
     monkeypatch.setattr(bayes, "chol", failing_chol)
@@ -168,7 +170,7 @@ def test_block_partials_track_logpost(kind, effects, studies, network):
             y[dims] *= np.exp(0.3 * rng.standard_normal(len(dims)))
         else:
             y[dims] += 0.3 * rng.standard_normal(len(dims))
-        change = model.logpost_internal(y) - model.logpost_internal(x)
+        change = model.logpost(y) - model.logpost(x)
         assert np.isfinite(change)
         assert partial(y) - partial(x) == pytest.approx(change, abs=1e-9), block.name
 
@@ -190,3 +192,101 @@ def test_diagnostics_are_those_of_reported_draws(kind, studies, network, monkeyp
         assert fit.sample.rhat[j] == mcmc.rhat(draws[:, :, j])
         assert fit.sample.ess[j] == mcmc.ess(draws[:, :, j])
     assert len(calls) == (0 if kind == "unanchored-contrast" else len(studies))
+
+
+def arm_order(kind, study):
+    """A study's arms in the arm models' order: the anchor first where present."""
+    if kind != "anchored-arm":
+        return study.arms
+    return tuple(sorted(study.arms, key=lambda arm: arm.treatment != ANCHOR))
+
+
+def reported_logits(kind, studies, names, x):
+    """Per-arm logits alpha_i + V d + eps of reported vectors x (rows), read
+    by parameter name; the anchor component has no effect coordinate."""
+    col = {name: j for j, name in enumerate(names)}
+    logits = []
+    for s in studies:
+        for j, arm in enumerate(arm_order(kind, s)):
+            lo = x[..., col[f"alpha[{s.id}]"]].copy()
+            for c in arm.treatment.components:
+                if f"d[{c}]" in col:
+                    lo += x[..., col[f"d[{c}]"]]
+            if j > 0 and f"eps[{s.id}:{j}]" in col:
+                lo += x[..., col[f"eps[{s.id}:{j}]"]]
+            logits.append(lo)
+    return np.stack(logits, axis=-1)
+
+
+def binomial_loglik(kind, studies, names, x):
+    r, n = np.array(
+        [[arm.events, arm.total] for s in studies for arm in arm_order(kind, s)], dtype=float
+    ).T
+    p = expit(reported_logits(kind, studies, names, x))
+    return binom.logpmf(r, n, p).sum(axis=-1)
+
+
+@pytest.mark.parametrize("effects", ["fixed", "random"])
+@pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
+def test_dic_is_binomial_deviance_of_reported_draws(kind, effects, studies, network):
+    spec, data = inputs(kind, studies, effects)
+    fit = bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=6))
+    result = bayes.dic(fit, data)
+    pooled = fit.sample.pooled()
+    deviances = -2.0 * binomial_loglik(kind, studies, fit.names, pooled)
+    at_mean = -2.0 * binomial_loglik(kind, studies, fit.names, pooled.mean(axis=0))
+    assert result.deviance_bar == pytest.approx(deviances.mean(), rel=1e-9)
+    assert result.deviance_at_mean == pytest.approx(at_mean, rel=1e-9)
+    assert result.p_d == result.deviance_bar - result.deviance_at_mean
+    assert result.dic == result.deviance_bar + result.p_d
+    assert fit.dic is result
+
+
+def test_dic_rejects_contrast_kind_and_mismatched_data(studies, network):
+    config = McmcConfig(burn_in=60, keep=40, seed=6)
+    spec, data = inputs("unanchored-contrast", studies)
+    with pytest.raises(CnmaError):
+        bayes.dic(bayes.fit(spec, data, network, config))
+    spec, data = inputs("unanchored-arm", studies)
+    fit = bayes.fit(spec, data, network, config)
+    with pytest.raises(CnmaError):
+        bayes.dic(fit, data[:-1])
+
+
+@pytest.mark.parametrize("effects", ["fixed", "random"])
+@pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
+def test_arm_logpost_matches_dense_reference(kind, effects, studies, network):
+    spec, data = inputs(kind, studies, effects)
+    model = bayes.build_model(spec, data, network)
+    priors = spec.priors
+    rng = np.random.default_rng(8)
+    x = rng.normal(0.0, 0.5, size=model.dim)
+    col = {name: j for j, name in enumerate(model.names)}
+    d = x[[j for name, j in col.items() if name.startswith("d[")]]
+    alpha = x[[col[f"alpha[{s.id}]"] for s in studies]]
+    expected = (
+        binomial_loglik(kind, studies, model.names, x)
+        + norm.logpdf(d, 0.0, np.sqrt(priors.d_variance)).sum()
+        + norm.logpdf(alpha, 0.0, np.sqrt(priors.alpha_variance)).sum()
+    )
+    if effects == "random":
+        sigma = x[col["sigma"]] = rng.uniform(0.1, priors.sigma_upper)
+        for s in studies:
+            eps = x[[col[f"eps[{s.id}:{j}]"] for j in range(1, s.n_arms)]]
+            cov = sigma**2 * build_Sigma_star(s.n_arms)
+            expected += mvn_logpdf(eps, np.zeros(s.n_arms - 1), cov)
+        expected -= np.log(priors.sigma_upper)
+    assert model.logpost(model.to_internal(x)) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_to_internal_and_reported_draws_round_trip(kind, studies, network):
+    spec, data = inputs(kind, studies)
+    model = bayes.build_model(spec, data, network)
+    stack = np.random.default_rng(9).normal(size=(2, 7, model.dim))
+    internal = model.to_internal(stack)
+    assert internal.shape == stack.shape
+    for c in range(2):
+        for t in range(7):
+            assert np.array_equal(internal[c, t], model.to_internal(stack[c, t]))
+    np.testing.assert_allclose(model.reported_draws(internal), stack, rtol=0, atol=1e-12)

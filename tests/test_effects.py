@@ -145,6 +145,12 @@ class TestSucra:
         mean_rank = rankdata(signed, axis=1, method="average").mean(axis=0)
         assert np.array_equal(list(report.scores.values()), (5 - mean_rank) / 4)
 
+    @pytest.mark.parametrize("direction", ["higher_better", "Higher-better", "lower", ""])
+    def test_unknown_direction_rejected(self, direction):
+        draws = np.tile([1.0, 2.0], (150, 1))
+        with pytest.raises(CnmaError, match="direction"):
+            sucra(draws, [parse_treatment(x) for x in "AB"], direction)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_draws_rejected(self, bad):
         draws = np.tile([1.0, 2.0], (150, 1))

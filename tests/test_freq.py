@@ -249,6 +249,12 @@ class TestPScores:
         assert scores[treats[1]] == pytest.approx(0.5, abs=1e-6)
         assert scores[treats[2]] == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("direction", ["higher_better", "Higher-better", "lower", ""])
+    def test_unknown_direction_rejected(self, direction):
+        fit = self.synthetic_fit([1.0, 0.0], 0.5 * np.eye(2), ("A", "B"))
+        with pytest.raises(CnmaError, match="direction"):
+            p_scores(fit, [parse_treatment("A"), parse_treatment("B")], direction)
+
     def test_zero_se_between_distinct_raises(self):
         fit = self.synthetic_fit([1.0, 0.0], np.zeros((2, 2)), ("A", "B"))
         with pytest.raises(CnmaError):

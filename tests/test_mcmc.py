@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from cnma.errors import McmcError
-from cnma.mcmc import Block, McmcConfig, PosteriorSample, ess, rhat, run_chains, summarize
+from cnma.mcmc import (
+    TARGET_RATE_BLOCK,
+    TARGET_RATE_SCALAR,
+    Block,
+    McmcConfig,
+    PosteriorSample,
+    ess,
+    rhat,
+    run_chains,
+    summarize,
+)
 from cnma.numerics import rng_stream
 
 
@@ -49,7 +59,7 @@ def _copying_reference(logpost, x0, blocks, config, chain_index):
             if accepted:
                 x = x_prop
             if it < config.burn_in:
-                target = block.resolved_target(config)
+                target = TARGET_RATE_SCALAR if idx.size == 1 else TARGET_RATE_BLOCK
                 scales[bi] *= math.exp((10.0 + it) ** -0.6 * (float(accepted) - target))
         if it >= config.burn_in and (it - config.burn_in + 1) % config.thin == 0:
             kept.append(x)
