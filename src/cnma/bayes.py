@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .design import ContrastDesign, build_V, build_V_anchored, incidence_matrix
+from .design import ContrastDesign, incidence_matrix
 from .errors import (
     CnmaError,
     DisconnectedNetwork,
@@ -65,6 +65,12 @@ class Priors:
     alpha_variance: float = 1000.0
     sigma_upper: float = 2.0
 
+    def __post_init__(self):
+        for name in ("d_variance", "alpha_variance", "sigma_upper"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise CnmaError(f"{name} must be finite and positive, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -80,8 +86,6 @@ class ModelSpec:
             raise CnmaError(f"unknown effects mode {self.effects!r}")
         if (self.anchor is not None) != (self.kind == "anchored-arm"):
             raise CnmaError("anchor is required for anchored-arm and only there")
-        if self.priors.sigma_upper <= 0:
-            raise CnmaError("sigma_upper must be positive")
 
     @property
     def random_effects(self) -> bool:
@@ -189,8 +193,7 @@ class _ArmModel(_Model):
     """
 
     def __init__(self, studies, network: Network, spec: ModelSpec):
-        anchored = spec.kind == "anchored-arm"
-        if anchored:
+        if spec.kind == "anchored-arm":
             studies = [_anchor_first(s, spec.anchor) for s in studies]
             anchor_comp = spec.anchor.components[0]
             d_components = [c for c in network.components if c != anchor_comp]
@@ -212,12 +215,9 @@ class _ArmModel(_Model):
         self.m = np.array([s.n_arms - 1 for s in self.studies], dtype=int)
         # offset of each study's first arm in the stacked arm arrays
         self.arm_starts = np.cumsum(self.m + 1) - (self.m + 1)
-        self.V = np.vstack(
-            [
-                build_V_anchored(s, network, spec.anchor) if anchored else build_V(s, network)
-                for s in self.studies
-            ]
-        )
+        # the anchored kind has no column for the anchor component
+        V = incidence_matrix([arm.treatment for _, arm in arms], network.components)
+        self.V = V[:, self.d_columns]
         self.V1 = self.V[self.arm_starts]
         self.Vc = self.V - self.V1[self.arm_study]
         self.logc_total = _log_binomial_coefficients(self.r, self.n)
@@ -261,7 +261,7 @@ class _ArmModel(_Model):
         # x.T puts the coordinates first for one vector and for rows alike
         xt = x.T
         logits = xt[self.alpha_sl][self.arm_study] + self.Vc @ xt[self.d_sl]
-        if self.has_eps and self.eps_arm_positions.size:
+        if self.has_eps:
             logits[self.eps_arm_positions] += xt[self.eps_sl]
         return self.r @ logits - self.n @ np.logaddexp(0.0, logits) + self.logc_total
 
@@ -276,8 +276,6 @@ class _ArmModel(_Model):
         if not 0.0 < sigma:
             return -np.inf
         e = x[self.eps_sl]
-        if e.size == 0:
-            return 0.0
         sums = np.add.reduceat(e, self.eps_starts)
         sqs = np.add.reduceat(e * e, self.eps_starts)
         quads = 2.0 * (sqs - sums * sums / (self.m + 1.0))
@@ -479,13 +477,10 @@ class BayesFit:
 
     def treatment_effect_draws(self, treatments, reference: Treatment | None = None):
         """Draws of treatment-level effects (optionally versus a reference)."""
-        draws = self.component_effect_draws()
-        M = incidence_matrix(treatments, self.network)
-        vals = draws @ M.T
+        M = incidence_matrix(treatments, self.network.components)
         if reference is not None:
-            ref_row = incidence_matrix([reference], self.network)[0]
-            vals = vals - (draws @ ref_row)[:, None]
-        return vals
+            M = M - incidence_matrix([reference], self.network.components)
+        return self.component_effect_draws() @ M.T
 
 
 def _validate(spec: ModelSpec, data, network: Network):
@@ -591,7 +586,7 @@ def fit(
     return BayesFit(spec=spec, sample=sample, network=network, model=model)
 
 
-def dic(fit_result: BayesFit, data=None) -> DicResult:
+def dic(fit_result: BayesFit) -> DicResult:
     """Conditional deviance information criterion for the arm-level kinds.
 
     The deviance conditions on the latent study effects: D(theta) is minus
@@ -602,8 +597,6 @@ def dic(fit_result: BayesFit, data=None) -> DicResult:
     model = fit_result.model
     if not isinstance(model, _ArmModel):
         raise CnmaError("dic is defined for the arm-level model kinds")
-    if data is not None and len(data) != len(model.studies):
-        raise CnmaError("data does not match the fitted studies")
 
     pooled = fit_result.sample.pooled()
     deviance_bar = float(np.mean(-2.0 * model.loglik(model.to_internal(pooled))))

@@ -1,11 +1,13 @@
 """Design and covariance-structure matrices.
 
-Per study: the component incidence matrix V (arms x components), its anchored
-reduction V1 (the anchor's column dropped), contrast matrices U in all-pairs
-or common-baseline form, and the compound-symmetry heterogeneity structures
-Sigma / Sigma*. Across studies: the stacked regression matrix X = rows of U V,
-and ``ContrastDesign``, the stacked contrasts of a set of contrast blocks with
-their compound-symmetry covariance in closed form.
+Every design matrix in the package is rows of one treatment x component
+incidence matrix, built by ``incidence_matrix``: an arm-level model's V holds
+its arms' rows, and the stacked regression matrix X holds, per study, each
+non-baseline arm's row minus the baseline arm's. ``ContrastDesign`` holds the
+stacked contrasts of a set of contrast blocks with their compound-symmetry
+covariance in closed form. The per-study V, contrast matrices U (all-pairs or
+common-baseline) and compound-symmetry structures Sigma / Sigma* are the
+paper's constructs in dense form.
 """
 
 from __future__ import annotations
@@ -15,40 +17,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CnmaError, DisconnectedNetwork, UnknownAnchor
-from .network import Network, Study, Treatment
+from .errors import CnmaError, DisconnectedNetwork, UnknownComponent
+from .network import Network, Study
 from .numerics import LOG_2PI, pinv
 
 
-def incidence_row(treatment: Treatment, network: Network) -> np.ndarray:
-    row = np.zeros(network.n_components)
-    for comp in treatment.components:
-        row[network.component_index(comp)] = 1.0
-    return row
-
-
-def incidence_matrix(treatments, network: Network) -> np.ndarray:
-    """Stack incidence rows for an arbitrary treatment sequence."""
-    return np.array([incidence_row(t, network) for t in treatments])
+def incidence_matrix(treatments, components) -> np.ndarray:
+    """Treatment x component incidence: entry (t, k) is 1 iff treatment t
+    contains ``components[k]``."""
+    column = {c: k for k, c in enumerate(components)}
+    treatments = tuple(treatments)
+    V = np.zeros((len(treatments), len(column)))
+    for i, treatment in enumerate(treatments):
+        for comp in treatment.components:
+            if comp not in column:
+                raise UnknownComponent(f"component {comp!r} not in the component order")
+            V[i, column[comp]] = 1.0
+    return V
 
 
 def build_V(study: Study, network: Network) -> np.ndarray:
     """Binary incidence of components per arm: V[j, k] = 1 iff arm j uses component k."""
-    return incidence_matrix(study.treatments, network)
-
-
-def build_V_anchored(study: Study, network: Network, anchor: Treatment) -> np.ndarray:
-    """V with the anchor component's column removed.
-
-    Requires a single-component anchor; an arm employing only the anchor gets
-    an all-zero row, so its linear predictor reduces to the study baseline.
-    """
-    if anchor.size != 1:
-        raise UnknownAnchor(f"anchor must be single-component, got {anchor.label!r}")
-    network.require_components(anchor)
-    anchor_col = network.component_index(anchor.components[0])
-    V = build_V(study, network)
-    return np.delete(V, anchor_col, axis=1)
+    return incidence_matrix(study.treatments, network.components)
 
 
 def build_U(a: int, mode: str = "baseline", baseline_arm: int = 0) -> np.ndarray:
@@ -101,18 +91,25 @@ def build_Sigma_star(a: int) -> np.ndarray:
     return sigma
 
 
-def _contrast_rows(treatments, network: Network, mode: str, baseline_arm: int):
-    """Rows U V of one study's contrasts, columns in component index order."""
-    U = build_U(len(treatments), mode, baseline_arm)
-    return U @ incidence_matrix(treatments, network)
+def _baseline_contrasts(V: np.ndarray, n_arms, baseline_arms) -> np.ndarray:
+    """Rows of X from the stacked arm rows V of consecutive studies: per study,
+    each non-baseline arm's row (in arm order) minus the baseline arm's."""
+    n_arms = np.asarray(n_arms)
+    baseline = np.cumsum(n_arms) - n_arms + np.asarray(baseline_arms)
+    study = np.repeat(np.arange(n_arms.size), n_arms)
+    contrast = np.ones(len(V), dtype=bool)
+    contrast[baseline] = False
+    return V[contrast] - V[baseline[study[contrast]]]
 
 
-def stack_X(network: Network, mode: str = "baseline") -> np.ndarray:
-    """Vertical stack of U_i V_i over studies; columns follow component index order."""
+def stack_X(network: Network) -> np.ndarray:
+    """Baseline contrasts against each study's first arm, stacked over studies;
+    columns follow the network's component order."""
     if not network.connected:
         raise DisconnectedNetwork("stack_X requires a connected network")
-    rows = [_contrast_rows(s.treatments, network, mode, 0) for s in network.studies]
-    return np.vstack(rows)
+    studies = network.studies
+    V = incidence_matrix([t for s in studies for t in s.treatments], network.components)
+    return _baseline_contrasts(V, [s.n_arms for s in studies], [0] * len(studies))
 
 
 class GlsSolution(NamedTuple):
@@ -140,8 +137,9 @@ class ContrastDesign:
         blocks = tuple(blocks)
         if not blocks:
             raise CnmaError("no contrast blocks")
-        self.X = np.vstack(
-            [_contrast_rows(b.treatments, network, "baseline", b.baseline_arm) for b in blocks]
+        V = incidence_matrix([t for b in blocks for t in b.treatments], network.components)
+        self.X = _baseline_contrasts(
+            V, [b.n_arms for b in blocks], [b.baseline_arm for b in blocks]
         )
         self.y = np.concatenate([b.y_star for b in blocks])
         sizes = [b.y_star.size for b in blocks]

@@ -13,39 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import CnmaError, UnknownComponent
+from .design import incidence_matrix
+from .errors import CnmaError
 from .network import Treatment
 from .numerics import quantile
 
 DIRECTIONS = ("higher-better", "lower-better")
 
 
-def _component_positions(treatment: Treatment, components) -> list[int]:
-    positions = []
-    lookup = {c: i for i, c in enumerate(components)}
-    for comp in treatment.components:
-        if comp not in lookup:
-            raise UnknownComponent(f"no effect for component {comp!r}")
-        positions.append(lookup[comp])
-    return positions
-
-
 def contrast_vector(
     comparator: Treatment, target: Treatment, components
 ) -> np.ndarray:
     """Weights w such that w @ d = effect of target minus effect of comparator."""
-    w = np.zeros(len(components))
-    for pos in _component_positions(target, components):
-        w[pos] += 1.0
-    for pos in _component_positions(comparator, components):
-        w[pos] -= 1.0
-    return w
+    target_row, comparator_row = incidence_matrix([target, comparator], components)
+    return target_row - comparator_row
 
 
 def additive_effect(d: np.ndarray, treatment: Treatment, components) -> float:
     """Treatment-level effect: the sum of its components' entries in d."""
-    d = np.asarray(d, dtype=float)
-    return float(sum(d[p] for p in _component_positions(treatment, components)))
+    return float(incidence_matrix([treatment], components)[0] @ np.asarray(d, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ partial (or the log posterior) must therefore neither keep a reference to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +42,13 @@ class McmcConfig:
     n_chains: int = 2
     burn_in: int = 2000
     keep: int = 5000
-    thin: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.n_chains < 2:
             raise McmcError("need >= 2 chains for convergence diagnostics")
-        if self.burn_in <= 0 or self.thin < 1:
-            raise McmcError("burn_in must be > 0 and thin >= 1")
+        if self.burn_in <= 0:
+            raise McmcError("burn_in must be > 0")
         if self.keep < 4:
             # rhat splits each chain in half and needs >= 4 draws per chain
             raise McmcError("keep must be >= 4")
@@ -87,13 +86,6 @@ class PosteriorSample:
     def pooled(self) -> np.ndarray:
         """All chains stacked: (n_chains * kept, dims)."""
         return self.draws.reshape(-1, self.draws.shape[-1])
-
-    @property
-    def n_chains(self) -> int:
-        return self.draws.shape[0]
-
-    def dim(self, name: str) -> int:
-        return self.names.index(name)
 
 
 def _check_blocks(blocks, dim: int) -> None:
@@ -148,15 +140,12 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
     accepts = [0] * n_blocks
     window_accepts = [0] * n_blocks
     zero_windows = [0] * n_blocks
-    post_burnin_proposals = 0
 
-    burn_in, thin = config.burn_in, config.thin
-    total = burn_in + config.keep * thin
+    burn_in = config.burn_in
     kept = np.empty((config.keep, dim))
-    kept_at = 0
     scales_after_burnin = None
 
-    for it in range(total):
+    for it in range(burn_in + config.keep):
         adapting = it < burn_in
         if adapting:
             # Robbins-Monro gain, decaying per proposal; damped at the start
@@ -224,12 +213,9 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
             scales_after_burnin = list(scales)
 
         if not adapting:
-            post_burnin_proposals += 1
-            if (it - burn_in + 1) % thin == 0:
-                kept[kept_at] = x
-                kept_at += 1
+            kept[it - burn_in] = x
 
-    rates = np.array(accepts) / max(post_burnin_proposals, 1)
+    rates = np.array(accepts) / config.keep
     return kept, rates, scales_after_burnin, scales
 
 

@@ -133,11 +133,6 @@ class Network:
         except ValueError:
             raise UnknownComponent(f"component {label!r} not in network") from None
 
-    def require_components(self, treatment: Treatment) -> None:
-        for comp in treatment.components:
-            if comp not in self.components:
-                raise UnknownComponent(f"component {comp!r} not in network")
-
 
 def build_network(studies, components=None) -> Network:
     """Assemble a Network from studies.

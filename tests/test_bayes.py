@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.special import expit
 from scipy.stats import binom, norm
 
 from cnma import bayes, mcmc
-from cnma.design import build_Sigma_star, stack_X
+from cnma.design import build_Sigma_star, incidence_matrix, stack_X
 from cnma.effects import contrast_vector
 from cnma.errors import CnmaError, EmptyNetwork, NotPositiveDefinite, UnknownAnchor
 from cnma.freq import gls_fit
@@ -128,6 +129,58 @@ def test_validate_rejects(kind, anchor, contrast_data, error, studies, network):
         bayes.build_model(spec, data, network)
 
 
+@pytest.mark.parametrize(
+    "kind, effects, anchor, priors",
+    [
+        ("arm", "random", None, {}),
+        ("unanchored-arm", "mixed", None, {}),
+        ("anchored-arm", "random", None, {}),
+        ("unanchored-arm", "random", ANCHOR, {}),
+        ("unanchored-arm", "random", None, {"d_variance": 0.0}),
+        ("unanchored-arm", "random", None, {"d_variance": -1.0}),
+        ("unanchored-arm", "random", None, {"alpha_variance": math.inf}),
+        ("unanchored-arm", "random", None, {"sigma_upper": math.nan}),
+        ("unanchored-arm", "random", None, {"sigma_upper": 0.0}),
+    ],
+)
+def test_model_settings_rejected(kind, effects, anchor, priors):
+    with pytest.raises(CnmaError):
+        bayes.ModelSpec(kind, effects, anchor, bayes.Priors(**priors))
+
+
+def test_anchor_moves_to_first_arm(studies, network):
+    # the anchor is the first arm wherever it appears; moved to the last arm,
+    # the anchored model reorders it back and samples the same chain
+    moved = [
+        Study(s.id, s.arms[1:] + s.arms[:1]) if s.arms[0].treatment == ANCHOR else s
+        for s in studies
+    ]
+    assert moved != list(studies)
+    spec, data = inputs("anchored-arm", studies)
+    config = McmcConfig(burn_in=60, keep=40, seed=7)
+    first = bayes.fit(spec, data, network, config)
+    second = bayes.fit(spec, moved, network, config)
+    assert np.array_equal(first.sample.draws, second.sample.draws)
+
+
+@pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-contrast"])
+def test_treatment_effect_draws(kind, studies, network):
+    spec, data = inputs(kind, studies)
+    fit = bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=3))
+    treatments = network.treatments
+    components = fit.component_effect_draws()
+    levels = fit.treatment_effect_draws(treatments)
+    expected = components @ incidence_matrix(treatments, network.components).T
+    assert np.array_equal(levels, expected)
+    reference = parse_treatment("B+C")
+    relative = fit.treatment_effect_draws(treatments, reference)
+    at = treatments.index(reference)
+    np.testing.assert_allclose(relative, levels - levels[:, [at]], rtol=0, atol=1e-12)
+    assert np.all(relative[:, at] == 0.0)
+    if kind == "anchored-arm":
+        assert np.all(fit.treatment_effect_draws([ANCHOR]) == 0.0)
+
+
 def test_validate_rejects_empty_data(network):
     with pytest.raises(EmptyNetwork):
         bayes.build_model(bayes.ModelSpec("unanchored-arm"), [], network)
@@ -231,7 +284,7 @@ def binomial_loglik(kind, studies, names, x):
 def test_dic_is_binomial_deviance_of_reported_draws(kind, effects, studies, network):
     spec, data = inputs(kind, studies, effects)
     fit = bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=6))
-    result = bayes.dic(fit, data)
+    result = bayes.dic(fit)
     pooled = fit.sample.pooled()
     deviances = -2.0 * binomial_loglik(kind, studies, fit.names, pooled)
     at_mean = -2.0 * binomial_loglik(kind, studies, fit.names, pooled.mean(axis=0))
@@ -242,15 +295,10 @@ def test_dic_is_binomial_deviance_of_reported_draws(kind, effects, studies, netw
     assert fit.dic is result
 
 
-def test_dic_rejects_contrast_kind_and_mismatched_data(studies, network):
-    config = McmcConfig(burn_in=60, keep=40, seed=6)
+def test_dic_rejects_contrast_kind(studies, network):
     spec, data = inputs("unanchored-contrast", studies)
     with pytest.raises(CnmaError):
-        bayes.dic(bayes.fit(spec, data, network, config))
-    spec, data = inputs("unanchored-arm", studies)
-    fit = bayes.fit(spec, data, network, config)
-    with pytest.raises(CnmaError):
-        bayes.dic(fit, data[:-1])
+        bayes.dic(bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=6)))
 
 
 @pytest.mark.parametrize("effects", ["fixed", "random"])

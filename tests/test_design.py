@@ -9,11 +9,10 @@ from cnma.design import (
     build_Sigma_star,
     build_U,
     build_V,
-    build_V_anchored,
     incidence_matrix,
     stack_X,
 )
-from cnma.errors import CnmaError, UnknownAnchor
+from cnma.errors import CnmaError
 from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
 from cnma.numerics import mvn_logpdf, pinv
 
@@ -64,26 +63,6 @@ class TestBuildV:
         study, net = chd_trial23
         V = build_V(study, net)
         assert list(V.sum(axis=1)) == [3, 2, 1]
-
-
-class TestBuildVAnchored:
-    def test_anchor_placebo(self):
-        study = study_from(["Placebo", "A"])
-        net = build_network([study], components=("Placebo", "A", "B"))
-        V1 = build_V_anchored(study, net, parse_treatment("Placebo"))
-        assert np.array_equal(V1, [[0, 0], [1, 0]])
-
-    def test_anchor_a(self):
-        study = study_from(["Placebo", "A"])
-        net = build_network([study], components=("Placebo", "A", "B"))
-        V1 = build_V_anchored(study, net, parse_treatment("A"))
-        assert np.array_equal(V1, [[1, 0], [0, 0]])
-
-    def test_multicomponent_anchor_rejected(self):
-        study = study_from(["A+B", "C"])
-        net = build_network([study])
-        with pytest.raises(UnknownAnchor):
-            build_V_anchored(study, net, parse_treatment("A+B"))
 
 
 class TestBuildU:
@@ -178,9 +157,8 @@ class TestDesignSet:
         rng = np.random.default_rng(7)
         study = study_from(["E", "A+C", "B"], "s1")
         net = build_network([study], components=("E", "A", "B", "C"))
-        anchor = parse_treatment("E")
         V = build_V(study, net)
-        V1 = build_V_anchored(study, net, anchor)
+        V1 = np.delete(V, 0, axis=1)
         d = rng.normal(size=4)
         d_anchor = d[0]
         d1 = np.delete(d, 0) - d_anchor
@@ -229,8 +207,8 @@ def dense_reference(blocks, tau2):
     )
     X = np.vstack(
         [
-            incidence_matrix(b.non_baseline_treatments, net)
-            - incidence_matrix([b.treatments[b.baseline_arm]], net)
+            incidence_matrix(b.non_baseline_treatments, net.components)
+            - incidence_matrix([b.treatments[b.baseline_arm]], net.components)
             for b in blocks
         ]
     )

@@ -35,7 +35,7 @@ def _copying_reference(logpost, x0, blocks, config, chain_index):
     x = np.array(x0, dtype=float)
     scales = np.array([b.scale for b in blocks])
     kept = []
-    for it in range(config.burn_in + config.keep * config.thin):
+    for it in range(config.burn_in + config.keep):
         for bi, block in enumerate(blocks):
             idx = np.asarray(block.dims)
             cur = x[idx]
@@ -61,7 +61,7 @@ def _copying_reference(logpost, x0, blocks, config, chain_index):
             if it < config.burn_in:
                 target = TARGET_RATE_SCALAR if idx.size == 1 else TARGET_RATE_BLOCK
                 scales[bi] *= math.exp((10.0 + it) ** -0.6 * (float(accepted) - target))
-        if it >= config.burn_in and (it - config.burn_in + 1) % config.thin == 0:
+        if it >= config.burn_in:
             kept.append(x)
     return np.array(kept), scales.tolist()
 
@@ -198,13 +198,20 @@ class TestRunChains:
             )
 
     def test_blocks_must_partition(self):
-        with pytest.raises(McmcError):
-            run_chains(
-                std_normal_logpost,
-                np.zeros(2),
-                [Block("x", (0,), 0.5)],
-                quick_config(),
-            )
+        # each case: init, blocks, partials and the error it must raise; the
+        # last two break the shapes of inits and partials instead
+        two = [Block("x", (0,), 0.5), Block("y", (1,), 0.5)]
+        shift = Block("s", (0, 1), 0.5, shift_map=np.ones((2, 1)))
+        cases = [
+            (np.zeros(2), [Block("x", (0,), 0.5)], None, "partition"),
+            (np.zeros(2), [Block("x", (0, 1), 0.5), Block("y", (1,), 0.5)], None, "two blocks"),
+            (np.zeros(2), two + [shift], None, "shift_map"),
+            (np.zeros((3, 2)), two, None, "init per chain"),
+            (np.zeros(2), two, [std_normal_logpost], "partial"),
+        ]
+        for init, blocks, partials, match in cases:
+            with pytest.raises(McmcError, match=match):
+                run_chains(std_normal_logpost, init, blocks, quick_config(), partials=partials)
 
     def test_infinite_init_rejected(self):
         def logpost(x):
@@ -266,7 +273,7 @@ class TestRunChains:
             Block("s", (4,), 0.4, log_scale=True),
             Block("shift", (0, 3, 1), 0.3, shift_map=np.array([[0.5], [1.0]])),
         ]
-        config = quick_config(burn_in=200, keep=100, thin=2)
+        config = quick_config(burn_in=200, keep=200)
         x0 = np.array([0.3, -0.2, 0.1, 0.5, 1.2])
         sample = run_chains(logpost, x0, blocks, config)
         for c in range(config.n_chains):
