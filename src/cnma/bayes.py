@@ -23,14 +23,19 @@ Each model kind has one log likelihood and one log posterior, its ``loglik``
 and ``logpost``. Both take the sampling parameterization that the sampler
 moves through: for the arm kinds the study baselines are arm-1 logits (see
 ``_ArmModel``). A model's ``to_internal`` maps reported vectors there, and its
-``reported_draws`` maps the draws back.
+``reported_draws`` maps the draws back, in place.
+
+A fit's R-hat and ESS are those of its reported draws. ``fit`` logs one
+warning on the ``cnma`` logger when they miss ``RHAT_LIMIT`` or ``ESS_LIMIT``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -42,21 +47,18 @@ from .errors import (
     EmptyNetwork,
     UnknownAnchor,
 )
-from .mcmc import (
-    Block,
-    McmcConfig,
-    PosteriorSample,
-    ess as _ess,
-    rhat as _rhat,
-    run_chains,
-    summarize,
-)
+from .mcmc import Block, McmcConfig, PosteriorSample, run_chains, summarize
 from .network import ContrastBlock, Network, Study, Treatment, arm_to_contrast
 from .numerics import LOG_2PI, chol, rng_stream
 
 logger = logging.getLogger("cnma")
 
 MODEL_KINDS = ("anchored-arm", "unanchored-arm", "unanchored-contrast")
+
+# a fit warns when some parameter's R-hat exceeds RHAT_LIMIT or its ESS is
+# below ESS_LIMIT
+RHAT_LIMIT = 1.01
+ESS_LIMIT = 400.0
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,6 @@ class _Model:
     ``reported_draws`` are the identity unless a kind remaps coordinates.
     """
 
-    # the coordinates whose reported values differ from the sampled ones
-    remapped_sl = slice(0, 0)
-
     def __init__(self, network: Network, spec: ModelSpec, d_components, study_names=()):
         self.network = network
         self.spec = spec
@@ -135,12 +134,19 @@ class _Model:
             names.append("sigma")
         self.names = tuple(names)
         self.dim = len(names)
+        # each coordinate's weight in the additive jitter of the chains' starts;
+        # sigma's start is jittered multiplicatively instead
+        self.jitter_scale = np.ones(self.dim)
+        if spec.random_effects:
+            self.jitter_scale[self.sigma_pos] = 0.0
 
     def to_internal(self, x: np.ndarray) -> np.ndarray:
         return np.array(x, dtype=float)
 
     def reported_draws(self, draws: np.ndarray) -> np.ndarray:
-        return np.array(draws)
+        """Map a (..., dim) array of internal draws to the reported
+        parameterization, in place, and return it."""
+        return draws
 
     def _d_prior(self, x) -> float:
         dv = self.spec.priors.d_variance
@@ -224,8 +230,9 @@ class _ArmModel(_Model):
 
         k, n_studies = self.d_sl.stop, len(self.studies)
         n_eps = int(self.m.sum()) if self.has_eps else 0
-        self.alpha_sl = self.remapped_sl = slice(k, k + n_studies)
+        self.alpha_sl = slice(k, k + n_studies)
         self.eps_sl = slice(k + n_studies, k + n_studies + n_eps)
+        self.jitter_scale[self.eps_sl] = 0.2
 
         if self.has_eps:
             # every arm but each study's first carries a latent
@@ -234,6 +241,13 @@ class _ArmModel(_Model):
             self.eps_starts = np.cumsum(self.m) - self.m
             # log det of the contrast compound-symmetry block, per study
             self.eps_logdets = np.log(self.m + 1.0) - self.m * math.log(2.0)
+
+    @cached_property
+    def design(self) -> ContrastDesign:
+        """The studies' contrasts against arm 1 from the arm counts (cc05)."""
+        return ContrastDesign(
+            [arm_to_contrast(s, 0, "cc05") for s in self.studies], self.network
+        )
 
     # --- parameterization maps -------------------------------------------
 
@@ -246,12 +260,8 @@ class _ArmModel(_Model):
         return y
 
     def reported_draws(self, draws: np.ndarray) -> np.ndarray:
-        """Transform a (chains, kept, dim) array of internal draws in place-free form."""
-        out = np.array(draws)
-        out[..., self.alpha_sl] = draws[..., self.alpha_sl] - np.einsum(
-            "...k,ik->...i", draws[..., self.d_sl], self.V1
-        )
-        return out
+        draws[..., self.alpha_sl] -= np.einsum("...k,ik->...i", draws[..., self.d_sl], self.V1)
+        return draws
 
     # --- log likelihood and priors (sampling parameterization) ------------
 
@@ -502,50 +512,51 @@ def _validate(spec: ModelSpec, data, network: Network):
             )
 
 
-def _d_preconditioner(model, network: Network, spec: ModelSpec) -> np.ndarray | None:
+def _d_preconditioner(model) -> np.ndarray | None:
     """Proposal shape for the effect block: the Cholesky factor of the inverse
-    of the fixed-effects GLS information X'WX plus the prior precision.
+    of the fixed-effects GLS information X'WX of ``model.design`` plus the
+    prior precision.
 
-    For the arm kinds the contrasts come from the arm counts (cc05); for the
-    anchored kind the anchor's row and column are dropped. On failure the
-    effect block falls back to an unshaped proposal, with a warning.
+    For the anchored kind the anchor's row and column are dropped. On failure
+    the effect block falls back to an unshaped proposal, with a warning.
     """
     try:
-        if isinstance(model, _ArmModel):
-            blocks = [arm_to_contrast(s, 0, "cc05") for s in model.studies]
-            design = ContrastDesign(blocks, network)
-        else:
-            design = model.design
         keep = model.d_columns
-        info = design.information(0.0)[np.ix_(keep, keep)]
-        info += np.eye(keep.size) / spec.priors.d_variance
+        info = model.design.information(0.0)[np.ix_(keep, keep)]
+        info += np.eye(keep.size) / model.spec.priors.d_variance
         return chol(np.linalg.inv(info))
     except (np.linalg.LinAlgError, CnmaError) as exc:
         logger.warning(
             "%s: no effect-block preconditioner (%s: %s); using an unshaped proposal",
-            spec.kind,
+            model.spec.kind,
             type(exc).__name__,
             exc,
         )
         return None
 
 
-def _initial_vectors(model, config: McmcConfig, spec: ModelSpec) -> np.ndarray:
+def _initial_vectors(model, config: McmcConfig) -> np.ndarray:
     """Overdispersed per-chain starts around the neutral point."""
     base = model.initial_vector()
     inits = np.tile(base, (config.n_chains, 1))
     for c in range(config.n_chains):
-        rng = rng_stream(config.seed, 90_000 + c)
-        jitter = rng.uniform(-0.5, 0.5, size=base.size)
-        x = inits[c]
-        x[model.d_sl] += jitter[model.d_sl]
-        if isinstance(model, _ArmModel):
-            x[model.alpha_sl] += jitter[model.alpha_sl]
-            if model.has_eps:
-                x[model.eps_sl] += 0.2 * jitter[model.eps_sl]
-        if spec.random_effects:
-            x[model.sigma_pos] *= 1.0 + 0.5 * jitter[model.sigma_pos]
+        jitter = rng_stream(config.seed, 90_000 + c).uniform(-0.5, 0.5, size=base.size)
+        inits[c] += model.jitter_scale * jitter
+        if model.sigma_pos is not None:
+            inits[c, model.sigma_pos] *= 1.0 + 0.5 * jitter[model.sigma_pos]
     return inits
+
+
+def _warn_if_unconverged(spec: ModelSpec, sample: PosteriorSample) -> None:
+    """Log one warning, naming the worst parameter by R-hat and by ESS, when
+    either misses its limit."""
+    i, j = int(np.argmax(sample.rhat)), int(np.argmin(sample.ess))
+    if sample.rhat[i] > RHAT_LIMIT or sample.ess[j] < ESS_LIMIT:
+        logger.warning(
+            "%s: chains may not have converged: max R-hat %.3f at %s (limit %g), "
+            "min ESS %.0f at %s (limit %g)", spec.kind, sample.rhat[i], sample.names[i],
+            RHAT_LIMIT, sample.ess[j], sample.names[j], ESS_LIMIT,
+        )
 
 
 def build_model(spec: ModelSpec, data, network: Network):
@@ -564,25 +575,11 @@ def fit(
     """Sample the posterior of one model and return the assembled fit."""
     config = mcmc_config if mcmc_config is not None else McmcConfig()
     model = build_model(spec, data, network)
-    d_chol = _d_preconditioner(model, network, spec)
-    blocks, partials = model.blocks_and_partials(d_chol)
-    inits = model.to_internal(_initial_vectors(model, config, spec))
+    blocks, partials = model.blocks_and_partials(_d_preconditioner(model))
+    inits = model.to_internal(_initial_vectors(model, config))
     raw = run_chains(model.logpost, inits, blocks, config, partials=partials)
-    draws = model.reported_draws(raw.draws)
-    # run_chains' diagnostics stand for every column reported_draws leaves as sampled
-    rhat, ess = raw.rhat, raw.ess
-    for j in range(model.dim)[model.remapped_sl]:
-        rhat[j] = _rhat(draws[:, :, j])
-        ess[j] = _ess(draws[:, :, j])
-    sample = PosteriorSample(
-        names=model.names,
-        draws=draws,
-        acceptance=raw.acceptance,
-        rhat=rhat,
-        ess=ess,
-        scales_after_burnin=raw.scales_after_burnin,
-        scales_final=raw.scales_final,
-    )
+    sample = dataclasses.replace(raw, names=model.names, draws=model.reported_draws(raw.draws))
+    _warn_if_unconverged(spec, sample)
     return BayesFit(spec=spec, sample=sample, network=network, model=model)
 
 

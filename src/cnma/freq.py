@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .design import ContrastDesign, GlsSolution
+from .design import ContrastDesign
 from .effects import DIRECTIONS, contrast_vector
 from .errors import CnmaError, DisconnectedNetwork
 from .network import Network, Treatment
@@ -35,32 +35,6 @@ class FreqFit:
     tau2_truncated: bool
 
 
-def _moment_tau2(design: ContrastDesign, fixed: GlsSolution) -> tuple[float, int, bool]:
-    """(tau2, df, truncated) from the fixed-effects solution ``fixed``."""
-    df = design.y.size - design.rank
-    if df <= 0 or fixed.trace_P <= 0:
-        return 0.0, df, True
-    tau2 = (fixed.Q - df) / fixed.trace_P
-    if tau2 < 0.0:
-        return 0.0, df, True
-    return tau2, df, False
-
-
-def estimate_tau2(blocks, network: Network) -> tuple[float, float, int, bool]:
-    """Generalized method-of-moments heterogeneity estimate.
-
-    Fits fixed-effects GLS, forms the generalized Q statistic from the
-    weighted residuals, and solves the moment equation
-    tau2 = (Q - df) / trace(P) with P = W - W X (X'WX)^+ X'W, truncating at
-    zero. Reduces to the classic two-stage moment estimator in pairwise
-    meta-analysis. Returns (tau2, Q, df, truncated_or_undefined_flag).
-    """
-    design = ContrastDesign(blocks, network)
-    fixed = design.gls(0.0)
-    tau2, df, truncated = _moment_tau2(design, fixed)
-    return tau2, fixed.Q, df, truncated
-
-
 def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
     """Weighted least squares on the stacked contrasts.
 
@@ -77,7 +51,14 @@ def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
 
     design = ContrastDesign(blocks, network)
     fixed = design.gls(0.0)
-    tau2, df, truncated = _moment_tau2(design, fixed)
+    # generalized method of moments: tau2 = (Q - df) / trace(P) with
+    # P = W - W X (X'WX)^+ X'W, truncated at zero and flagged when negative
+    # or undefined (df <= 0); the classic two-stage estimator when pairwise
+    df = design.y.size - design.rank
+    defined = df > 0 and fixed.trace_P > 0
+    tau2 = (fixed.Q - df) / fixed.trace_P if defined else 0.0
+    truncated = not defined or tau2 < 0.0
+    tau2 = max(tau2, 0.0)
     if effects_model == "fixed":
         tau2_used, solution = 0.0, fixed
     else:

@@ -16,12 +16,19 @@ The sampler moves the state vector in place: a proposal writes the block's
 new coordinates into ``x`` and a rejection writes the saved ones back. A
 partial (or the log posterior) must therefore neither keep a reference to
 ``x`` nor modify it; it may only read it during the call.
+
+Convergence diagnostics are functions of the draws alone: ``rhat`` and
+``ess`` take one parameter's chains as (n_chains, n_draws), or many
+parameters' as (n_chains, n_draws, n_params) in one vectorised call, and a
+``PosteriorSample`` derives its ``rhat`` and ``ess`` from its own ``draws``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +52,13 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_chains < 2:
-            raise McmcError("need >= 2 chains for convergence diagnostics")
-        if self.burn_in <= 0:
-            raise McmcError("burn_in must be > 0")
-        if self.keep < 4:
-            # rhat splits each chain in half and needs >= 4 draws per chain
-            raise McmcError("keep must be >= 4")
+        # the diagnostics need >= 2 chains of >= 4 draws (see _by_parameter)
+        for name, least in (("n_chains", 2), ("burn_in", 1), ("keep", 4), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise McmcError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise McmcError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -75,13 +82,25 @@ class Block:
 
 @dataclass
 class PosteriorSample:
+    """Kept draws with the sampler's acceptance rates and step sizes.
+
+    ``rhat`` and ``ess`` are computed from ``draws`` on first use, one value
+    per parameter, so they always describe the draws the sample holds.
+    """
+
     names: tuple[str, ...]
     draws: np.ndarray  # (n_chains, kept, dims)
     acceptance: dict[str, float]
-    rhat: np.ndarray
-    ess: np.ndarray
     scales_after_burnin: dict[str, float]
     scales_final: dict[str, float]
+
+    @cached_property
+    def rhat(self) -> np.ndarray:
+        return rhat(self.draws)
+
+    @cached_property
+    def ess(self) -> np.ndarray:
+        return ess(self.draws)
 
     def pooled(self) -> np.ndarray:
         """All chains stacked: (n_chains * kept, dims)."""
@@ -256,87 +275,85 @@ def run_chains(logpost, init, blocks, config: McmcConfig, partials=None) -> Post
     if not np.all(np.isfinite(draws)):
         raise McmcError("non-finite draws")
 
-    names = tuple(f"p{i}" for i in range(dim))
-    rhats = np.array([rhat(draws[:, :, d]) for d in range(dim)])
-    esses = np.array([ess(draws[:, :, d]) for d in range(dim)])
     return PosteriorSample(
-        names=names,
+        names=tuple(f"p{i}" for i in range(dim)),
         draws=draws,
         acceptance={b.name: float(rates[bi]) for bi, b in enumerate(blocks)},
-        rhat=rhats,
-        ess=esses,
         scales_after_burnin=scales_ab,
         scales_final=scales_fin,
     )
 
 
-def rhat(chains: np.ndarray) -> float:
+def _by_parameter(chains: np.ndarray) -> np.ndarray:
+    """A copy of ``chains`` as (n_params, n_chains, n_draws), draws contiguous.
+    R-hat compares >= 2 chains and splits each in half, so needs >= 4 draws."""
+    arr = np.asarray(chains, dtype=float)
+    if arr.ndim not in (2, 3) or arr.shape[0] < 2 or arr.shape[1] < 4:
+        raise McmcError(f"need (chains >= 2, draws >= 4[, params]), got shape {arr.shape}")
+    return np.moveaxis(arr.reshape(arr.shape[:2] + (-1,)), -1, 0).copy()
+
+
+def rhat(chains: np.ndarray):
     """Split-chain potential scale reduction factor.
 
-    ``chains`` is (n_chains, n_draws) for one scalar dimension. Each chain is
-    split in half, so stuck-but-drifting single chains are also flagged.
-    Returns inf when chains sit at distinct constants.
+    ``chains`` is (n_chains, n_draws) for one parameter, giving a float, or
+    (n_chains, n_draws, n_params), giving one value per parameter. Each chain
+    is split in half, so stuck-but-drifting single chains are also flagged.
+    A parameter whose chains sit at distinct constants gets inf.
     """
-    arr = np.asarray(chains, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise McmcError("rhat needs >= 2 chains")
-    if arr.shape[1] < 4:
-        raise McmcError("rhat needs >= 4 draws per chain")
-    half = arr.shape[1] // 2
-    split = np.vstack([arr[:, :half], arr[:, half : 2 * half]])
-    n = split.shape[1]
-    means = split.mean(axis=1)
-    variances = split.var(axis=1, ddof=1)
-    w = variances.mean()
-    b = n * means.var(ddof=1)
-    if w == 0.0:
-        return 1.0 if b == 0.0 else float("inf")
-    var_plus = (n - 1) / n * w + b / n
-    return float(np.sqrt(var_plus / w))
+    x = _by_parameter(chains)
+    half = x.shape[2] // 2
+    halves = (x[..., :half], x[..., half : 2 * half])
+    w = np.concatenate([h.var(axis=-1, ddof=1) for h in halves], axis=1).mean(axis=-1)
+    b = half * np.concatenate([h.mean(axis=-1) for h in halves], axis=1).var(axis=-1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sqrt(((half - 1) / half * w + b / half) / w)
+    out = np.where(w == 0.0, np.where(b == 0.0, 1.0, np.inf), out)
+    return out if np.ndim(chains) == 3 else float(out[0])
 
 
-def ess(chains: np.ndarray) -> float:
+def _mean_periodogram(centered: np.ndarray, size: int) -> np.ndarray:
+    """|FFT|^2 of each zero-padded chain, averaged over chains; squared in
+    the FFT's own buffer, so the scratch memory is that one array."""
+    spectrum = np.fft.rfft(centered, n=size, axis=-1)
+    power, imag = spectrum.real, spectrum.imag
+    power *= power
+    imag *= imag
+    power += imag
+    return power.mean(axis=1)
+
+
+def ess(chains: np.ndarray):
     """Effective sample size from pooled-chain autocorrelations.
 
-    FFT autocovariances per chain, combined across chains, summed with the
-    initial-monotone-positive-sequence rule.
+    ``chains`` is (n_chains, n_draws) for one parameter, giving a float, or
+    (n_chains, n_draws, n_params), giving one value per parameter. FFT
+    autocovariances per chain are combined across chains and summed with
+    Geyer's initial monotone positive sequence rule.
     """
-    arr = np.asarray(chains, dtype=float)
-    if arr.ndim != 2:
-        raise McmcError("ess expects (n_chains, n_draws)")
-    m, n = arr.shape
-    if n < 4:
-        return float(m * n)
-    means = arr.mean(axis=1, keepdims=True)
-    centered = arr - means
-    # biased autocovariance via FFT, per chain
-    size = 2 ** int(np.ceil(np.log2(2 * n)))
-    fft = np.fft.rfft(centered, n=size, axis=1)
-    acov = np.fft.irfft(fft * np.conjugate(fft), n=size, axis=1)[:, :n].real / n
-    mean_acov = acov.mean(axis=0)
-
-    w = arr.var(axis=1, ddof=1).mean()
-    b = n * arr.mean(axis=1).var(ddof=1) if m > 1 else 0.0
-    var_plus = (n - 1) / n * w + (b / n if m > 1 else 0.0)
-    if var_plus == 0.0:
-        return float(m * n)
-
-    rho = 1.0 - (w - mean_acov) / var_plus
-    # Geyer: tau = -1 + 2 * sum of even/odd pair sums, kept while positive
-    # and forced non-increasing
-    tau = -1.0
-    prev_pair = np.inf
-    t = 0
-    while t + 1 < n:
-        pair = rho[t] + rho[t + 1]
-        if pair <= 0:
-            break
-        pair = min(pair, prev_pair)
-        prev_pair = pair
-        tau += 2.0 * pair
-        t += 2
-    tau = max(tau, 1e-3)
-    return float(min(m * n, m * n / tau))
+    x = _by_parameter(chains)
+    k, m, n = x.shape
+    means = x.mean(axis=-1)
+    w = x.var(axis=-1, ddof=1).mean(axis=-1)
+    var_plus = (n - 1) / n * w + n * means.var(axis=-1, ddof=1) / n
+    x -= means[..., None]
+    # biased autocovariance via FFT, averaged over chains; a length of at
+    # least 2n leaves lags 0..n-1 free of wrap-around, and 3 * 2^j, when it
+    # is long enough, needs a quarter less memory than the power of two
+    size = 2 ** math.ceil(math.log2(2 * n))
+    size = 3 * size // 4 if 3 * size // 4 >= 2 * n else size
+    acov = np.fft.irfft(_mean_periodogram(x, size), n=size, axis=-1)[:, :n] / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = 1.0 - (w[:, None] - acov) / var_plus[:, None]
+        # Geyer: tau = -1 + 2 * sum of even/odd pair sums, kept while
+        # positive and forced non-increasing, summed left to right
+        pairs = rho[:, 0 : n - 1 : 2] + rho[:, 1:n:2]
+        kept = np.logical_and.accumulate(pairs > 0, axis=-1)
+        terms = np.where(kept, 2.0 * np.minimum.accumulate(pairs, axis=-1), 0.0)
+        tau = np.cumsum(np.concatenate([np.full((k, 1), -1.0), terms], axis=-1), axis=-1)
+        tau = np.maximum(tau[:, -1], 1e-3)
+    out = np.where(var_plus == 0.0, m * n, np.minimum(m * n, m * n / tau))
+    return out if np.ndim(chains) == 3 else float(out[0])
 
 
 def summarize(sample: PosteriorSample, level: float = 0.95) -> dict[str, dict[str, float]]:

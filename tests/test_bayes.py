@@ -14,6 +14,7 @@ from cnma.freq import gls_fit
 from cnma.mcmc import McmcConfig
 from cnma.network import ArmRecord, Study, arm_to_contrast, build_network, parse_treatment
 from cnma.numerics import mvn_logpdf
+from test_mcmc import reference_ess, reference_rhat
 
 KINDS = ("anchored-arm", "unanchored-arm", "unanchored-contrast")
 ANCHOR = parse_treatment("A")
@@ -79,7 +80,7 @@ def test_contrast_fixed_effects_agrees_with_gls(studies, network):
 def test_anchored_preconditioner_is_information_without_anchor(studies, network):
     spec, data = inputs("anchored-arm", studies)
     model = bayes.build_model(spec, data, network)
-    lower = bayes._d_preconditioner(model, network, spec)
+    lower = bayes._d_preconditioner(model)
 
     # dense information of the whole network on contrasts against arm 0
     blocks = [arm_to_contrast(s, 0, "cc05") for s in network.studies]
@@ -206,10 +207,10 @@ def test_block_partials_track_logpost(kind, effects, studies, network):
     # a move of one block changes its partial as much as the log posterior
     spec, data = inputs(kind, studies, effects)
     model = bayes.build_model(spec, data, network)
-    blocks, partials = model.blocks_and_partials(bayes._d_preconditioner(model, network, spec))
+    blocks, partials = model.blocks_and_partials(bayes._d_preconditioner(model))
     # d, then alpha per study; under random effects also sigma, eps per study and d-shift
     assert len(partials) == (3 + 2 * len(studies) if effects == "random" else 1 + len(studies))
-    x = model.to_internal(bayes._initial_vectors(model, McmcConfig(seed=3), spec)[0])
+    x = model.to_internal(bayes._initial_vectors(model, McmcConfig(seed=3))[0])
     rng = np.random.default_rng(3)
     for block, partial in zip(blocks, partials):
         y = x.copy()
@@ -230,21 +231,46 @@ def test_block_partials_track_logpost(kind, effects, studies, network):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_diagnostics_are_those_of_reported_draws(kind, studies, network, monkeypatch):
-    # run_chains' values are reused except where reported_draws remaps a column
+    # one vectorised call of each diagnostic per fit, on the reported draws
     calls = []
 
-    def counted_rhat(chains):
-        calls.append(1)
-        return mcmc.rhat(chains)
+    def counted(fn):
+        def wrapper(chains):
+            calls.append((fn.__name__, np.shape(chains)))
+            return fn(chains)
 
-    monkeypatch.setattr(bayes, "_rhat", counted_rhat)
+        return wrapper
+
+    for name in ("rhat", "ess"):
+        monkeypatch.setattr(mcmc, name, counted(getattr(mcmc, name)))
     spec, data = inputs(kind, studies)
     fit = bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=2))
     draws = fit.sample.draws
+    assert sorted(calls) == [("ess", draws.shape), ("rhat", draws.shape)]
     for j in range(draws.shape[-1]):
-        assert fit.sample.rhat[j] == mcmc.rhat(draws[:, :, j])
-        assert fit.sample.ess[j] == mcmc.ess(draws[:, :, j])
-    assert len(calls) == (0 if kind == "unanchored-contrast" else len(studies))
+        assert fit.sample.rhat[j] == reference_rhat(draws[:, :, j])
+        assert fit.sample.ess[j] == pytest.approx(reference_ess(draws[:, :, j]), rel=1e-12)
+    assert fit.max_rhat == max(reference_rhat(draws[:, :, j]) for j in range(draws.shape[-1]))
+
+
+def test_unconverged_fit_warns_with_worst_parameters(studies, network, caplog):
+    spec, data = inputs("unanchored-arm", studies)
+    with caplog.at_level(logging.WARNING, logger="cnma"):
+        fit = bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=2))
+    records = [r for r in caplog.records if r.name == "cnma"]
+    assert len(records) == 1 and records[0].levelno == logging.WARNING
+    message = records[0].getMessage()
+    assert fit.names[int(np.argmax(fit.sample.rhat))] in message
+    assert fit.names[int(np.argmin(fit.sample.ess))] in message
+
+
+def test_converged_fit_logs_nothing(studies, network, caplog):
+    spec, blocks = inputs("unanchored-contrast", studies, "fixed")
+    with caplog.at_level(logging.DEBUG, logger="cnma"):
+        fit = bayes.fit(spec, blocks, network, McmcConfig(burn_in=500, keep=8000, seed=2))
+    assert fit.max_rhat <= bayes.RHAT_LIMIT
+    assert fit.sample.ess.min() >= bayes.ESS_LIMIT
+    assert not [r for r in caplog.records if r.name == "cnma"]
 
 
 def arm_order(kind, study):

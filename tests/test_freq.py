@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cnma.design import build_Sigma_star, build_U, build_V, stack_X
 from cnma.errors import CnmaError, DisconnectedNetwork
-from cnma.freq import FreqFit, estimate_tau2, gls_fit, p_scores
+from cnma.freq import FreqFit, gls_fit, p_scores
 from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
 from cnma.numerics import pinv
 
@@ -176,43 +176,45 @@ class TestGlsMatchesDense:
 
 
 class TestEstimateTau2:
+    """The moment estimate of tau2 that gls_fit reports under random effects."""
+
     def test_classic_moment_case(self):
         blocks = [
             block("s1", ["P", "A"], 0.0, 0.5),
             block("s2", ["P", "A"], 1.0, 0.5),
         ]
-        tau2, Q, df, truncated = estimate_tau2(blocks, network_of(blocks))
-        assert Q == pytest.approx(2.0, abs=1e-12)
-        assert df == 1
-        assert tau2 == pytest.approx(0.25, abs=1e-12)
-        assert not truncated
+        fit = gls_fit(blocks, network_of(blocks), "random")
+        assert fit.Q == pytest.approx(2.0, abs=1e-12)
+        assert fit.df == 1
+        assert fit.tau2 == pytest.approx(0.25, abs=1e-12)
+        assert not fit.tau2_truncated
 
     def test_zero_residuals(self):
         blocks = [
             block("s1", ["P", "A"], 0.7, 0.5),
             block("s2", ["P", "A"], 0.7, 0.5),
         ]
-        tau2, Q, _, truncated = estimate_tau2(blocks, network_of(blocks))
-        assert Q == pytest.approx(0.0, abs=1e-12)
-        assert tau2 == 0.0
-        assert truncated
+        fit = gls_fit(blocks, network_of(blocks), "random")
+        assert fit.Q == pytest.approx(0.0, abs=1e-12)
+        assert fit.tau2 == 0.0
+        assert fit.tau2_truncated
 
     def test_q_below_df_truncates(self):
         blocks = [
             block("s1", ["P", "A"], 0.70, 0.5),
             block("s2", ["P", "A"], 0.75, 0.5),
         ]
-        tau2, Q, df, truncated = estimate_tau2(blocks, network_of(blocks))
-        assert Q < df
-        assert tau2 == 0.0
-        assert truncated
+        fit = gls_fit(blocks, network_of(blocks), "random")
+        assert fit.Q < fit.df
+        assert fit.tau2 == 0.0
+        assert fit.tau2_truncated
 
     def test_saturated_network_flagged(self):
         blocks = [block("s1", ["P", "A"], 0.5, 0.2)]
-        tau2, _, df, truncated = estimate_tau2(blocks, network_of(blocks))
-        assert df <= 0
-        assert tau2 == 0.0
-        assert truncated
+        fit = gls_fit(blocks, network_of(blocks), "random")
+        assert fit.df <= 0
+        assert fit.tau2 == 0.0
+        assert fit.tau2_truncated
 
 
 class TestPScores:

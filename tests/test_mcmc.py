@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,56 @@ from cnma.numerics import rng_stream
 
 def std_normal_logpost(x):
     return float(-0.5 * np.sum(x**2))
+
+
+def reference_rhat(chains):
+    """Split R-hat of one parameter's (n_chains, n_draws) chains, written one
+    parameter at a time as the sampler first computed it."""
+    arr = np.asarray(chains, dtype=float)
+    half = arr.shape[1] // 2
+    split = np.vstack([arr[:, :half], arr[:, half : 2 * half]])
+    n = split.shape[1]
+    means = split.mean(axis=1)
+    variances = split.var(axis=1, ddof=1)
+    w = variances.mean()
+    b = n * means.var(ddof=1)
+    if w == 0.0:
+        return 1.0 if b == 0.0 else float("inf")
+    var_plus = (n - 1) / n * w + b / n
+    return float(np.sqrt(var_plus / w))
+
+
+def reference_ess(chains):
+    """ESS of one parameter's (n_chains, n_draws) chains with Geyer's initial
+    monotone positive sequence summed in a loop, as the sampler first did."""
+    arr = np.asarray(chains, dtype=float)
+    m, n = arr.shape
+    if n < 4:
+        return float(m * n)
+    centered = arr - arr.mean(axis=1, keepdims=True)
+    size = 2 ** int(np.ceil(np.log2(2 * n)))
+    fft = np.fft.rfft(centered, n=size, axis=1)
+    acov = np.fft.irfft(fft * np.conjugate(fft), n=size, axis=1)[:, :n] / n
+    mean_acov = acov.mean(axis=0)
+    w = arr.var(axis=1, ddof=1).mean()
+    b = n * arr.mean(axis=1).var(ddof=1) if m > 1 else 0.0
+    var_plus = (n - 1) / n * w + (b / n if m > 1 else 0.0)
+    if var_plus == 0.0:
+        return float(m * n)
+    rho = 1.0 - (w - mean_acov) / var_plus
+    tau = -1.0
+    prev_pair = np.inf
+    t = 0
+    while t + 1 < n:
+        pair = rho[t] + rho[t + 1]
+        if pair <= 0:
+            break
+        pair = min(pair, prev_pair)
+        prev_pair = pair
+        tau += 2.0 * pair
+        t += 2
+    tau = max(tau, 1e-3)
+    return float(min(m * n, m * n / tau))
 
 
 def quick_config(**overrides):
@@ -227,6 +278,25 @@ class TestRunChains:
         with pytest.raises(McmcError, match="keep"):
             McmcConfig(keep=3)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
+            ("keep", 10.0),
+            ("burn_in", "100"),
+            ("n_chains", np.float64(2.0)),
+        ],
+    )
+    def test_config_rejects_non_integer_fields_and_negative_seed(self, field, value):
+        with pytest.raises(McmcError, match=field):
+            McmcConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        config = McmcConfig(n_chains=np.int64(2), burn_in=np.int32(10), seed=np.uint8(3))
+        assert config.seed == 3
+
     def test_rejected_proposals_restore_every_coordinate(self):
         # every block kind: scalar, contiguous with covariance shaping,
         # multiplicative, and a shift over non-contiguous coordinates; any
@@ -316,6 +386,73 @@ class TestRhat:
         assert rhat(np.vstack([drifting, flat])) > 1.1
 
 
+def random_walk(rng, shape):
+    return np.cumsum(rng.normal(size=shape), axis=1)
+
+
+def diagnostic_inputs():
+    """(chains, n_draws, n_params) arrays: noise, a random walk (which the
+    Geyer truncation stops early), a constant column and chains at distinct
+    constants, at odd and even chain lengths; then noise in three chains."""
+    rng = np.random.default_rng(12)
+    out = []
+    for n in (4, 5, 20, 151, 1000):
+        cols = [
+            rng.normal(size=(2, n)),
+            random_walk(rng, (2, n)),
+            0.9 * random_walk(rng, (2, n)) + rng.normal(size=(2, n)),
+            np.full((2, n), 2.5),
+            np.vstack([np.zeros(n), np.ones(n)]),
+        ]
+        out.append(np.stack(cols, axis=-1))
+    out.append(rng.normal(size=(3, 64, 4)))
+    return out
+
+
+class TestBatchedDiagnostics:
+    @pytest.mark.parametrize(
+        "draws", diagnostic_inputs(), ids=lambda d: "x".join(map(str, d.shape))
+    )
+    def test_match_per_column_reference(self, draws):
+        batch_rhat, batch_ess = rhat(draws), ess(draws)
+        assert batch_rhat.shape == batch_ess.shape == (draws.shape[-1],)
+        for j in range(draws.shape[-1]):
+            column = draws[:, :, j]
+            assert batch_rhat[j] == rhat(column)
+            assert batch_ess[j] == ess(column)
+            # same arithmetic for R-hat; the batched FFTs may differ in the last bit
+            assert batch_rhat[j] == reference_rhat(column)
+            assert batch_ess[j] == pytest.approx(reference_ess(column), rel=1e-12)
+
+    def test_edge_values(self):
+        draws = diagnostic_inputs()[4]  # 1000 draws per chain
+        m, n = draws.shape[:2]
+        # a random walk mixes far worse than its draw count
+        assert ess(draws)[1] < 0.05 * m * n
+        assert rhat(draws)[3] == 1.0 and ess(draws)[3] == m * n
+        assert rhat(draws)[4] == np.inf
+
+    def test_bad_shapes_rejected(self):
+        for fn in (rhat, ess):
+            with pytest.raises(McmcError):
+                fn(np.zeros(10))
+            with pytest.raises(McmcError):
+                fn(np.zeros((2, 10, 1, 1)))
+        with pytest.raises(McmcError):
+            rhat(np.zeros((1, 10, 3)))
+
+    def test_sample_diagnostics_follow_its_draws(self):
+        draws = diagnostic_inputs()[3]
+        sample = TestSummarize.sample_from(draws)
+        assert np.array_equal(sample.rhat, rhat(draws))
+        assert np.array_equal(sample.ess, ess(draws))
+        # a copy with other draws does not keep the computed diagnostics
+        shorter = dataclasses.replace(sample, draws=draws[:, :40])
+        assert np.array_equal(shorter.rhat, rhat(draws[:, :40]))
+        assert np.array_equal(shorter.ess, ess(draws[:, :40]))
+        assert not np.array_equal(shorter.ess, sample.ess)
+
+
 class TestEss:
     def test_iid_close_to_n(self):
         rng = np.random.default_rng(1)
@@ -343,8 +480,6 @@ class TestSummarize:
             names=tuple(f"p{i}" for i in range(draws.shape[-1])),
             draws=draws,
             acceptance={},
-            rhat=np.ones(draws.shape[-1]),
-            ess=np.full(draws.shape[-1], draws.shape[0] * draws.shape[1]),
             scales_after_burnin={},
             scales_final={},
         )
