@@ -45,6 +45,7 @@ from .errors import (
     CnmaError,
     DisconnectedNetwork,
     EmptyNetwork,
+    NotIdentifiable,
     UnknownAnchor,
 )
 from .mcmc import Block, McmcConfig, PosteriorSample, run_chains, summarize
@@ -456,7 +457,6 @@ class BayesFit:
     sample: PosteriorSample
     network: Network
     model: object
-    dic: DicResult | None = None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -560,10 +560,22 @@ def _warn_if_unconverged(spec: ModelSpec, sample: PosteriorSample) -> None:
 
 
 def build_model(spec: ModelSpec, data, network: Network):
+    """The model of ``spec`` for ``data``; a design whose columns for the
+    sampled effects have rank below their number is refused, since the prior
+    alone would fix the effects it leaves free."""
     _validate(spec, data, network)
     if spec.kind in ("anchored-arm", "unanchored-arm"):
-        return _ArmModel(data, network, spec)
-    return _ContrastModel(data, network, spec)
+        model = _ArmModel(data, network, spec)
+    else:
+        model = _ContrastModel(data, network, spec)
+    n_columns = model.d_columns.size
+    rank = int(np.linalg.matrix_rank(model.design.X[:, model.d_columns]))
+    if rank < n_columns:
+        raise NotIdentifiable(
+            f"{spec.kind}: the contrast design has rank {rank} for "
+            f"{n_columns} effect columns"
+        )
+    return model
 
 
 def fit(
@@ -599,11 +611,9 @@ def dic(fit_result: BayesFit) -> DicResult:
     deviance_bar = float(np.mean(-2.0 * model.loglik(model.to_internal(pooled))))
     deviance_at_mean = float(-2.0 * model.loglik(model.to_internal(pooled.mean(axis=0))))
     p_d = deviance_bar - deviance_at_mean
-    result = DicResult(
+    return DicResult(
         deviance_bar=deviance_bar,
         deviance_at_mean=deviance_at_mean,
         p_d=p_d,
         dic=deviance_bar + p_d,
     )
-    fit_result.dic = result
-    return result

@@ -5,7 +5,7 @@ incidence matrix, built by ``incidence_matrix``: an arm-level model's V holds
 its arms' rows, and the stacked regression matrix X holds, per study, each
 non-baseline arm's row minus the baseline arm's. ``ContrastDesign`` holds the
 stacked contrasts of a set of contrast blocks with their compound-symmetry
-covariance in closed form. The per-study V, contrast matrices U (all-pairs or
+covariance in closed form. The contrast matrices U (all-pairs or
 common-baseline) and compound-symmetry structures Sigma / Sigma* are the
 paper's constructs in dense form.
 """
@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CnmaError, DisconnectedNetwork, UnknownComponent
-from .network import Network, Study
+from .errors import CnmaError, UnknownComponent
+from .network import Network
 from .numerics import LOG_2PI, pinv
 
 
@@ -34,11 +34,6 @@ def incidence_matrix(treatments, components) -> np.ndarray:
                 raise UnknownComponent(f"component {comp!r} not in the component order")
             V[i, column[comp]] = 1.0
     return V
-
-
-def build_V(study: Study, network: Network) -> np.ndarray:
-    """Binary incidence of components per arm: V[j, k] = 1 iff arm j uses component k."""
-    return incidence_matrix(study.treatments, network.components)
 
 
 def build_U(a: int, mode: str = "baseline", baseline_arm: int = 0) -> np.ndarray:
@@ -104,9 +99,8 @@ def _baseline_contrasts(V: np.ndarray, n_arms, baseline_arms) -> np.ndarray:
 
 def stack_X(network: Network) -> np.ndarray:
     """Baseline contrasts against each study's first arm, stacked over studies;
-    columns follow the network's component order."""
-    if not network.connected:
-        raise DisconnectedNetwork("stack_X requires a connected network")
+    columns follow the network's component order. It is defined for any
+    network; whether it identifies the effects is a question of its rank."""
     studies = network.studies
     V = incidence_matrix([t for s in studies for t in s.treatments], network.components)
     return _baseline_contrasts(V, [s.n_arms for s in studies], [0] * len(studies))

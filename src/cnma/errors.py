@@ -17,6 +17,11 @@ class DisconnectedNetwork(CnmaError):
     """Model fitting requires a single connected treatment group."""
 
 
+class NotIdentifiable(CnmaError):
+    """The design does not identify every effect a model samples: its
+    columns for them have rank below their number."""
+
+
 class ZeroCell(CnmaError):
     """A zero event (or zero non-event) cell under the strict conversion policy."""
 

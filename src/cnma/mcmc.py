@@ -82,7 +82,8 @@ class Block:
 
 @dataclass
 class PosteriorSample:
-    """Kept draws with the sampler's acceptance rates and step sizes.
+    """Kept draws with the sampler's acceptance rates and the step sizes
+    burn-in adapted, which the kept draws were taken with.
 
     ``rhat`` and ``ess`` are computed from ``draws`` on first use, one value
     per parameter, so they always describe the draws the sample holds.
@@ -92,7 +93,6 @@ class PosteriorSample:
     draws: np.ndarray  # (n_chains, kept, dims)
     acceptance: dict[str, float]
     scales_after_burnin: dict[str, float]
-    scales_final: dict[str, float]
 
     @cached_property
     def rhat(self) -> np.ndarray:
@@ -235,7 +235,7 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
             kept[it - burn_in] = x
 
     rates = np.array(accepts) / config.keep
-    return kept, rates, scales_after_burnin, scales
+    return kept, rates, scales_after_burnin
 
 
 def run_chains(logpost, init, blocks, config: McmcConfig, partials=None) -> PosteriorSample:
@@ -260,17 +260,15 @@ def run_chains(logpost, init, blocks, config: McmcConfig, partials=None) -> Post
 
     draws = np.empty((config.n_chains, config.keep, dim))
     rates = np.zeros(len(blocks))
-    scales_ab: dict[str, float] = {}
-    scales_fin: dict[str, float] = {}
+    scales: dict[str, float] = {}
     for c in range(config.n_chains):
-        kept, chain_rates, after_burnin, final = _run_single_chain(
+        kept, chain_rates, after_burnin = _run_single_chain(
             logpost, inits[c], blocks, config, partials, c
         )
         draws[c] = kept
         rates += chain_rates / config.n_chains
         for bi, b in enumerate(blocks):
-            scales_ab[f"{b.name}[{c}]"] = float(after_burnin[bi])
-            scales_fin[f"{b.name}[{c}]"] = float(final[bi])
+            scales[f"{b.name}[{c}]"] = float(after_burnin[bi])
 
     if not np.all(np.isfinite(draws)):
         raise McmcError("non-finite draws")
@@ -279,8 +277,7 @@ def run_chains(logpost, init, blocks, config: McmcConfig, partials=None) -> Post
         names=tuple(f"p{i}" for i in range(dim)),
         draws=draws,
         acceptance={b.name: float(rates[bi]) for bi, b in enumerate(blocks)},
-        scales_after_burnin=scales_ab,
-        scales_final=scales_fin,
+        scales_after_burnin=scales,
     )
 
 

@@ -9,7 +9,9 @@ the package refers to one shared column order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +72,6 @@ def parse_treatment(label: str, separator: str = DEFAULT_SEPARATOR) -> Treatment
     return Treatment(components=tuple(sorted(tokens)), label=label.strip())
 
 
-def format_treatment(treatment: Treatment, separator: str = DEFAULT_SEPARATOR) -> str:
-    """Canonical label: components joined in sorted order."""
-    return separator.join(treatment.components)
-
-
 @dataclass(frozen=True)
 class ArmRecord:
     treatment: Treatment
@@ -82,6 +79,15 @@ class ArmRecord:
     total: int
 
     def __post_init__(self):
+        for name in ("events", "total"):
+            value = getattr(self, name)
+            # numpy integers are integers and bool is not; a plain int skips
+            # the abstract-class check, which costs more than the rest of
+            # the validation
+            if type(value) is not int and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise CnmaError(f"arm {name} must be an integer, got {value!r}")
         if self.total < 1:
             raise CnmaError(f"arm total must be >= 1, got {self.total}")
         if self.events < 0:
@@ -112,12 +118,14 @@ class Study:
 
 @dataclass(frozen=True)
 class Network:
-    """All studies plus the frozen component dictionary and treatment list."""
+    """All studies plus the frozen component order.
+
+    The treatment list and connectivity follow from the studies, so they are
+    computed from them on first use and never stored apart from them.
+    """
 
     studies: tuple[Study, ...]
     components: tuple[str, ...]
-    treatments: tuple[Treatment, ...]
-    connected: bool
 
     @property
     def n_components(self) -> int:
@@ -126,6 +134,23 @@ class Network:
     @property
     def n_studies(self) -> int:
         return len(self.studies)
+
+    @cached_property
+    def treatments(self) -> tuple[Treatment, ...]:
+        """Every treatment of the studies, in first-appearance order."""
+        return tuple(dict.fromkeys(t for study in self.studies for t in study.treatments))
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the treatments form one group closed under "co-appear in
+        a study"."""
+        # each treatment's group: the treatments joined to it by the studies so far
+        group: dict[Treatment, set[Treatment]] = {}
+        for study in self.studies:
+            merged = set().union(*(group.get(t, {t}) for t in study.treatments))
+            for t in merged:
+                group[t] = merged
+        return bool(group) and len(group[self.treatments[0]]) == len(group)
 
     def component_index(self, label: str) -> int:
         try:
@@ -167,54 +192,7 @@ def build_network(studies, components=None) -> Network:
         missing = [c for c in referenced if c not in component_order]
         if missing:
             raise UnknownComponent(f"components {missing} referenced but not listed")
-
-    treatments: list[Treatment] = []
-    for study in studies:
-        for arm in study.arms:
-            if arm.treatment not in treatments:
-                treatments.append(arm.treatment)
-
-    probe = Network(
-        studies=studies,
-        components=component_order,
-        treatments=tuple(treatments),
-        connected=False,
-    )
-    groups = check_connectivity(probe)
-    return Network(
-        studies=studies,
-        components=component_order,
-        treatments=tuple(treatments),
-        connected=len(groups) == 1,
-    )
-
-
-def check_connectivity(network: Network) -> list[frozenset[Treatment]]:
-    """Partition treatments into groups closed under "co-appear in a study"."""
-    if not network.treatments:
-        raise EmptyNetwork("network has no treatments")
-    parent = {t: t for t in network.treatments}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for study in network.studies:
-        first = study.arms[0].treatment
-        for arm in study.arms[1:]:
-            union(first, arm.treatment)
-
-    groups: dict[Treatment, set[Treatment]] = {}
-    for t in network.treatments:
-        groups.setdefault(find(t), set()).add(t)
-    return [frozenset(g) for g in groups.values()]
+    return Network(studies=studies, components=component_order)
 
 
 @dataclass(frozen=True)
@@ -246,6 +224,9 @@ class ContrastBlock:
             raise CnmaError("baseline arm out of range")
         if y.shape != (a - 1,) or se.shape != (a - 1,):
             raise CnmaError("contrast block dimension mismatch")
+        finite = np.isfinite(y).all() and np.isfinite(se).all()
+        if not (finite and math.isfinite(self.se_baseline)):
+            raise CnmaError(f"study {self.study_id!r}: contrast entries must be finite")
         if np.any(se <= 0):
             raise CnmaError("contrast standard errors must be positive")
         if self.se_baseline < 0:
@@ -258,12 +239,6 @@ class ContrastBlock:
     @property
     def n_arms(self) -> int:
         return len(self.treatments)
-
-    @property
-    def non_baseline_treatments(self) -> tuple[Treatment, ...]:
-        return tuple(
-            t for j, t in enumerate(self.treatments) if j != self.baseline_arm
-        )
 
     def covariance(self) -> np.ndarray:
         """The (a-1)x(a-1) sampling covariance: se^2 diagonal, se_baseline^2 off it."""

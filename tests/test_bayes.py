@@ -9,7 +9,13 @@ from scipy.stats import binom, norm
 from cnma import bayes, mcmc
 from cnma.design import build_Sigma_star, incidence_matrix, stack_X
 from cnma.effects import contrast_vector
-from cnma.errors import CnmaError, EmptyNetwork, NotPositiveDefinite, UnknownAnchor
+from cnma.errors import (
+    CnmaError,
+    EmptyNetwork,
+    NotIdentifiable,
+    NotPositiveDefinite,
+    UnknownAnchor,
+)
 from cnma.freq import gls_fit
 from cnma.mcmc import McmcConfig
 from cnma.network import ArmRecord, Study, arm_to_contrast, build_network, parse_treatment
@@ -63,6 +69,27 @@ def test_same_seed_bit_identical_draws(kind, studies, network):
     first = bayes.fit(spec, data, network, config)
     second = bayes.fit(spec, data, network, config)
     assert np.array_equal(first.sample.draws, second.sample.draws)
+
+
+@pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
+def test_arm_fixed_effects_agree_with_gls(kind, studies, network):
+    # every treatment's contrast against A lies within 3 posterior SDs of the
+    # fixed-effects GLS estimate; the anchored kind fixes d_A = 0, so its
+    # reference is the GLS estimate conditioned on that
+    spec, data = inputs(kind, studies, "fixed")
+    fit = bayes.fit(spec, data, network, McmcConfig(burn_in=1000, keep=1000, seed=1))
+    gls = gls_fit([arm_to_contrast(s, 0, "cc05") for s in studies], network, "fixed")
+    ref = gls.d_hat
+    if kind == "anchored-arm":
+        at = network.component_index("A")
+        ref = ref - gls.cov_d[:, at] * ref[at] / gls.cov_d[at, at]
+    draws = fit.component_effect_draws()
+    for t in network.treatments:
+        if t == ANCHOR:
+            continue
+        w = contrast_vector(ANCHOR, t, network.components)
+        post = draws @ w
+        assert abs(post.mean() - w @ ref) <= 3.0 * post.std(), t.label
 
 
 def test_contrast_fixed_effects_agrees_with_gls(studies, network):
@@ -180,6 +207,59 @@ def test_treatment_effect_draws(kind, studies, network):
     assert np.all(relative[:, at] == 0.0)
     if kind == "anchored-arm":
         assert np.all(fit.treatment_effect_draws([ANCHOR]) == 0.0)
+
+
+def single_component_studies():
+    """Five studies of the single-component treatments A, B and C: connected,
+    but every contrast sums to zero over the components, so the stacked
+    design has rank 2 for 3 components."""
+    rng = np.random.default_rng(4)
+    out = []
+    for i, labels in enumerate((("A", "B"), ("B", "C"), ("A", "C"), ("A", "B", "C"), ("B", "C"))):
+        totals = rng.integers(100, 200, size=len(labels))
+        events = rng.binomial(totals, 0.3)
+        arms = zip((parse_treatment(lab) for lab in labels), events.tolist(), totals.tolist())
+        out.append(Study(id=f"s{i}", arms=tuple(ArmRecord(*arm) for arm in arms)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["unanchored-arm", "unanchored-contrast"])
+def test_anchor_free_kinds_refuse_rank_deficient_design(kind, monkeypatch):
+    studies = single_component_studies()
+    net = build_network(studies)
+    assert net.connected and np.linalg.matrix_rank(stack_X(net)) == 2
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a model that is not identified")
+
+    monkeypatch.setattr(bayes, "run_chains", no_sampling)
+    for effects in ("fixed", "random"):
+        spec, data = inputs(kind, studies, effects)
+        with pytest.raises(NotIdentifiable, match=rf"{kind}: .* rank 2 for 3 effect columns"):
+            bayes.fit(spec, data, net, McmcConfig(burn_in=60, keep=40, seed=1))
+
+
+def test_rank_deficient_design_fits_anchored_and_gls():
+    # dropping the anchor's column leaves a full-rank design; GLS answers the
+    # estimable contrasts through its pseudoinverse
+    studies = single_component_studies()
+    net = build_network(studies)
+    spec, data = inputs("anchored-arm", studies)
+    fit = bayes.fit(spec, data, net, McmcConfig(burn_in=60, keep=40, seed=1))
+    assert np.all(np.isfinite(fit.sample.draws))
+    gls = gls_fit([arm_to_contrast(s, 0, "cc05") for s in studies], net, "random")
+    assert gls.rank_X == 2
+    assert np.all(np.isfinite(gls.d_hat))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unreferenced_component_is_not_identified(kind, studies, network):
+    # a listed component no study uses has an all-zero column
+    extra = build_network(studies, components=network.components + ("E",))
+    spec, data = inputs(kind, studies)
+    columns = 4 if kind == "anchored-arm" else 5
+    with pytest.raises(NotIdentifiable, match=rf"rank {columns - 1} for {columns} effect"):
+        bayes.build_model(spec, data, extra)
 
 
 def test_validate_rejects_empty_data(network):
@@ -318,7 +398,8 @@ def test_dic_is_binomial_deviance_of_reported_draws(kind, effects, studies, netw
     assert result.deviance_at_mean == pytest.approx(at_mean, rel=1e-9)
     assert result.p_d == result.deviance_bar - result.deviance_at_mean
     assert result.dic == result.deviance_bar + result.p_d
-    assert fit.dic is result
+    # a function of the fit's draws, not a copy stored on the fit
+    assert bayes.dic(fit) == result
 
 
 def test_dic_rejects_contrast_kind(studies, network):

@@ -8,7 +8,6 @@ from cnma.design import (
     build_Sigma,
     build_Sigma_star,
     build_U,
-    build_V,
     incidence_matrix,
     stack_X,
 )
@@ -36,9 +35,10 @@ def chd_trial23():
 
 
 class TestBuildV:
+    # a study's V is the rows of its arms in the treatment x component incidence
     def test_three_arm_multicomponent(self, chd_trial23):
         study, net = chd_trial23
-        V = build_V(study, net)
+        V = incidence_matrix(study.treatments, net.components)
         expected = np.array(
             [
                 [0, 1, 0, 1, 1, 0],
@@ -52,16 +52,17 @@ class TestBuildV:
     def test_placebo_vs_a(self):
         study = study_from(["Placebo", "A"])
         net = build_network([study], components=("Placebo", "A", "B"))
-        assert np.array_equal(build_V(study, net), [[1, 0, 0], [0, 1, 0]])
+        V = incidence_matrix(study.treatments, net.components)
+        assert np.array_equal(V, [[1, 0, 0], [0, 1, 0]])
 
     def test_all_components_row_of_ones(self):
         study = study_from(["A+B+C", "A"])
         net = build_network([study], components=("A", "B", "C"))
-        assert np.array_equal(build_V(study, net)[0], [1, 1, 1])
+        assert np.array_equal(incidence_matrix(study.treatments, net.components)[0], [1, 1, 1])
 
     def test_row_sums_equal_component_counts(self, chd_trial23):
         study, net = chd_trial23
-        V = build_V(study, net)
+        V = incidence_matrix(study.treatments, net.components)
         assert list(V.sum(axis=1)) == [3, 2, 1]
 
 
@@ -157,7 +158,7 @@ class TestDesignSet:
         rng = np.random.default_rng(7)
         study = study_from(["E", "A+C", "B"], "s1")
         net = build_network([study], components=("E", "A", "B", "C"))
-        V = build_V(study, net)
+        V = incidence_matrix(study.treatments, net.components)
         V1 = np.delete(V, 0, axis=1)
         d = rng.normal(size=4)
         d_anchor = d[0]
@@ -207,7 +208,10 @@ def dense_reference(blocks, tau2):
     )
     X = np.vstack(
         [
-            incidence_matrix(b.non_baseline_treatments, net.components)
+            incidence_matrix(
+                [t for j, t in enumerate(b.treatments) if j != b.baseline_arm],
+                net.components,
+            )
             - incidence_matrix([b.treatments[b.baseline_arm]], net.components)
             for b in blocks
         ]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cnma.design import build_Sigma_star, build_U, build_V, stack_X
+from cnma.design import build_Sigma_star, build_U, incidence_matrix, stack_X
 from cnma.errors import CnmaError, DisconnectedNetwork
 from cnma.freq import FreqFit, gls_fit, p_scores
 from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
@@ -109,7 +109,8 @@ class TestGlsFit:
         ]
         net = network_of(blocks)
         fit = gls_fit(blocks, net, "fixed")
-        X = np.vstack([build_U(2, "allpairs") @ build_V(s, net) for s in net.studies])
+        X = np.vstack([build_U(2, "allpairs") @ incidence_matrix(s.treatments, net.components)
+                       for s in net.studies])
         y = np.concatenate([b.y_star for b in blocks])
         w_inv = np.diag(1.0 / np.concatenate([b.se for b in blocks]) ** 2)
         d_ap = pinv(X.T @ w_inv @ X) @ X.T @ w_inv @ y

@@ -177,13 +177,15 @@ class TestRunChains:
         assert np.array_equal(a.draws, b.draws)
 
     def test_adaptation_frozen_after_burnin(self):
-        sample = run_chains(
-            std_normal_logpost,
-            np.array([0.0]),
-            [Block("x", (0,), scale=2.0)],
-            quick_config(keep=4000),
-        )
-        assert sample.scales_after_burnin == sample.scales_final
+        # the kept draws are those of a chain whose scales, after burn-in,
+        # stay at the reported ones
+        blocks = [Block("x", (0,), scale=2.0)]
+        config = quick_config(keep=4000)
+        sample = run_chains(std_normal_logpost, np.array([0.0]), blocks, config)
+        for c in range(config.n_chains):
+            kept, final = _copying_reference(std_normal_logpost, [0.0], blocks, config, c)
+            assert np.array_equal(sample.draws[c], kept)
+            assert [sample.scales_after_burnin[f"x[{c}]"]] == final
 
     def test_partials_match_full_logpost(self):
         # two independent coordinates; partials ignore the other coordinate
@@ -349,7 +351,7 @@ class TestRunChains:
         for c in range(config.n_chains):
             kept, scales = _copying_reference(logpost, x0, blocks, config, c)
             assert np.array_equal(sample.draws[c], kept)
-            assert [sample.scales_final[f"{b.name}[{c}]"] for b in blocks] == scales
+            assert [sample.scales_after_burnin[f"{b.name}[{c}]"] for b in blocks] == scales
 
     def test_per_chain_inits(self):
         inits = np.array([[5.0], [-5.0]])
@@ -481,7 +483,6 @@ class TestSummarize:
             draws=draws,
             acceptance={},
             scales_after_burnin={},
-            scales_final={},
         )
 
     def test_median_interpolation(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,12 +15,12 @@ from cnma.errors import (
 )
 from cnma.network import (
     ArmRecord,
+    ContrastBlock,
+    Network,
     Study,
     Treatment,
     arm_to_contrast,
     build_network,
-    check_connectivity,
-    format_treatment,
     parse_treatment,
 )
 
@@ -67,7 +68,7 @@ class TestParseTreatment:
 
     def test_roundtrip_on_canonical_labels(self):
         for label in ["A", "A+C", "Beh+Cog+Edu"]:
-            assert format_treatment(parse_treatment(label)) == label
+            assert Treatment(parse_treatment(label).components).label == label
 
 
 class TestBuildNetwork:
@@ -90,6 +91,16 @@ class TestBuildNetwork:
     def test_disconnected_flag(self):
         net = build_network([two_arm("s1", "E", "A"), two_arm("s2", "C", "D")])
         assert not net.connected
+
+    def test_treatments_in_first_appearance_order(self):
+        net = build_network([two_arm("s1", "E", "C+A"), two_arm("s2", "A+C", "B")])
+        assert net.treatments == tuple(parse_treatment(t) for t in ("E", "A+C", "B"))
+        # the first arm of a treatment gives it its label
+        assert net.treatments[1].label == "C+A"
+
+    def test_fields_are_the_studies_and_components(self):
+        # everything else a network reports follows from these two
+        assert [f.name for f in dataclasses.fields(Network)] == ["studies", "components"]
 
     def test_duplicate_study_ids(self):
         with pytest.raises(CnmaError):
@@ -117,13 +128,23 @@ class TestBuildNetwork:
         with pytest.raises(EventsExceedTotal):
             ArmRecord(parse_treatment("A"), 11, 10)
 
+    @pytest.mark.parametrize(
+        "events, total", [(2.5, 10), (2.0, 10), (True, 10), (2, 10.0), (2, True), ("2", 10)]
+    )
+    def test_arm_counts_must_be_integers(self, events, total):
+        with pytest.raises(CnmaError, match="must be an integer"):
+            ArmRecord(parse_treatment("A"), events, total)
+
+    def test_arm_counts_accept_numpy_integers(self):
+        arm = ArmRecord(parse_treatment("A"), np.int64(2), np.int32(10))
+        assert (arm.events, arm.total) == (2, 10)
+
 
 class TestConnectivity:
     def test_transitive_single_group(self):
         net = build_network([two_arm("s1", "E", "A"), two_arm("s2", "A", "B")])
-        groups = check_connectivity(net)
-        assert len(groups) == 1
-        assert groups[0] == {
+        assert net.connected
+        assert set(net.treatments) == {
             parse_treatment("E"),
             parse_treatment("A"),
             parse_treatment("B"),
@@ -131,7 +152,20 @@ class TestConnectivity:
 
     def test_two_groups(self):
         net = build_network([two_arm("s1", "E", "A"), two_arm("s2", "C", "D")])
-        assert len(check_connectivity(net)) == 2
+        assert not net.connected
+        assert len(net.treatments) == 4
+
+    def test_joined_by_a_multi_arm_study(self):
+        three_arm = Study(
+            id="s3",
+            arms=tuple(ArmRecord(parse_treatment(t), 5, 20) for t in ("B", "D", "E")),
+        )
+        net = build_network(
+            [two_arm("s1", "E", "A"), two_arm("s2", "C", "D"), two_arm("s4", "F", "G"),
+             three_arm]
+        )
+        assert not net.connected
+        assert build_network(net.studies[:2] + net.studies[3:]).connected
 
 
 class TestArmToContrast:
@@ -190,6 +224,40 @@ class TestArmToContrast:
         assert cov.shape == (2, 2)
         assert cov[0, 1] == pytest.approx(1 / 10 + 1 / 40)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
+
+
+class TestContrastBlock:
+    @staticmethod
+    def three_arm(**overrides):
+        fields = dict(
+            study_id="s",
+            baseline_arm=0,
+            y_star=np.array([0.4, -0.2]),
+            se=np.array([0.3, 0.35]),
+            se_baseline=0.2,
+            treatments=tuple(parse_treatment(t) for t in ("P", "A", "B")),
+        )
+        fields.update(overrides)
+        return ContrastBlock(**fields)
+
+    def test_valid_block(self):
+        assert self.three_arm().n_arms == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("y_star", np.array([np.nan, -0.2])),
+            ("y_star", np.array([0.4, np.inf])),
+            ("y_star", np.array([-np.inf, -0.2])),
+            ("se", np.array([0.3, np.inf])),
+            ("se", np.array([np.nan, 0.35])),
+            ("se_baseline", np.nan),
+            ("se_baseline", np.inf),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, field, value):
+        with pytest.raises(CnmaError, match="finite"):
+            self.three_arm(**{field: value})
 
 
 @settings(max_examples=50, deadline=None)
