@@ -41,13 +41,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .design import ContrastDesign, incidence_matrix
-from .errors import (
-    CnmaError,
-    DisconnectedNetwork,
-    EmptyNetwork,
-    NotIdentifiable,
-    UnknownAnchor,
-)
+from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
 from .mcmc import Block, McmcConfig, PosteriorSample, run_chains, summarize
 from .network import ContrastBlock, Network, Study, Treatment, arm_to_contrast
 from .numerics import LOG_2PI, chol, rng_stream
@@ -496,8 +490,6 @@ class BayesFit:
 def _validate(spec: ModelSpec, data, network: Network):
     if not data:
         raise EmptyNetwork("no data to fit")
-    if not network.connected:
-        raise DisconnectedNetwork("fit requires a connected network")
     arm_kind = spec.kind in ("anchored-arm", "unanchored-arm")
     if arm_kind and not all(isinstance(s, Study) for s in data):
         raise CnmaError(f"{spec.kind} expects arm-level studies")

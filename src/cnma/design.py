@@ -5,9 +5,8 @@ incidence matrix, built by ``incidence_matrix``: an arm-level model's V holds
 its arms' rows, and the stacked regression matrix X holds, per study, each
 non-baseline arm's row minus the baseline arm's. ``ContrastDesign`` holds the
 stacked contrasts of a set of contrast blocks with their compound-symmetry
-covariance in closed form. The contrast matrices U (all-pairs or
-common-baseline) and compound-symmetry structures Sigma / Sigma* are the
-paper's constructs in dense form.
+covariance in closed form; no contrast matrix U or compound-symmetry matrix
+Sigma* is ever formed.
 """
 
 from __future__ import annotations
@@ -34,56 +33,6 @@ def incidence_matrix(treatments, components) -> np.ndarray:
                 raise UnknownComponent(f"component {comp!r} not in the component order")
             V[i, column[comp]] = 1.0
     return V
-
-
-def build_U(a: int, mode: str = "baseline", baseline_arm: int = 0) -> np.ndarray:
-    """Contrast matrix over a study's arms.
-
-    ``allpairs``: a(a-1)/2 rows in lexicographic pair order, arm k minus arm j
-    for j < k. ``baseline``: a-1 rows, each non-baseline arm (in arm order)
-    minus the baseline arm, whose column is all -1.
-    """
-    if a < 2:
-        raise CnmaError("contrasts need >= 2 arms")
-    if mode == "allpairs":
-        rows = []
-        for j in range(a):
-            for k in range(j + 1, a):
-                row = np.zeros(a)
-                row[j], row[k] = -1.0, 1.0
-                rows.append(row)
-        return np.array(rows)
-    if mode == "baseline":
-        if not 0 <= baseline_arm < a:
-            raise CnmaError("baseline arm out of range")
-        rows = []
-        for j in range(a):
-            if j == baseline_arm:
-                continue
-            row = np.zeros(a)
-            row[baseline_arm], row[j] = -1.0, 1.0
-            rows.append(row)
-        return np.array(rows)
-    raise CnmaError(f"unknown contrast mode {mode!r}")
-
-
-def build_Sigma(a: int) -> np.ndarray:
-    """Compound-symmetry heterogeneity structure: unit diagonal, 1/2 elsewhere."""
-    if a < 2:
-        raise CnmaError("Sigma needs >= 2 arms")
-    sigma = np.full((a, a), 0.5)
-    np.fill_diagonal(sigma, 1.0)
-    return sigma
-
-
-def build_Sigma_star(a: int) -> np.ndarray:
-    """Compound symmetry on the a-1 baseline contrasts of an a-arm study."""
-    if a < 2:
-        raise CnmaError("Sigma* needs >= 2 arms")
-    m = a - 1
-    sigma = np.full((m, m), 0.5)
-    np.fill_diagonal(sigma, 1.0)
-    return sigma
 
 
 def _baseline_contrasts(V: np.ndarray, n_arms, baseline_arms) -> np.ndarray:

@@ -29,6 +29,18 @@ def contrast_vector(
     return target_row - comparator_row
 
 
+def _distinct(treatments) -> list[Treatment]:
+    """``treatments`` as a list; a treatment listed twice raises CnmaError,
+    since a ranking has one score per treatment."""
+    treatments = list(treatments)
+    seen = set()
+    for t in treatments:
+        if t in seen:
+            raise CnmaError(f"treatment {t.label!r} is listed more than once")
+        seen.add(t)
+    return treatments
+
+
 def additive_effect(d: np.ndarray, treatment: Treatment, components) -> float:
     """Treatment-level effect: the sum of its components' entries in d."""
     return float(incidence_matrix([treatment], components)[0] @ np.asarray(d, dtype=float))
@@ -110,7 +122,7 @@ def sucra(
     if direction not in DIRECTIONS:
         raise CnmaError(f"unknown direction {direction!r}")
     draws = np.asarray(draws, dtype=float)
-    treatments = list(treatments)
+    treatments = _distinct(treatments)
     n_t = len(treatments)
     if n_t < 2:
         raise CnmaError("sucra needs >= 2 treatments")

@@ -13,13 +13,10 @@ class EmptyNetwork(CnmaError):
     """An operation requires at least one study / treatment."""
 
 
-class DisconnectedNetwork(CnmaError):
-    """Model fitting requires a single connected treatment group."""
-
-
 class NotIdentifiable(CnmaError):
-    """The design does not identify every effect a model samples: its
-    columns for them have rank below their number."""
+    """The design does not identify what was asked of it: the effects a
+    model samples (its columns for them have rank below their number), or a
+    contrast between treatments (it lies outside the design's row space)."""
 
 
 class ZeroCell(CnmaError):

@@ -42,6 +42,10 @@ TARGET_RATE_BLOCK = 0.234
 ADAPTATION_WINDOW = 50
 # consecutive all-rejected adaptation windows before declaring scale collapse
 COLLAPSE_WINDOWS = 20
+# ess takes the parameters in chunks whose draws fill at most this many bytes
+# (one parameter at least), so its scratch memory, a few times one chunk, does
+# not grow with the number of parameters
+ESS_CHUNK_BYTES = 2**23
 
 
 @dataclass
@@ -180,23 +184,17 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
                 jacobian = 0.0
             else:
                 saved = x[at].copy()
-                if block.shift_map is not None:
-                    k = block.shift_map.shape[1]
-                    z = normal(k)
-                    delta = scales[bi] * (block.cov_chol @ z if block.cov_chol is not None else z)
-                    new = saved.copy()
-                    new[:k] += delta
-                    new[k:] -= block.shift_map @ delta
-                    jacobian = 0.0
+                shift_map = block.shift_map
+                z = normal(saved.size if shift_map is None else shift_map.shape[1])
+                step = scales[bi] * (block.cov_chol @ z if block.cov_chol is not None else z)
+                if shift_map is not None:
+                    step = np.concatenate([step, -(shift_map @ step)])
+                if block.log_scale:
+                    new = saved * np.exp(step)
+                    jacobian = float(np.sum(step))
                 else:
-                    z = normal(saved.size)
-                    step = scales[bi] * (block.cov_chol @ z if block.cov_chol is not None else z)
-                    if block.log_scale:
-                        new = saved * np.exp(step)
-                        jacobian = float(np.sum(step))
-                    else:
-                        new = saved + step
-                        jacobian = 0.0
+                    new = saved + step
+                    jacobian = 0.0
                 lp_old = evaluate(x)
                 x[at] = new
             lp_new = evaluate(x)
@@ -281,13 +279,18 @@ def run_chains(logpost, init, blocks, config: McmcConfig, partials=None) -> Post
     )
 
 
-def _by_parameter(chains: np.ndarray) -> np.ndarray:
-    """A copy of ``chains`` as (n_params, n_chains, n_draws), draws contiguous.
+def _columns(chains: np.ndarray) -> np.ndarray:
+    """``chains`` as (n_chains, n_draws, n_params), a view where it can be.
     R-hat compares >= 2 chains and splits each in half, so needs >= 4 draws."""
     arr = np.asarray(chains, dtype=float)
     if arr.ndim not in (2, 3) or arr.shape[0] < 2 or arr.shape[1] < 4:
         raise McmcError(f"need (chains >= 2, draws >= 4[, params]), got shape {arr.shape}")
-    return np.moveaxis(arr.reshape(arr.shape[:2] + (-1,)), -1, 0).copy()
+    return arr.reshape(arr.shape[:2] + (-1,))
+
+
+def _by_parameter(columns: np.ndarray) -> np.ndarray:
+    """A copy of ``columns`` as (n_params, n_chains, n_draws), draws contiguous."""
+    return np.moveaxis(columns, -1, 0).copy()
 
 
 def rhat(chains: np.ndarray):
@@ -298,7 +301,7 @@ def rhat(chains: np.ndarray):
     is split in half, so stuck-but-drifting single chains are also flagged.
     A parameter whose chains sit at distinct constants gets inf.
     """
-    x = _by_parameter(chains)
+    x = _by_parameter(_columns(chains))
     half = x.shape[2] // 2
     halves = (x[..., :half], x[..., half : 2 * half])
     w = np.concatenate([h.var(axis=-1, ddof=1) for h in halves], axis=1).mean(axis=-1)
@@ -326,9 +329,19 @@ def ess(chains: np.ndarray):
     ``chains`` is (n_chains, n_draws) for one parameter, giving a float, or
     (n_chains, n_draws, n_params), giving one value per parameter. FFT
     autocovariances per chain are combined across chains and summed with
-    Geyer's initial monotone positive sequence rule.
+    Geyer's initial monotone positive sequence rule. Parameters are taken
+    ESS_CHUNK_BYTES of draws at a time, each with the same arithmetic as alone.
     """
-    x = _by_parameter(chains)
+    columns = _columns(chains)
+    width = max(1, ESS_CHUNK_BYTES // columns[..., :1].nbytes)
+    # one chunk, empty, for no parameters
+    starts = range(0, max(columns.shape[-1], 1), width)
+    out = np.concatenate([_ess(_by_parameter(columns[..., j : j + width])) for j in starts])
+    return out if np.ndim(chains) == 3 else float(out[0])
+
+
+def _ess(x: np.ndarray) -> np.ndarray:
+    """ESS per parameter of (n_params, n_chains, n_draws) draws, centred in place."""
     k, m, n = x.shape
     means = x.mean(axis=-1)
     w = x.var(axis=-1, ddof=1).mean(axis=-1)
@@ -349,8 +362,7 @@ def ess(chains: np.ndarray):
         terms = np.where(kept, 2.0 * np.minimum.accumulate(pairs, axis=-1), 0.0)
         tau = np.cumsum(np.concatenate([np.full((k, 1), -1.0), terms], axis=-1), axis=-1)
         tau = np.maximum(tau[:, -1], 1e-3)
-    out = np.where(var_plus == 0.0, m * n, np.minimum(m * n, m * n / tau))
-    return out if np.ndim(chains) == 3 else float(out[0])
+    return np.where(var_plus == 0.0, m * n, np.minimum(m * n, m * n / tau))
 
 
 def summarize(sample: PosteriorSample, level: float = 0.95) -> dict[str, dict[str, float]]:

@@ -140,6 +140,7 @@ class Network:
         """Every treatment of the studies, in first-appearance order."""
         return tuple(dict.fromkeys(t for study in self.studies for t in study.treatments))
 
+    # no fit reads this (rank decides); bench/synth.py and its tests still do
     @cached_property
     def connected(self) -> bool:
         """Whether the treatments form one group closed under "co-appear in
@@ -239,13 +240,6 @@ class ContrastBlock:
     @property
     def n_arms(self) -> int:
         return len(self.treatments)
-
-    def covariance(self) -> np.ndarray:
-        """The (a-1)x(a-1) sampling covariance: se^2 diagonal, se_baseline^2 off it."""
-        m = self.y_star.size
-        cov = np.full((m, m), self.se_baseline**2)
-        np.fill_diagonal(cov, self.se**2)
-        return cov
 
 
 def _cells(arm: ArmRecord, corrected: bool) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Shared numeric kernels: pseudoinverse, Cholesky, MVN log-density, quantiles, RNG streams.
+"""Shared numeric kernels: pseudoinverse, Cholesky, quantiles, RNG streams.
 
 All matrix arguments are plain numpy arrays (row-major, finite entries).
 """
@@ -47,20 +47,6 @@ def chol(m: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
-
-
-def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """Exact multivariate normal log-density, computed through a Cholesky factor."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    k = x.size
-    if mean.size != k or cov.shape != (k, k):
-        raise CnmaError("mvn_logpdf dimension mismatch")
-    lower = chol(cov)
-    z = np.linalg.solve(lower, x - mean)
-    logdet = 2.0 * np.sum(np.log(np.diag(lower)))
-    return float(-0.5 * (k * np.log(2.0 * np.pi) + logdet + z @ z))
 
 
 def quantile(draws: np.ndarray, p: float) -> float:

@@ -7,7 +7,7 @@ from scipy.special import expit
 from scipy.stats import binom, norm
 
 from cnma import bayes, mcmc
-from cnma.design import build_Sigma_star, incidence_matrix, stack_X
+from cnma.design import incidence_matrix, stack_X
 from cnma.effects import contrast_vector
 from cnma.errors import (
     CnmaError,
@@ -16,10 +16,10 @@ from cnma.errors import (
     NotPositiveDefinite,
     UnknownAnchor,
 )
-from cnma.freq import gls_fit
+from cnma.freq import gls_fit, p_scores
 from cnma.mcmc import McmcConfig
 from cnma.network import ArmRecord, Study, arm_to_contrast, build_network, parse_treatment
-from cnma.numerics import mvn_logpdf
+from dense import block_covariance, build_Sigma_star, mvn_logpdf
 from test_mcmc import reference_ess, reference_rhat
 
 KINDS = ("anchored-arm", "unanchored-arm", "unanchored-contrast")
@@ -116,7 +116,7 @@ def test_anchored_preconditioner_is_information_without_anchor(studies, network)
     at = 0
     for b in blocks:
         m = b.y_star.size
-        W[at : at + m, at : at + m] = np.linalg.inv(b.covariance())
+        W[at : at + m, at : at + m] = np.linalg.inv(block_covariance(b))
         at += m
     info = X.T @ W @ X
     keep = [j for j, comp in enumerate(network.components) if comp != "A"]
@@ -133,7 +133,7 @@ def test_contrast_model_loglik_is_sum_of_block_densities(studies, network):
     expected, at = 0.0, 0
     for b in blocks:
         m = b.y_star.size
-        cov = b.covariance() + 0.49 * build_Sigma_star(b.n_arms)
+        cov = block_covariance(b) + 0.49 * build_Sigma_star(b.n_arms)
         expected += mvn_logpdf(b.y_star, X[at : at + m] @ x[model.d_sl], cov)
         at += m
     assert model.loglik(x) == pytest.approx(expected, rel=1e-10)
@@ -250,6 +250,52 @@ def test_rank_deficient_design_fits_anchored_and_gls():
     gls = gls_fit([arm_to_contrast(s, 0, "cc05") for s in studies], net, "random")
     assert gls.rank_X == 2
     assert np.all(np.isfinite(gls.d_hat))
+
+
+def disconnected_identified_studies():
+    """A-B, C-(A+C) and B-(B+C), four studies of each: no study joins two of
+    the pairs, so the treatments form three groups, yet the pairs' contrasts
+    are B - A, A and C, which identify all three components."""
+    rng = np.random.default_rng(12)
+    effect = {"A": 0.2, "B": 0.7, "C": -0.2}
+    out = []
+    for i, labels in enumerate(4 * (("A", "B"), ("C", "A+C"), ("B", "B+C"))):
+        treatments = [parse_treatment(lab) for lab in labels]
+        level = np.array([sum(effect[c] for c in t.components) for t in treatments])
+        totals = rng.integers(100, 200, size=2)
+        events = rng.binomial(totals, 1.0 / (1.0 + np.exp(0.8 - level)))
+        arms = zip(treatments, events.tolist(), totals.tolist())
+        out.append(Study(id=f"s{i}", arms=tuple(ArmRecord(*arm) for arm in arms)))
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_disconnected_identified_network_fits(kind):
+    # each component effect lies within 3 posterior SDs of the fixed-effects
+    # GLS estimate; the anchored kind fixes d_A = 0, so its reference is the
+    # GLS estimate conditioned on that
+    studies = disconnected_identified_studies()
+    net = build_network(studies)
+    assert not net.connected
+    gls = gls_fit([arm_to_contrast(s, 0, "cc05") for s in studies], net, "fixed")
+    assert gls.rank_X == 3 == net.n_components
+    assert set(p_scores(gls, net.treatments)) == set(net.treatments)
+    spec, data = inputs(kind, studies, "fixed")
+    fit = bayes.fit(spec, data, net, McmcConfig(burn_in=1000, keep=1000, seed=1))
+    ref, cov = gls.d_hat, gls.cov_d
+    if kind == "anchored-arm":
+        at = net.component_index("A")
+        col = cov[:, at]
+        ref = ref - col * ref[at] / col[at]
+        cov = cov - np.outer(col, col) / col[at]
+    draws = fit.component_effect_draws()
+    for j, comp in enumerate(net.components):
+        if kind == "anchored-arm" and comp == "A":
+            assert np.all(draws[:, j] == 0.0)
+            continue
+        post = draws[:, j]
+        assert abs(post.mean() - ref[j]) <= 3.0 * post.std(), comp
+        assert post.std() == pytest.approx(np.sqrt(cov[j, j]), rel=0.3), comp
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -3,17 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnma.design import (
-    ContrastDesign,
-    build_Sigma,
-    build_Sigma_star,
-    build_U,
-    incidence_matrix,
-    stack_X,
-)
+from cnma.design import ContrastDesign, incidence_matrix, stack_X
 from cnma.errors import CnmaError
 from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
-from cnma.numerics import mvn_logpdf, pinv
+from cnma.numerics import pinv
+from dense import block_covariance, build_Sigma, build_Sigma_star, build_U, mvn_logpdf
 
 
 def study_from(labels, study_id="s"):
@@ -221,7 +215,7 @@ def dense_reference(blocks, tau2):
     at = 0
     for b in blocks:
         m = b.y_star.size
-        cov = b.covariance() + tau2 * build_Sigma_star(b.n_arms)
+        cov = block_covariance(b) + tau2 * build_Sigma_star(b.n_arms)
         W[at : at + m, at : at + m] = np.linalg.inv(cov)
         at += m
     return net, X, y, W
@@ -242,7 +236,7 @@ class TestContrastDesign:
         expected, at = 0.0, 0
         for b in blocks:
             m = b.y_star.size
-            cov = b.covariance() + sigma**2 * build_Sigma_star(b.n_arms)
+            cov = block_covariance(b) + sigma**2 * build_Sigma_star(b.n_arms)
             expected += mvn_logpdf(b.y_star, X[at : at + m] @ d, cov)
             at += m
         actual = ContrastDesign(blocks, net).logpdf(d, sigma**2)

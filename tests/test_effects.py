@@ -158,6 +158,13 @@ class TestSucra:
         with pytest.raises(CnmaError, match="finite"):
             sucra(draws, [parse_treatment(x) for x in "AB"])
 
+    @pytest.mark.parametrize("labels", ["ABA", "ABB", "AA", "ABCA"])
+    def test_repeated_treatment_rejected(self, labels):
+        # one score per column: a repeated treatment would collapse two
+        draws = np.random.default_rng(2).normal(size=(150, len(labels)))
+        with pytest.raises(CnmaError, match=f"'{labels[-1]}' is listed more than once"):
+            sucra(draws, [parse_treatment(x) for x in labels])
+
 
 class TestVerifyUniqueAnchor:
     def effects_vs_e(self):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
-from cnma.design import build_Sigma_star, build_U, incidence_matrix, stack_X
-from cnma.errors import CnmaError, DisconnectedNetwork
+from cnma import bayes
+from cnma.design import incidence_matrix, stack_X
+from cnma.errors import CnmaError, NotIdentifiable
 from cnma.freq import FreqFit, gls_fit, p_scores
+from cnma.mcmc import McmcConfig
 from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
 from cnma.numerics import pinv
+from dense import block_covariance, build_Sigma_star, build_U
 
 
 def block(study_id, labels, y, se, baseline=0, se_baseline=0.05):
@@ -61,13 +65,30 @@ class TestGlsFit:
         assert w @ fit1.cov_d @ w == pytest.approx(0.04, abs=1e-12)
         assert w @ fit2.cov_d @ w == pytest.approx(0.02, abs=1e-12)
 
-    def test_disconnected_rejected(self):
+    def test_disconnected_rejected(self, monkeypatch):
+        # E-A and C-D share no component: no contrast between the two pairs
+        # is estimable, so GLS refuses, and every Bayesian kind refuses
+        # before sampling (rank 2 of 4 effect columns, or 2 of 3 anchored)
         blocks = [
             block("s1", ["E", "A"], 0.5, 0.2),
             block("s2", ["C", "D"], 0.1, 0.2),
         ]
-        with pytest.raises(DisconnectedNetwork):
-            gls_fit(blocks, network_of(blocks), "fixed")
+        net = network_of(blocks)
+        with pytest.raises(NotIdentifiable, match="'C' versus 'E'"):
+            gls_fit(blocks, net, "fixed")
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a model that is not identified")
+
+        monkeypatch.setattr(bayes, "run_chains", no_sampling)
+        for kind, anchor, data in (
+            ("anchored-arm", parse_treatment("E"), net.studies),
+            ("unanchored-arm", None, net.studies),
+            ("unanchored-contrast", None, blocks),
+        ):
+            spec = bayes.ModelSpec(kind, "random", anchor)
+            with pytest.raises(NotIdentifiable, match=rf"{kind}: .* rank 2 for"):
+                bayes.fit(spec, data, net, McmcConfig(burn_in=60, keep=40, seed=1))
 
     def test_random_effects_uses_estimated_tau2(self):
         blocks = [
@@ -143,7 +164,7 @@ def dense_gls(blocks, net, effects_model):
         at = 0
         for b in blocks:
             m = b.y_star.size
-            cov = b.covariance() + tau2 * build_Sigma_star(b.n_arms)
+            cov = block_covariance(b) + tau2 * build_Sigma_star(b.n_arms)
             W[at : at + m, at : at + m] = np.linalg.inv(cov)
             at += m
         return W
@@ -166,7 +187,6 @@ class TestGlsMatchesDense:
     def test_random_multi_arm_network(self, seed, effects_model):
         blocks = random_network_blocks(seed)
         net = network_of(blocks)
-        assume(net.connected)
         d_hat, cov, tau2, Q, df = dense_gls(blocks, net, effects_model)
         fit = gls_fit(blocks, net, effects_model)
         assert fit.df == df > 0
@@ -174,6 +194,60 @@ class TestGlsMatchesDense:
         np.testing.assert_allclose(fit.cov_d, cov, rtol=1e-10, atol=1e-10 * np.abs(cov).max())
         assert fit.tau2 == pytest.approx(tau2, rel=1e-10, abs=1e-12)
         assert fit.Q == pytest.approx(Q, rel=1e-10)
+
+
+def sparse_network_blocks(seed):
+    """Two to five two-arm studies on treatments drawn from POOL: often
+    disconnected at the treatment level, and then identified or not."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for i in range(int(rng.integers(2, 6))):
+        labels = [POOL[j] for j in rng.choice(len(POOL), size=2, replace=False)]
+        blocks.append(block(f"s{i}", labels, rng.normal(0.0, 0.6), rng.uniform(0.1, 0.4)))
+    return blocks
+
+
+def estimable_and_full_rank(net):
+    """Whether every treatment contrast lies in the row space of X, and
+    whether X has full column rank."""
+    X = stack_X(net)
+    M = incidence_matrix(net.treatments, net.components)
+    rank = np.linalg.matrix_rank(X)
+    estimable = np.linalg.matrix_rank(np.vstack([X, M[1:] - M[0]])) == rank
+    return estimable, rank == net.n_components
+
+
+class TestEstimabilityByRank:
+    """The rank of the design, not treatment connectivity, decides every refusal."""
+
+    def test_sparse_networks_are_often_disconnected(self):
+        nets = [network_of(sparse_network_blocks(seed)) for seed in range(200)]
+        disconnected = [net for net in nets if not net.connected]
+        share = len(disconnected) / len(nets)
+        assert share > 0.2, share
+        # some of them identify every treatment contrast all the same
+        assert any(estimable_and_full_rank(net)[0] for net in disconnected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), effects_model=st.sampled_from(["fixed", "random"]))
+    def test_refusals_follow_rank(self, seed, effects_model):
+        blocks = sparse_network_blocks(seed)
+        net = network_of(blocks)
+        estimable, full_rank = estimable_and_full_rank(net)
+        try:
+            fit = gls_fit(blocks, net, effects_model)
+        except NotIdentifiable:
+            assert not estimable
+        else:
+            assert estimable
+            assert set(p_scores(fit, net.treatments)) == set(net.treatments)
+        spec = bayes.ModelSpec("unanchored-contrast", effects_model)
+        try:
+            bayes.build_model(spec, blocks, net)
+        except NotIdentifiable:
+            assert not full_rank
+        else:
+            assert full_rank
 
 
 class TestEstimateTau2:
@@ -262,6 +336,51 @@ class TestPScores:
         fit = self.synthetic_fit([1.0, 0.0], np.zeros((2, 2)), ("A", "B"))
         with pytest.raises(CnmaError):
             p_scores(fit, [parse_treatment("A"), parse_treatment("B")])
+
+    @pytest.mark.parametrize("labels", ["ABA", "ABAC", "BB", "ABCC"])
+    def test_repeated_treatment_rejected(self, labels):
+        fit = self.synthetic_fit([0.3, 0.1, 0.0], 0.5 * np.eye(3), ("A", "B", "C"))
+        repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+        with pytest.raises(CnmaError, match=f"'{repeated}' is listed more than once"):
+            p_scores(fit, [parse_treatment(x) for x in labels])
+
+    def test_rank_deficient_fit_ranks_estimable_treatments_only(self):
+        # single-component treatments only: connected, but every contrast sums
+        # to zero over the components, so X has rank 2 for 3 components; the
+        # treatments' contrasts are estimable, a contrast with A+B is not
+        blocks = [
+            block("s1", ["A", "B"], 0.3, 0.2),
+            block("s2", ["B", "C"], -0.2, 0.25),
+            block("s3", ["A", "C"], 0.1, 0.3),
+            block("s4", ["A", "B", "C"], [0.2, 0.0], [0.2, 0.2]),
+            block("s5", ["B", "C"], -0.1, 0.2),
+        ]
+        net = network_of(blocks)
+        fit = gls_fit(blocks, net, "random")
+        assert fit.rank_X == 2 < net.n_components
+        scores = p_scores(fit, net.treatments)
+        assert list(scores) == list(net.treatments)
+        # each pair's two probabilities sum to one
+        assert sum(scores.values()) == pytest.approx(len(scores) / 2, abs=1e-12)
+        with pytest.raises(NotIdentifiable, match="'A\\+B' versus 'A'"):
+            p_scores(fit, net.treatments + (parse_treatment("A+B"),))
+
+    def test_matches_pairwise_contrasts(self):
+        # each score is the mean over the other treatments of the normal
+        # probability of a higher effect, from the contrast's mean and variance
+        blocks = random_network_blocks(3)
+        net = network_of(blocks)
+        fit = gls_fit(blocks, net, "random")
+        scores = p_scores(fit, net.treatments, "lower-better")
+        M = incidence_matrix(net.treatments, net.components)
+        for k, t in enumerate(net.treatments):
+            probs = []
+            for l in range(len(M)):
+                if l != k:
+                    w = M[k] - M[l]
+                    z = (w @ fit.d_hat) / np.sqrt(w @ fit.cov_d @ w)
+                    probs.append(norm.cdf(-z))
+            assert scores[t] == pytest.approx(np.mean(probs), abs=1e-12)
 
 
 class TestCovCalibration:

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cnma import mcmc
 from cnma.errors import McmcError
 from cnma.mcmc import (
     TARGET_RATE_BLOCK,
@@ -472,6 +474,40 @@ class TestEss:
 
     def test_constant_chains(self):
         assert ess(np.ones((2, 50))) == 100.0
+
+    @pytest.mark.parametrize("budget", [1, 17, 18, 19, 36, 37, 38])
+    def test_chunks_match_one_pass(self, budget, monkeypatch):
+        # a budget of ``budget`` parameters' draws, around the chunk
+        # boundaries of 37 parameters; each chunk gets the same arithmetic
+        rng = np.random.default_rng(5)
+        draws = 0.9 * random_walk(rng, (2, 301, 37)) + rng.normal(size=(2, 301, 37))
+        draws[..., 18] = 2.5  # a constant parameter
+        one_pass = ess(draws)
+        widths = []
+
+        def recorded(x):
+            widths.append(x.shape[0])
+            return chunk_ess(x)
+
+        chunk_ess = mcmc._ess
+        monkeypatch.setattr(mcmc, "_ess", recorded)
+        monkeypatch.setattr(mcmc, "ESS_CHUNK_BYTES", budget * 2 * 301 * 8)
+        chunked = ess(draws)
+        assert np.array_equal(chunked, one_pass)
+        full, rest = divmod(37, budget)
+        assert widths == [budget] * full + ([rest] if rest else [])
+
+    def test_scratch_memory_does_not_grow_with_parameters(self):
+        # 61 MiB of draws; one pass over every column needed about 4x that
+        draws = np.random.default_rng(6).normal(size=(2, 5000, 800))
+        tracemalloc.start()
+        try:
+            out = ess(draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (800,)
+        assert peak <= 64 * 2**20
 
 
 class TestSummarize:

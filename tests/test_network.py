@@ -23,6 +23,7 @@ from cnma.network import (
     build_network,
     parse_treatment,
 )
+from dense import block_covariance
 
 
 def two_arm(study_id, label_a, label_b, r=(10, 20), n=(50, 50)):
@@ -220,7 +221,7 @@ class TestArmToContrast:
                 ArmRecord(parse_treatment("B"), 30, 50),
             ),
         )
-        cov = arm_to_contrast(study).covariance()
+        cov = block_covariance(arm_to_contrast(study))
         assert cov.shape == (2, 2)
         assert cov[0, 1] == pytest.approx(1 / 10 + 1 / 40)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
