@@ -44,7 +44,7 @@ from .design import ContrastDesign, incidence_matrix
 from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
 from .mcmc import Block, McmcConfig, PosteriorSample, run_chains, summarize
 from .network import ContrastBlock, Network, Study, Treatment, arm_to_contrast
-from .numerics import LOG_2PI, chol, rng_stream
+from .numerics import LOG_2PI, rng_stream
 
 logger = logging.getLogger("cnma")
 
@@ -65,7 +65,7 @@ class Priors:
     def __post_init__(self):
         for name in ("d_variance", "alpha_variance", "sigma_upper"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
+            if isinstance(value, bool) or not math.isfinite(value) or value <= 0:
                 raise CnmaError(f"{name} must be finite and positive, got {value!r}")
 
 
@@ -81,6 +81,8 @@ class ModelSpec:
             raise CnmaError(f"unknown model kind {self.kind!r}")
         if self.effects not in ("fixed", "random"):
             raise CnmaError(f"unknown effects mode {self.effects!r}")
+        if self.anchor is not None and not isinstance(self.anchor, Treatment):
+            raise UnknownAnchor(f"anchor must be a Treatment, got {self.anchor!r}")
         if (self.anchor is not None) != (self.kind == "anchored-arm"):
             raise CnmaError("anchor is required for anchored-arm and only there")
 
@@ -516,8 +518,8 @@ def _d_preconditioner(model) -> np.ndarray | None:
         keep = model.d_columns
         info = model.design.information(0.0)[np.ix_(keep, keep)]
         info += np.eye(keep.size) / model.spec.priors.d_variance
-        return chol(np.linalg.inv(info))
-    except (np.linalg.LinAlgError, CnmaError) as exc:
+        return np.linalg.cholesky(np.linalg.inv(info))
+    except np.linalg.LinAlgError as exc:
         logger.warning(
             "%s: no effect-block preconditioner (%s: %s); using an unshaped proposal",
             model.spec.kind,

@@ -16,7 +16,6 @@ from scipy.special import ndtri
 from .design import incidence_matrix
 from .errors import CnmaError
 from .network import Treatment
-from .numerics import quantile
 
 DIRECTIONS = ("higher-better", "lower-better")
 
@@ -68,9 +67,11 @@ def derive_relative_effect(
     """Relative effect of ``target`` versus ``comparator``.
 
     ``cov_or_draws`` is either a c x c covariance matrix (frequentist fit,
-    normal interval) or an N x c matrix of posterior draws (per-draw
-    evaluation, equal-tailed interval).
+    normal interval) or an N x c matrix of finite posterior draws (per-draw
+    evaluation, equal-tailed interval interpolated linearly, type 7).
     """
+    if not 0.0 < level < 1.0:
+        raise CnmaError(f"level must be in (0, 1), got {level!r}")
     d = np.asarray(d, dtype=float)
     w = contrast_vector(comparator, target, components)
     point = float(w @ d)
@@ -81,18 +82,23 @@ def derive_relative_effect(
     if is_cov:
         var = float(w @ arr @ w)
         se = float(np.sqrt(max(var, 0.0)))
-        z = ndtri(1.0 - tail)
+        z = float(ndtri(1.0 - tail))
         return EffectEstimate(
             comparator, target, point, point - z * se, point + z * se, se, "freq"
         )
     if arr.ndim == 2 and arr.shape[1] == d.size:
+        if arr.shape[0] == 0:
+            raise CnmaError("no posterior draws")
+        if not np.all(np.isfinite(arr)):
+            raise CnmaError("posterior draws must be finite")
         vals = arr @ w
+        lower, upper = np.quantile(vals, [tail, 1.0 - tail], method="linear")
         return EffectEstimate(
             comparator,
             target,
             point,
-            quantile(vals, tail),
-            quantile(vals, 1.0 - tail),
+            float(lower),
+            float(upper),
             float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0,
             "posterior",
         )

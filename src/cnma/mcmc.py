@@ -21,6 +21,8 @@ Convergence diagnostics are functions of the draws alone: ``rhat`` and
 ``ess`` take one parameter's chains as (n_chains, n_draws), or many
 parameters' as (n_chains, n_draws, n_params) in one vectorised call, and a
 ``PosteriorSample`` derives its ``rhat`` and ``ess`` from its own ``draws``.
+They and ``summarize`` walk the parameters ``CHUNK_BYTES`` of draws at a
+time, each chunk with the arithmetic one parameter would get alone.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import McmcError
-from .numerics import quantile, rng_stream
+from .numerics import rng_stream
 
 # Robbins-Monro acceptance targets: a block of one coordinate, a larger block
 TARGET_RATE_SCALAR = 0.44
@@ -42,10 +44,10 @@ TARGET_RATE_BLOCK = 0.234
 ADAPTATION_WINDOW = 50
 # consecutive all-rejected adaptation windows before declaring scale collapse
 COLLAPSE_WINDOWS = 20
-# ess takes the parameters in chunks whose draws fill at most this many bytes
-# (one parameter at least), so its scratch memory, a few times one chunk, does
-# not grow with the number of parameters
-ESS_CHUNK_BYTES = 2**23
+# the per-parameter statistics take the parameters in chunks whose draws fill
+# at most this many bytes (one parameter at least), so their scratch memory, a
+# few times one chunk, does not grow with the number of parameters
+CHUNK_BYTES = 2**23
 
 
 @dataclass
@@ -56,7 +58,7 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the diagnostics need >= 2 chains of >= 4 draws (see _by_parameter)
+        # the diagnostics need >= 2 chains of >= 4 draws (see _columns)
         for name, least in (("n_chains", 2), ("burn_in", 1), ("keep", 4), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -288,9 +290,22 @@ def _columns(chains: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[:2] + (-1,))
 
 
-def _by_parameter(columns: np.ndarray) -> np.ndarray:
-    """A copy of ``columns`` as (n_params, n_chains, n_draws), draws contiguous."""
-    return np.moveaxis(columns, -1, 0).copy()
+def _chunks(columns: np.ndarray):
+    """Copies of (n_chains, n_draws, n_params) ``columns``, at most
+    CHUNK_BYTES of draws (one parameter at least) each, as
+    (n_params_in_chunk, n_chains, n_draws) with the draws contiguous."""
+    n_chains, n_draws, n_params = columns.shape
+    width = max(1, CHUNK_BYTES // (columns.itemsize * n_chains * n_draws))
+    for j in range(0, n_params, width):
+        yield np.moveaxis(columns[..., j : j + width], -1, 0).copy()
+
+
+def _per_parameter(kernel, chains: np.ndarray):
+    """``kernel``, which maps (k, n_chains, n_draws) draws to k values, over
+    every chunk of ``chains``: a float for (n_chains, n_draws) chains, one
+    value per parameter for (n_chains, n_draws, n_params)."""
+    out = np.concatenate([kernel(x) for x in _chunks(_columns(chains))] or [np.empty(0)])
+    return out if np.ndim(chains) == 3 else float(out[0])
 
 
 def rhat(chains: np.ndarray):
@@ -301,15 +316,18 @@ def rhat(chains: np.ndarray):
     is split in half, so stuck-but-drifting single chains are also flagged.
     A parameter whose chains sit at distinct constants gets inf.
     """
-    x = _by_parameter(_columns(chains))
+    return _per_parameter(_rhat, chains)
+
+
+def _rhat(x: np.ndarray) -> np.ndarray:
+    """R-hat per parameter of (n_params, n_chains, n_draws) draws."""
     half = x.shape[2] // 2
     halves = (x[..., :half], x[..., half : 2 * half])
     w = np.concatenate([h.var(axis=-1, ddof=1) for h in halves], axis=1).mean(axis=-1)
     b = half * np.concatenate([h.mean(axis=-1) for h in halves], axis=1).var(axis=-1, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.sqrt(((half - 1) / half * w + b / half) / w)
-    out = np.where(w == 0.0, np.where(b == 0.0, 1.0, np.inf), out)
-    return out if np.ndim(chains) == 3 else float(out[0])
+    return np.where(w == 0.0, np.where(b == 0.0, 1.0, np.inf), out)
 
 
 def _mean_periodogram(centered: np.ndarray, size: int) -> np.ndarray:
@@ -329,15 +347,9 @@ def ess(chains: np.ndarray):
     ``chains`` is (n_chains, n_draws) for one parameter, giving a float, or
     (n_chains, n_draws, n_params), giving one value per parameter. FFT
     autocovariances per chain are combined across chains and summed with
-    Geyer's initial monotone positive sequence rule. Parameters are taken
-    ESS_CHUNK_BYTES of draws at a time, each with the same arithmetic as alone.
+    Geyer's initial monotone positive sequence rule.
     """
-    columns = _columns(chains)
-    width = max(1, ESS_CHUNK_BYTES // columns[..., :1].nbytes)
-    # one chunk, empty, for no parameters
-    starts = range(0, max(columns.shape[-1], 1), width)
-    out = np.concatenate([_ess(_by_parameter(columns[..., j : j + width])) for j in starts])
-    return out if np.ndim(chains) == 3 else float(out[0])
+    return _per_parameter(_ess, chains)
 
 
 def _ess(x: np.ndarray) -> np.ndarray:
@@ -366,18 +378,19 @@ def _ess(x: np.ndarray) -> np.ndarray:
 
 
 def summarize(sample: PosteriorSample, level: float = 0.95) -> dict[str, dict[str, float]]:
-    """Pooled-chain mean, median, and equal-tailed interval per dimension."""
+    """Pooled-chain mean, median, and equal-tailed interval per dimension;
+    the median and the interval bounds interpolate linearly (type 7)."""
     if not 0.0 < level < 1.0:
         raise McmcError("level must be in (0, 1)")
-    pooled = sample.pooled()
+    if 0 in sample.draws.shape[:2]:
+        raise McmcError("summarize needs at least one draw")
     tail = (1.0 - level) / 2.0
-    out = {}
-    for i, name in enumerate(sample.names):
-        col = pooled[:, i]
-        out[name] = {
-            "mean": float(col.mean()),
-            "median": float(np.median(col)),
-            "lower": quantile(col, tail),
-            "upper": quantile(col, 1.0 - tail),
-        }
-    return out
+    stats = []
+    for x in _chunks(sample.draws):
+        pooled = x.reshape(x.shape[0], -1)
+        lower, upper = np.quantile(pooled, [tail, 1.0 - tail], axis=-1, method="linear")
+        stats.extend(zip(pooled.mean(axis=-1), np.median(pooled, axis=-1), lower, upper))
+    return {
+        name: dict(zip(("mean", "median", "lower", "upper"), map(float, row)))
+        for name, row in zip(sample.names, stats)
+    }

@@ -42,6 +42,9 @@ class Treatment:
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
+        # a string is a sequence of one-letter components, never what is meant
+        if isinstance(self.components, str):
+            raise CnmaError(f"components must be a sequence of labels, got {self.components!r}")
         if len(self.components) == 0:
             raise CnmaError("treatment must have at least one component")
         if len(set(self.components)) != len(self.components):
@@ -186,6 +189,8 @@ def build_network(studies, components=None) -> Network:
 
     if components is None:
         component_order = tuple(referenced)
+    elif isinstance(components, str):
+        raise CnmaError(f"components must be a sequence of labels, got {components!r}")
     else:
         component_order = tuple(components)
         if len(set(component_order)) != len(component_order):

@@ -9,7 +9,6 @@ it against these.
 import numpy as np
 
 from cnma.errors import CnmaError
-from cnma.numerics import chol
 
 
 def build_U(a: int, mode: str = "baseline", baseline_arm: int = 0) -> np.ndarray:
@@ -79,7 +78,7 @@ def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     k = x.size
     if mean.size != k or cov.shape != (k, k):
         raise CnmaError("mvn_logpdf dimension mismatch")
-    lower = chol(cov)
+    lower = np.linalg.cholesky(cov)
     z = np.linalg.solve(lower, x - mean)
     logdet = 2.0 * np.sum(np.log(np.diag(lower)))
     return float(-0.5 * (k * np.log(2.0 * np.pi) + logdet + z @ z))

@@ -7,13 +7,12 @@ from scipy.special import expit
 from scipy.stats import binom, norm
 
 from cnma import bayes, mcmc
-from cnma.design import incidence_matrix, stack_X
+from cnma.design import ContrastDesign, incidence_matrix, stack_X
 from cnma.effects import contrast_vector
 from cnma.errors import (
     CnmaError,
     EmptyNetwork,
     NotIdentifiable,
-    NotPositiveDefinite,
     UnknownAnchor,
 )
 from cnma.freq import gls_fit, p_scores
@@ -169,6 +168,8 @@ def test_validate_rejects(kind, anchor, contrast_data, error, studies, network):
         ("unanchored-arm", "random", None, {"alpha_variance": math.inf}),
         ("unanchored-arm", "random", None, {"sigma_upper": math.nan}),
         ("unanchored-arm", "random", None, {"sigma_upper": 0.0}),
+        ("unanchored-arm", "random", None, {"d_variance": True}),
+        ("anchored-arm", "random", "A", {}),
     ],
 )
 def test_model_settings_rejected(kind, effects, anchor, priors):
@@ -314,17 +315,27 @@ def test_validate_rejects_empty_data(network):
 
 
 def test_preconditioner_fallback_is_logged(studies, network, monkeypatch, caplog):
-    def failing_chol(m):
-        raise NotPositiveDefinite("forced")
-
-    monkeypatch.setattr(bayes, "chol", failing_chol)
+    # the inverse of a negative-definite information has no Cholesky factor
+    monkeypatch.setattr(ContrastDesign, "information", lambda self, tau2: -np.eye(self.X.shape[1]))
     spec, data = inputs("unanchored-contrast", studies)
     with caplog.at_level(logging.WARNING, logger="cnma"):
         fit = bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=1))
     assert any(
-        r.name == "cnma" and "NotPositiveDefinite" in r.getMessage() for r in caplog.records
+        r.name == "cnma" and "LinAlgError" in r.getMessage() for r in caplog.records
     )
     assert np.all(np.isfinite(fit.sample.draws))
+
+
+@pytest.mark.parametrize("effects", ["fixed", "random"])
+def test_fit_summary_and_sigma_draws(effects, studies, network):
+    spec, data = inputs("unanchored-contrast", studies, effects)
+    fit = bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=3))
+    assert fit.summary(0.8) == mcmc.summarize(fit.sample, 0.8)
+    if effects == "fixed":
+        assert fit.sigma_draws() is None and "sigma" not in fit.names
+    else:
+        sigma = fit.sample.pooled()[:, fit.names.index("sigma")]
+        assert np.array_equal(fit.sigma_draws(), sigma)
 
 
 @pytest.mark.parametrize("effects", ["fixed", "random"])

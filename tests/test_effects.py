@@ -87,6 +87,47 @@ class TestDeriveRelativeEffect:
         assert est.lower < est.point < est.upper
         assert est.point == pytest.approx(1.2, abs=0.01)
 
+    @staticmethod
+    def draws_of_a(values):
+        """Draws whose A-versus-E effect takes ``values``."""
+        draws = np.zeros((len(values), 5))
+        draws[:, 1] = values
+        return draws
+
+    @staticmethod
+    def relative_a(second, level=0.95):
+        return derive_relative_effect(
+            D_VS_E, second, parse_treatment("E"), parse_treatment("A"), COMPONENTS, level
+        )
+
+    def test_posterior_interval_interpolates_linearly(self):
+        # type-7 positions on {1..1000}: 1 + 999 p at p = 0.025 and 0.975
+        est = self.relative_a(self.draws_of_a(np.arange(1.0, 1001.0)))
+        assert (est.lower, est.upper) == pytest.approx((25.975, 975.025), abs=1e-9)
+        assert type(est.lower) is type(est.upper) is float
+
+    def test_single_draw(self):
+        est = self.relative_a(self.draws_of_a([7.3]), level=0.754)
+        assert est.lower == est.upper == 7.3
+        assert est.se == 0.0
+
+    def test_covariance_interval_is_floats(self):
+        est = self.relative_a(np.eye(5) / 2)  # var(d_A - d_E) = 1
+        assert (est.lower, est.upper) == pytest.approx((1.2 - 1.959964, 1.2 + 1.959964))
+        assert type(est.lower) is type(est.upper) is float
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -1.0, np.nan])
+    @pytest.mark.parametrize("path", ["covariance", "draws"])
+    def test_level_outside_unit_interval_rejected(self, path, level):
+        second = np.eye(5) if path == "covariance" else self.draws_of_a(np.arange(200.0))
+        with pytest.raises(CnmaError, match="level"):
+            self.relative_a(second, level)
+
+    @pytest.mark.parametrize("values", [[], [0.1, np.nan], [np.inf, 0.2], [-np.inf]])
+    def test_empty_or_non_finite_draws_rejected(self, values):
+        with pytest.raises(CnmaError, match="draws"):
+            self.relative_a(self.draws_of_a(values))
+
     def test_consistency_closure(self):
         cov = np.zeros((5, 5))
         treats = [parse_treatment(x) for x in ("A", "B+C", "D")]
@@ -128,6 +169,13 @@ class TestSucra:
     def test_needs_enough_draws(self):
         with pytest.raises(CnmaError):
             sucra(np.zeros((10, 2)), [parse_treatment(x) for x in "AB"])
+
+    @pytest.mark.parametrize(
+        "labels, shape", [("A", (200, 1)), ("AB", (200, 3)), ("AB", (200,)), ("AB", (2, 100, 2))]
+    )
+    def test_bad_draw_shape_or_too_few_treatments(self, labels, shape):
+        with pytest.raises(CnmaError, match="treatments"):
+            sucra(np.zeros(shape), [parse_treatment(x) for x in labels])
 
     def test_ordering(self):
         draws = np.tile([1.0, 3.0, 2.0], (120, 1))
@@ -249,3 +297,16 @@ def test_composition_orderings(raw):
     rel_cd = derive_relative_effect(d_vs_d, np.zeros((5, 5)), dd, cd, comps).point
     rel_c_only = derive_relative_effect(d_vs_d, np.zeros((5, 5)), dd, c, comps).point
     assert rel_cd == pytest.approx(rel_c_only, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    # five draws of five components would form a square array, which
+    # derive_relative_effect reads as a covariance when it is symmetric
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50).filter(lambda v: len(v) != 5),
+    st.floats(0.01, 0.99),
+)
+def test_posterior_interval_within_range_of_draws(values, level):
+    draws = TestDeriveRelativeEffect.draws_of_a(values)
+    est = TestDeriveRelativeEffect.relative_a(draws, level)
+    assert min(values) <= est.lower and est.upper <= max(values)

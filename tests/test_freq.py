@@ -56,6 +56,12 @@ class TestGlsFit:
         y = np.concatenate([b.y_star for b in blocks])
         assert np.allclose(X @ fit.d_hat, y, atol=1e-8)
 
+    @pytest.mark.parametrize("effects_model", ["Random", "mixed", ""])
+    def test_unknown_effects_model_rejected(self, effects_model):
+        b = block("s1", ["Placebo", "A"], 0.5, 0.2)
+        with pytest.raises(CnmaError, match="unknown effects model"):
+            gls_fit([b], network_of([b]), effects_model)
+
     def test_duplicated_study_halves_variance(self):
         single = [block("s1", ["Placebo", "A"], 0.5, 0.2)]
         double = single + [block("s2", ["Placebo", "A"], 0.5, 0.2)]
@@ -331,6 +337,11 @@ class TestPScores:
         fit = self.synthetic_fit([1.0, 0.0], 0.5 * np.eye(2), ("A", "B"))
         with pytest.raises(CnmaError, match="direction"):
             p_scores(fit, [parse_treatment("A"), parse_treatment("B")], direction)
+
+    def test_needs_two_treatments(self):
+        fit = self.synthetic_fit([0.3, 0.1], 0.5 * np.eye(2), ("A", "B"))
+        with pytest.raises(CnmaError, match=">= 2 treatments"):
+            p_scores(fit, [parse_treatment("A")])
 
     def test_zero_se_between_distinct_raises(self):
         fit = self.synthetic_fit([1.0, 0.0], np.zeros((2, 2)), ("A", "B"))

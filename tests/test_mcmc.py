@@ -445,6 +445,11 @@ class TestBatchedDiagnostics:
         with pytest.raises(McmcError):
             rhat(np.zeros((1, 10, 3)))
 
+    def test_no_parameters(self):
+        draws = np.zeros((2, 301, 0))
+        assert rhat(draws).shape == ess(draws).shape == (0,)
+        assert summarize(TestSummarize.sample_from(draws)) == {}
+
     def test_sample_diagnostics_follow_its_draws(self):
         draws = diagnostic_inputs()[3]
         sample = TestSummarize.sample_from(draws)
@@ -478,36 +483,49 @@ class TestEss:
     @pytest.mark.parametrize("budget", [1, 17, 18, 19, 36, 37, 38])
     def test_chunks_match_one_pass(self, budget, monkeypatch):
         # a budget of ``budget`` parameters' draws, around the chunk
-        # boundaries of 37 parameters; each chunk gets the same arithmetic
+        # boundaries of 37 parameters; R-hat, ESS and the summary each give
+        # every chunk the arithmetic of one pass
         rng = np.random.default_rng(5)
         draws = 0.9 * random_walk(rng, (2, 301, 37)) + rng.normal(size=(2, 301, 37))
         draws[..., 18] = 2.5  # a constant parameter
-        one_pass = ess(draws)
+        sample = TestSummarize.sample_from(draws)
+        statistics = {
+            "rhat": lambda d: rhat(d).tolist(),
+            "ess": lambda d: ess(d).tolist(),
+            "summarize": lambda d: summarize(sample),
+        }
         widths = []
+        chunks = mcmc._chunks
 
-        def recorded(x):
-            widths.append(x.shape[0])
-            return chunk_ess(x)
+        def recorded(columns):
+            for x in chunks(columns):
+                widths.append(x.shape[0])
+                yield x
 
-        chunk_ess = mcmc._ess
-        monkeypatch.setattr(mcmc, "_ess", recorded)
-        monkeypatch.setattr(mcmc, "ESS_CHUNK_BYTES", budget * 2 * 301 * 8)
-        chunked = ess(draws)
-        assert np.array_equal(chunked, one_pass)
+        monkeypatch.setattr(mcmc, "_chunks", recorded)
+        one_pass = {name: f(draws) for name, f in statistics.items()}
+        assert widths == [37] * 3
+        monkeypatch.setattr(mcmc, "CHUNK_BYTES", budget * 2 * 301 * 8)
         full, rest = divmod(37, budget)
-        assert widths == [budget] * full + ([rest] if rest else [])
+        for name, f in statistics.items():
+            widths.clear()
+            chunked = f(draws)
+            assert widths == [budget] * full + ([rest] if rest else []), name
+            assert chunked == one_pass[name], name
 
     def test_scratch_memory_does_not_grow_with_parameters(self):
-        # 61 MiB of draws; one pass over every column needed about 4x that
+        # 61 MiB of draws; one pass over every column needed 1.5 to 4 times that
         draws = np.random.default_rng(6).normal(size=(2, 5000, 800))
-        tracemalloc.start()
-        try:
-            out = ess(draws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (800,)
-        assert peak <= 64 * 2**20
+        sample = TestSummarize.sample_from(draws)
+        for statistic in (rhat, ess, lambda d: summarize(sample)):
+            tracemalloc.start()
+            try:
+                out = statistic(draws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(out) == 800
+            assert peak <= 64 * 2**20
 
 
 class TestSummarize:
@@ -537,3 +555,34 @@ class TestSummarize:
         sample = self.sample_from(np.full((2, 200, 1), 3.3))
         out = summarize(sample)
         assert out["p0"]["lower"] == out["p0"]["upper"] == pytest.approx(3.3)
+
+    def test_match_per_column_reference(self):
+        # each entry is numpy's own statistic of the parameter's pooled draws
+        rng = np.random.default_rng(9)
+        draws = rng.normal(size=(2, 50, 300)) * rng.uniform(0.01, 100, size=300)
+        out = summarize(self.sample_from(draws), level=0.9)
+        pooled, tail = draws.reshape(100, 300), (1.0 - 0.9) / 2.0
+        for j, col in enumerate(pooled.T):
+            assert out[f"p{j}"] == {
+                "mean": col.mean(),
+                "median": np.median(col),
+                "lower": np.quantile(col, tail),
+                "upper": np.quantile(col, 1.0 - tail),
+            }
+
+    def test_interval_interpolates_linearly(self):
+        # type-7 positions on the pooled draws {1..1000}: 1 + 999 p
+        sample = self.sample_from(np.arange(1.0, 1001.0).reshape(2, 500, 1))
+        out = summarize(sample, level=0.95)["p0"]
+        assert (out["lower"], out["upper"]) == pytest.approx((25.975, 975.025), abs=1e-9)
+        assert out["median"] == out["mean"] == 500.5
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -1.0, np.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(McmcError, match="level"):
+            summarize(self.sample_from(np.zeros((2, 10, 1))), level)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (0, 10, 3)])
+    def test_empty_draws_rejected(self, shape):
+        with pytest.raises(McmcError, match="draw"):
+            summarize(self.sample_from(np.zeros(shape)))

@@ -11,6 +11,7 @@ from cnma.errors import (
     DuplicateComponent,
     EmptyNetwork,
     EventsExceedTotal,
+    UnknownComponent,
     ZeroCell,
 )
 from cnma.network import (
@@ -103,6 +104,15 @@ class TestBuildNetwork:
         # everything else a network reports follows from these two
         assert [f.name for f in dataclasses.fields(Network)] == ["studies", "components"]
 
+    @pytest.mark.parametrize(
+        "components, error",
+        [(("A", "E", "A"), DuplicateComponent), (("A", "Q"), UnknownComponent)],
+    )
+    def test_explicit_components_rejected(self, components, error):
+        # a repeated component; a referenced one left out
+        with pytest.raises(error):
+            build_network([two_arm("s1", "E", "A")], components)
+
     def test_duplicate_study_ids(self):
         with pytest.raises(CnmaError):
             build_network([two_arm("s1", "E", "A"), two_arm("s1", "A", "B")])
@@ -134,6 +144,11 @@ class TestBuildNetwork:
     )
     def test_arm_counts_must_be_integers(self, events, total):
         with pytest.raises(CnmaError, match="must be an integer"):
+            ArmRecord(parse_treatment("A"), events, total)
+
+    @pytest.mark.parametrize("events, total", [(0, 0), (-1, 10)])
+    def test_arm_counts_out_of_range(self, events, total):
+        with pytest.raises(CnmaError, match="must be >= "):
             ArmRecord(parse_treatment("A"), events, total)
 
     def test_arm_counts_accept_numpy_integers(self):
@@ -259,6 +274,33 @@ class TestContrastBlock:
     def test_non_finite_entries_rejected(self, field, value):
         with pytest.raises(CnmaError, match="finite"):
             self.three_arm(**{field: value})
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"treatments": (parse_treatment("P"),), "y_star": [], "se": []}, ">= 2 treatments"),
+            ({"baseline_arm": 3}, "baseline arm out of range"),
+            ({"baseline_arm": -1}, "baseline arm out of range"),
+            ({"y_star": np.array([0.4])}, "dimension mismatch"),
+            ({"se": np.array([0.3, 0.35, 0.4])}, "dimension mismatch"),
+            ({"se": np.array([0.3, 0.0])}, "must be positive"),
+            ({"se": np.array([-0.3, 0.35])}, "must be positive"),
+            ({"se_baseline": -0.1}, "must be >= 0"),
+        ],
+    )
+    def test_malformed_block_rejected(self, overrides, message):
+        with pytest.raises(CnmaError, match=message):
+            self.three_arm(**overrides)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Treatment("AB"), lambda: build_network([two_arm("s1", "A", "B")], "AB")],
+    ids=["Treatment", "build_network"],
+)
+def test_bare_string_is_not_a_component_list(make):
+    with pytest.raises(CnmaError, match="sequence of labels"):
+        make()
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cnma import numerics
 from dense import mvn_logpdf
-from cnma.errors import CnmaError, NotPositiveDefinite
+from cnma.errors import CnmaError
 
 
 class TestPinv:
@@ -40,28 +38,6 @@ class TestPinv:
             numerics.pinv(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-class TestChol:
-    def test_hand_factor(self):
-        m = np.array([[1.0, 0.5], [0.5, 1.0]])
-        L = numerics.chol(m)
-        assert np.allclose(L, [[1.0, 0.0], [0.5, 0.8660254]], atol=1e-7)
-
-    def test_identity(self):
-        assert np.allclose(numerics.chol(np.eye(4)), np.eye(4))
-
-    def test_indefinite_raises(self):
-        with pytest.raises(NotPositiveDefinite):
-            numerics.chol(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_roundtrip_random_spd(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = rng.normal(size=(4, 4))
-            m = a @ a.T + 1e-3 * np.eye(4)
-            L = numerics.chol(m)
-            assert np.max(np.abs(L @ L.T - m)) < 1e-12
-
-
 class TestMvnLogpdf:
     def test_standard_normal_at_zero(self):
         assert mvn_logpdf([0.0], [0.0], [[1.0]]) == pytest.approx(
@@ -93,26 +69,6 @@ class TestMvnLogpdf:
             mvn_logpdf([0.0, 1.0], [0.0], [[1.0]])
 
 
-class TestQuantile:
-    def test_median_interpolated(self):
-        assert numerics.quantile(np.arange(1, 101), 0.5) == pytest.approx(50.5)
-
-    def test_single_draw(self):
-        assert numerics.quantile(np.array([7.3]), 0.123) == pytest.approx(7.3)
-
-    def test_upper_tail_type7(self):
-        # type-7 position on {1..1000} at p=.975 is 1 + 999*0.975 = 975.025
-        assert numerics.quantile(np.arange(1, 1001), 0.975) == pytest.approx(975.025)
-
-    def test_empty_raises(self):
-        with pytest.raises(CnmaError):
-            numerics.quantile(np.array([]), 0.5)
-
-    def test_bad_p(self):
-        with pytest.raises(CnmaError):
-            numerics.quantile(np.array([1.0]), 1.0)
-
-
 class TestRngStream:
     def test_same_seed_stream_reproduces(self):
         a = numerics.rng_stream(42, 3).normal(size=10)
@@ -124,13 +80,3 @@ class TestRngStream:
         b = numerics.rng_stream(42, 1).normal(size=10)
         assert not np.array_equal(a, b)
 
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
-    st.floats(0.01, 0.99),
-)
-def test_quantile_within_range(values, p):
-    arr = np.array(values)
-    q = numerics.quantile(arr, p)
-    assert arr.min() <= q <= arr.max()

@@ -41,3 +41,21 @@ def test_every_error_type_is_raised():
         if isinstance(obj, type) and obj.__module__ == errors.__name__
     }
     assert declared - raised == set()
+
+
+def test_module_level_imports_are_used():
+    # a name a module imports and never reads is what a deletion leaves behind
+    package = Path(cnma.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
