@@ -43,7 +43,7 @@ from scipy.special import gammaln
 from .design import ContrastDesign, incidence_matrix
 from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
 from .mcmc import Block, McmcConfig, PosteriorSample, run_chains, summarize
-from .network import ContrastBlock, Network, Study, Treatment, arm_to_contrast
+from .network import ContrastBlock, Network, Study, Treatment, _check_study_ids, arm_to_contrast
 from .numerics import LOG_2PI, rng_stream
 
 logger = logging.getLogger("cnma")
@@ -58,6 +58,8 @@ ESS_LIMIT = 400.0
 
 @dataclass(frozen=True)
 class Priors:
+    """Normal prior variances of the effects and study baselines; sigma's upper bound."""
+
     d_variance: float = 1000.0
     alpha_variance: float = 1000.0
     sigma_upper: float = 2.0
@@ -71,6 +73,8 @@ class Priors:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """What to fit: a kind of ``MODEL_KINDS``, its effects mode, anchor and priors."""
+
     kind: str
     effects: str = "random"
     anchor: Treatment | None = None
@@ -203,10 +207,9 @@ class _ArmModel(_Model):
         else:
             d_components = network.components
         self.studies = tuple(studies)
-        self.has_eps = spec.random_effects
 
         study_names = [f"alpha[{s.id}]" for s in self.studies]
-        if self.has_eps:
+        if spec.random_effects:
             for study in self.studies:
                 study_names += [f"eps[{study.id}:{j + 1}]" for j in range(study.n_arms - 1)]
         super().__init__(network, spec, d_components, study_names)
@@ -226,12 +229,12 @@ class _ArmModel(_Model):
         self.logc_total = _log_binomial_coefficients(self.r, self.n)
 
         k, n_studies = self.d_sl.stop, len(self.studies)
-        n_eps = int(self.m.sum()) if self.has_eps else 0
+        n_eps = int(self.m.sum()) if spec.random_effects else 0
         self.alpha_sl = slice(k, k + n_studies)
         self.eps_sl = slice(k + n_studies, k + n_studies + n_eps)
         self.jitter_scale[self.eps_sl] = 0.2
 
-        if self.has_eps:
+        if spec.random_effects:
             # every arm but each study's first carries a latent
             self.eps_arm_positions = np.setdiff1d(np.arange(self.r.size), self.arm_starts)
             # offset of each study's first latent within the eps block
@@ -268,7 +271,7 @@ class _ArmModel(_Model):
         # x.T puts the coordinates first for one vector and for rows alike
         xt = x.T
         logits = xt[self.alpha_sl][self.arm_study] + self.Vc @ xt[self.d_sl]
-        if self.has_eps:
+        if self.spec.random_effects:
             logits[self.eps_arm_positions] += xt[self.eps_sl]
         return self.r @ logits - self.n @ np.logaddexp(0.0, logits) + self.logc_total
 
@@ -296,7 +299,7 @@ class _ArmModel(_Model):
         )
 
     def _study_prior(self, x) -> float:
-        if self.has_eps:
+        if self.spec.random_effects:
             return self._alpha_prior(x) + self._eps_prior(x)
         return self._alpha_prior(x)
 
@@ -314,14 +317,15 @@ class _ArmModel(_Model):
         start = int(self.arm_starts[i])
         stop = start + int(self.m[i]) + 1
         alpha_pos = self.alpha_sl.start + i
-        eps_start = self.eps_sl.start + int(self.eps_starts[i]) if self.has_eps else -1
+        random_effects = self.spec.random_effects
+        eps_start = self.eps_sl.start + int(self.eps_starts[i]) if random_effects else -1
         # per arm: events, total, nonzero (column, Vc entry) pairs, latent position
         arms = tuple(
             (
                 float(self.r[g]),
                 float(self.n[g]),
                 tuple((int(j), float(self.Vc[g, j])) for j in np.flatnonzero(self.Vc[g])),
-                eps_start + local - 1 if self.has_eps and local >= 1 else -1,
+                eps_start + local - 1 if random_effects and local >= 1 else -1,
             )
             for local, g in enumerate(range(start, stop))
         )
@@ -356,7 +360,7 @@ class _ArmModel(_Model):
                 a -= x.item(j)
             return loglik(x) + (-0.5 * a * a / av - alpha_norm)
 
-        if not self.has_eps:
+        if not random_effects:
             return alpha_partial, None
 
         m = stop - start - 1
@@ -395,7 +399,7 @@ class _ArmModel(_Model):
             blocks.append(Block(f"alpha[{study.id}]", (self.alpha_sl.start + i,), scale=0.3))
             partials.append(per_study[i][0])
 
-        if self.has_eps:
+        if self.spec.random_effects:
             for i, study in enumerate(self.studies):
                 start = self.eps_sl.start + int(self.eps_starts[i])
                 dims = tuple(range(start, start + int(self.m[i])))
@@ -441,6 +445,8 @@ class _ContrastModel(_Model):
 
 @dataclass
 class DicResult:
+    """Mean deviance, deviance at the posterior mean, p_D and DIC (see ``dic``)."""
+
     deviance_bar: float
     deviance_at_mean: float
     p_d: float
@@ -449,6 +455,8 @@ class DicResult:
 
 @dataclass
 class BayesFit:
+    """A fitted model: its spec, reported posterior sample, network and model."""
+
     spec: ModelSpec
     sample: PosteriorSample
     network: Network
@@ -497,6 +505,9 @@ def _validate(spec: ModelSpec, data, network: Network):
         raise CnmaError(f"{spec.kind} expects arm-level studies")
     if not arm_kind and not all(isinstance(b, ContrastBlock) for b in data):
         raise CnmaError(f"{spec.kind} expects contrast blocks")
+    if arm_kind:
+        # an arm kind names its parameters by study id
+        _check_study_ids(data)
     if spec.kind == "anchored-arm":
         if spec.anchor.size != 1:
             raise UnknownAnchor("anchor must be a single-component treatment")

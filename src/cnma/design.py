@@ -56,6 +56,8 @@ def stack_X(network: Network) -> np.ndarray:
 
 
 class GlsSolution(NamedTuple):
+    """The GLS answer at one heterogeneity variance (``ContrastDesign.gls``)."""
+
     d_hat: np.ndarray
     cov: np.ndarray  # (X'WX)^+
     Q: float  # generalized Q: weighted residual sum of squares at d_hat

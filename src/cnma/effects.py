@@ -1,9 +1,12 @@
-"""Additivity and consistency algebra over fitted component effects.
+"""Additivity and consistency algebra over fitted component effects, and SUCRA.
 
 Component-effect vectors are indexed by an explicit component order (the
 network's frozen order). Treatment-level effects are sums of component
 entries; relative effects between arbitrary treatments follow from
 consistency: d(comparator -> target) = level(target) - level(comparator).
+
+SUCRA and ``freq.p_scores`` share one score: the mean over the other treatments
+of the probability of beating each (Rücker & Schwarzer 2015).
 """
 
 from __future__ import annotations
@@ -28,15 +31,17 @@ def contrast_vector(
     return target_row - comparator_row
 
 
-def _distinct(treatments) -> list[Treatment]:
-    """``treatments`` as a list; a treatment listed twice raises CnmaError,
-    since a ranking has one score per treatment."""
+def _ranked_treatments(treatments, direction: str) -> list[Treatment]:
+    """``treatments`` as a list, checked for a ranking in ``direction``: one
+    score each for >= 2 treatments, so none may be listed twice."""
+    if direction not in DIRECTIONS:
+        raise CnmaError(f"unknown direction {direction!r}")
     treatments = list(treatments)
-    seen = set()
-    for t in treatments:
-        if t in seen:
+    if len(treatments) < 2:
+        raise CnmaError("a ranking needs >= 2 treatments")
+    for i, t in enumerate(treatments):
+        if t in treatments[:i]:
             raise CnmaError(f"treatment {t.label!r} is listed more than once")
-        seen.add(t)
     return treatments
 
 
@@ -47,6 +52,8 @@ def additive_effect(d: np.ndarray, treatment: Treatment, components) -> float:
 
 @dataclass(frozen=True)
 class EffectEstimate:
+    """The effect of ``target`` versus ``comparator``, with interval and SE."""
+
     comparator: Treatment
     target: Treatment
     point: float
@@ -105,33 +112,19 @@ def derive_relative_effect(
     raise CnmaError("cov_or_draws must be c x c covariance or N x c draws")
 
 
-@dataclass(frozen=True)
-class RankingReport:
-    scores: dict[Treatment, float]
-    method: str  # "sucra" | "pscore"
-    direction: str  # "higher-better" | "lower-better"
-
-    def ordering(self) -> list[Treatment]:
-        """Treatments sorted best-first by score."""
-        return sorted(self.scores, key=lambda t: -self.scores[t])
-
-
 def sucra(
     draws: np.ndarray, treatments, direction: str = "higher-better"
-) -> RankingReport:
+) -> dict[Treatment, float]:
     """Surface under the cumulative ranking curve, from posterior draws.
 
     ``draws`` holds treatment-level effects, one column per treatment. With T
     treatments, SUCRA_k = (T - E[rank_k]) / (T - 1) where rank 1 is best;
-    ties within a draw take average ranks.
+    ties within a draw take average ranks. This is the mean over l != k of
+    P(k beats l), which ``freq.p_scores`` takes from a normal law instead.
     """
-    if direction not in DIRECTIONS:
-        raise CnmaError(f"unknown direction {direction!r}")
+    treatments = _ranked_treatments(treatments, direction)
     draws = np.asarray(draws, dtype=float)
-    treatments = _distinct(treatments)
     n_t = len(treatments)
-    if n_t < 2:
-        raise CnmaError("sucra needs >= 2 treatments")
     if draws.ndim != 2 or draws.shape[1] != n_t:
         raise CnmaError("draws must be N x n_treatments")
     if draws.shape[0] < 100:
@@ -146,15 +139,13 @@ def sucra(
     ranks = below + (ties + 1) / 2
     mean_rank = ranks.mean(axis=0)
     scores = (n_t - mean_rank) / (n_t - 1)
-    return RankingReport(
-        scores=dict(zip(treatments, scores.tolist())),
-        method="sucra",
-        direction=direction,
-    )
+    return dict(zip(treatments, scores.tolist()))
 
 
 @dataclass(frozen=True)
 class AnchorCheck:
+    """Per multi, the additivity residual at a second anchor and its predicted value."""
+
     residuals: dict[Treatment, float]
     expected: dict[Treatment, float]
     max_residual: float

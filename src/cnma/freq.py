@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .design import ContrastDesign, incidence_matrix
-from .effects import DIRECTIONS, _distinct
+from .effects import _ranked_treatments
 from .errors import CnmaError, NotIdentifiable
 from .network import Network, Treatment
 from .numerics import pinv
@@ -110,20 +110,15 @@ def _check_estimable(treatments, M: np.ndarray, cov: np.ndarray) -> None:
 def p_scores(
     fit: FreqFit, treatments, direction: str = "higher-better"
 ) -> dict[Treatment, float]:
-    """Frequentist ranking scores.
+    """Frequentist ranking scores: the ``effects.sucra`` of N(d_hat, cov_d).
 
     For each ordered pair (k, l), the normal probability that k beats l,
-    averaged over l != k. Uses the fitted covariance to propagate uncertainty
-    to treatment-level differences. A fit whose design has rank below its
-    number of components ranks only treatments whose contrasts it estimates;
-    a list with any other raises NotIdentifiable.
+    averaged over l != k. A fit whose design has rank below its number of
+    components ranks only treatments whose contrasts it estimates; a list
+    with any other raises NotIdentifiable.
     """
-    if direction not in DIRECTIONS:
-        raise CnmaError(f"unknown direction {direction!r}")
-    treatments = _distinct(treatments)
+    treatments = _ranked_treatments(treatments, direction)
     n = len(treatments)
-    if n < 2:
-        raise CnmaError("p_scores needs >= 2 treatments")
     M = incidence_matrix(treatments, fit.components)
     if fit.rank_X < len(fit.components):
         _check_estimable(treatments, M, fit.cov_d)

@@ -50,8 +50,10 @@ COLLAPSE_WINDOWS = 20
 CHUNK_BYTES = 2**23
 
 
-@dataclass
+@dataclass(frozen=True)
 class McmcConfig:
+    """Chains, burn-in and kept iterations per chain, and the seed of every chain."""
+
     n_chains: int = 2
     burn_in: int = 2000
     keep: int = 5000
@@ -168,7 +170,6 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
 
     burn_in = config.burn_in
     kept = np.empty((config.keep, dim))
-    scales_after_burnin = None
 
     for it in range(burn_in + config.keep):
         adapting = it < burn_in
@@ -228,14 +229,12 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
                     zero_windows[bi] = 0
             window_accepts = [0] * n_blocks
 
-        if it == burn_in - 1:
-            scales_after_burnin = list(scales)
-
         if not adapting:
             kept[it - burn_in] = x
 
     rates = np.array(accepts) / config.keep
-    return kept, rates, scales_after_burnin
+    # adaptation stops with burn-in, so these are the scales after it
+    return kept, rates, scales
 
 
 def run_chains(logpost, init, blocks, config: McmcConfig, partials=None) -> PosteriorSample:
@@ -262,13 +261,13 @@ def run_chains(logpost, init, blocks, config: McmcConfig, partials=None) -> Post
     rates = np.zeros(len(blocks))
     scales: dict[str, float] = {}
     for c in range(config.n_chains):
-        kept, chain_rates, after_burnin = _run_single_chain(
+        kept, chain_rates, chain_scales = _run_single_chain(
             logpost, inits[c], blocks, config, partials, c
         )
         draws[c] = kept
         rates += chain_rates / config.n_chains
         for bi, b in enumerate(blocks):
-            scales[f"{b.name}[{c}]"] = float(after_burnin[bi])
+            scales[f"{b.name}[{c}]"] = chain_scales[bi]
 
     if not np.all(np.isfinite(draws)):
         raise McmcError("non-finite draws")

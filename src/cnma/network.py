@@ -77,6 +77,8 @@ def parse_treatment(label: str, separator: str = DEFAULT_SEPARATOR) -> Treatment
 
 @dataclass(frozen=True)
 class ArmRecord:
+    """One arm of a study: its treatment and its event and subject counts."""
+
     treatment: Treatment
     events: int
     total: int
@@ -101,6 +103,8 @@ class ArmRecord:
 
 @dataclass(frozen=True)
 class Study:
+    """A study: an id and >= 2 arms, each with a treatment of its own."""
+
     id: str
     arms: tuple[ArmRecord, ...]
 
@@ -163,6 +167,15 @@ class Network:
             raise UnknownComponent(f"component {label!r} not in network") from None
 
 
+def _check_study_ids(studies) -> None:
+    """Raise CnmaError naming the first study whose id an earlier one has."""
+    seen = set()
+    for study in studies:
+        if study.id in seen:
+            raise CnmaError(f"duplicate study id {study.id!r}")
+        seen.add(study.id)
+
+
 def build_network(studies, components=None) -> Network:
     """Assemble a Network from studies.
 
@@ -174,11 +187,7 @@ def build_network(studies, components=None) -> Network:
     studies = tuple(studies)
     if not studies:
         raise EmptyNetwork("no studies")
-    seen_ids = set()
-    for study in studies:
-        if study.id in seen_ids:
-            raise CnmaError(f"duplicate study id {study.id!r}")
-        seen_ids.add(study.id)
+    _check_study_ids(studies)
 
     referenced: list[str] = []
     for study in studies:

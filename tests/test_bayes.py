@@ -240,6 +240,19 @@ def test_anchor_free_kinds_refuse_rank_deficient_design(kind, monkeypatch):
             bayes.fit(spec, data, net, McmcConfig(burn_in=60, keep=40, seed=1))
 
 
+@pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
+def test_arm_kinds_refuse_repeated_study_ids(kind, studies, network, monkeypatch):
+    # the arm kinds name their parameters by study id, so a repeated id would
+    # give two parameters one name
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled studies with a repeated id")
+
+    monkeypatch.setattr(bayes, "run_chains", no_sampling)
+    spec, data = inputs(kind, studies)
+    with pytest.raises(CnmaError, match="duplicate study id 's0'"):
+        bayes.fit(spec, data + [studies[0]], network, McmcConfig(burn_in=60, keep=40, seed=1))
+
+
 def test_rank_deficient_design_fits_anchored_and_gls():
     # dropping the anchor's column leaves a full-rank design; GLS answers the
     # estimable contrasts through its pseudoinverse

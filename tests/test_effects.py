@@ -128,6 +128,11 @@ class TestDeriveRelativeEffect:
         with pytest.raises(CnmaError, match="draws"):
             self.relative_a(self.draws_of_a(values))
 
+    @pytest.mark.parametrize("shape", [(5,), (10, 4), (4, 4), (10, 6)])
+    def test_second_argument_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(CnmaError, match="cov_or_draws"):
+            self.relative_a(np.zeros(shape))
+
     def test_consistency_closure(self):
         cov = np.zeros((5, 5))
         treats = [parse_treatment(x) for x in ("A", "B+C", "D")]
@@ -143,28 +148,26 @@ class TestDeriveRelativeEffect:
 class TestSucra:
     def test_deterministic_ranks(self):
         draws = np.tile([3.0, 2.0, 1.0], (200, 1))
-        report = sucra(
-            draws, [parse_treatment(x) for x in "ABC"], "higher-better"
-        )
-        assert list(report.scores.values()) == pytest.approx([1.0, 0.5, 0.0])
+        scores = sucra(draws, [parse_treatment(x) for x in "ABC"], "higher-better")
+        assert list(scores.values()) == pytest.approx([1.0, 0.5, 0.0])
 
     def test_symmetric_toss_up(self):
         draws = np.zeros((200, 2))
         draws[:100, 0] = 1.0
         draws[100:, 1] = 1.0
-        report = sucra(draws, [parse_treatment(x) for x in "AB"])
-        assert list(report.scores.values()) == pytest.approx([0.5, 0.5])
+        scores = sucra(draws, [parse_treatment(x) for x in "AB"])
+        assert list(scores.values()) == pytest.approx([0.5, 0.5])
 
     def test_scores_average_to_half(self):
         rng = np.random.default_rng(1)
         draws = rng.normal(size=(500, 6))
-        report = sucra(draws, [parse_treatment(f"t{i}") for i in range(6)])
-        assert np.mean(list(report.scores.values())) == pytest.approx(0.5, abs=1e-12)
+        scores = sucra(draws, [parse_treatment(f"t{i}") for i in range(6)])
+        assert np.mean(list(scores.values())) == pytest.approx(0.5, abs=1e-12)
 
     def test_lower_better_flips(self):
         draws = np.tile([3.0, 1.0], (150, 1))
-        report = sucra(draws, [parse_treatment(x) for x in "AB"], "lower-better")
-        assert report.scores[parse_treatment("B")] == pytest.approx(1.0)
+        scores = sucra(draws, [parse_treatment(x) for x in "AB"], "lower-better")
+        assert scores[parse_treatment("B")] == pytest.approx(1.0)
 
     def test_needs_enough_draws(self):
         with pytest.raises(CnmaError):
@@ -179,8 +182,9 @@ class TestSucra:
 
     def test_ordering(self):
         draws = np.tile([1.0, 3.0, 2.0], (120, 1))
-        report = sucra(draws, [parse_treatment(x) for x in "ABC"])
-        assert [t.label for t in report.ordering()] == ["B", "C", "A"]
+        scores = sucra(draws, [parse_treatment(x) for x in "ABC"])
+        a, b, c = (scores[parse_treatment(x)] for x in "ABC")
+        assert b > c > a
 
     @pytest.mark.parametrize("direction", ["higher-better", "lower-better"])
     def test_tied_draws_take_average_ranks(self, direction):
@@ -188,10 +192,10 @@ class TestSucra:
 
         rng = np.random.default_rng(4)
         draws = rng.integers(0, 3, size=(300, 5)).astype(float)
-        report = sucra(draws, [parse_treatment(f"t{i}") for i in range(5)], direction)
+        scores = sucra(draws, [parse_treatment(f"t{i}") for i in range(5)], direction)
         signed = -draws if direction == "higher-better" else draws
         mean_rank = rankdata(signed, axis=1, method="average").mean(axis=0)
-        assert np.array_equal(list(report.scores.values()), (5 - mean_rank) / 4)
+        assert np.array_equal(list(scores.values()), (5 - mean_rank) / 4)
 
     @pytest.mark.parametrize("direction", ["higher_better", "Higher-better", "lower", ""])
     def test_unknown_direction_rejected(self, direction):
@@ -260,6 +264,25 @@ class TestVerifyUniqueAnchor:
             vals, parse_treatment("E"), z, [parse_treatment("Z+A")]
         )
         assert check.max_residual == pytest.approx(0.0, abs=1e-12)
+
+    def test_multi_containing_the_anchor(self):
+        # E's own effect relative to E is zero: E+A is additive at A's value
+        vals = self.effects_vs_e()
+        vals[parse_treatment("E+A")] = 1.2
+        check = verify_unique_anchor(
+            vals, parse_treatment("E"), parse_treatment("B"), [parse_treatment("E+A")]
+        )
+        assert check.residuals[parse_treatment("E+A")] == pytest.approx(0.9, abs=1e-12)
+        assert check.matches_identity
+
+    def test_missing_effect_rejected(self):
+        with pytest.raises(CnmaError, match="missing effect for 'B\\+D' relative to 'E'"):
+            verify_unique_anchor(
+                self.effects_vs_e(),
+                parse_treatment("E"),
+                parse_treatment("C"),
+                [parse_treatment("B+D")],
+            )
 
     def test_rejects_single_component_multi(self):
         with pytest.raises(CnmaError):

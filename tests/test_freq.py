@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from cnma import bayes
 from cnma.design import incidence_matrix, stack_X
+from cnma.effects import sucra
 from cnma.errors import CnmaError, NotIdentifiable
 from cnma.freq import FreqFit, gls_fit, p_scores
 from cnma.mcmc import McmcConfig
@@ -392,6 +393,21 @@ class TestPScores:
                     z = (w @ fit.d_hat) / np.sqrt(w @ fit.cov_d @ w)
                     probs.append(norm.cdf(-z))
             assert scores[t] == pytest.approx(np.mean(probs), abs=1e-12)
+
+    @pytest.mark.parametrize("direction", ["higher-better", "lower-better"])
+    def test_equal_sucra_of_normal_draws(self, direction):
+        # one score with two estimators (Rücker & Schwarzer 2015): the P-score
+        # is the SUCRA of draws from the fit's normal law N(d_hat, cov_d)
+        blocks = random_network_blocks(3)
+        net = network_of(blocks)
+        fit = gls_fit(blocks, net, "random")
+        z = np.random.default_rng(5).standard_normal((50_000, fit.d_hat.size))
+        d = fit.d_hat + z @ np.linalg.cholesky(fit.cov_d).T
+        M = incidence_matrix(net.treatments, net.components)
+        ranked = sucra(d @ M.T, net.treatments, direction)
+        scores = p_scores(fit, net.treatments, direction)
+        assert list(scores) == list(ranked)
+        assert max(abs(scores[t] - ranked[t]) for t in scores) < 0.005
 
 
 class TestCovCalibration:

@@ -301,6 +301,20 @@ class TestRunChains:
         config = McmcConfig(n_chains=np.int64(2), burn_in=np.int32(10), seed=np.uint8(3))
         assert config.seed == 3
 
+    @pytest.mark.parametrize("field", ["n_chains", "burn_in", "keep", "seed"])
+    def test_config_is_frozen(self, field):
+        # the checks run at construction, so a later assignment could skip them
+        config = McmcConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, 0)
+
+    def test_non_finite_draws_raise(self):
+        # a flat target accepts every step, and a huge scale overflows
+        with pytest.raises(McmcError, match="non-finite draws"):
+            run_chains(
+                lambda x: 0.0, np.zeros(1), [Block("x", (0,), scale=1e308)], quick_config()
+            )
+
     def test_rejected_proposals_restore_every_coordinate(self):
         # every block kind: scalar, contiguous with covariance shaping,
         # multiplicative, and a shift over non-contiguous coordinates; any

@@ -68,6 +68,18 @@ class TestParseTreatment:
         assert parse_treatment("C+A") == parse_treatment("A+C")
         assert hash(parse_treatment("C+A")) == hash(parse_treatment("A+C"))
 
+    @pytest.mark.parametrize(
+        "components, error, message",
+        [((), CnmaError, "at least one component"), (("A", "A"), DuplicateComponent, "duplicate")],
+        ids=["empty", "repeated"],
+    )
+    def test_treatment_rejects_components(self, components, error, message):
+        with pytest.raises(error, match=message):
+            Treatment(components)
+
+    def test_treatment_sorts_components(self):
+        assert Treatment(("B", "A")).components == ("A", "B")
+
     def test_roundtrip_on_canonical_labels(self):
         for label in ["A", "A+C", "Beh+Cog+Edu"]:
             assert Treatment(parse_treatment(label).components).label == label
@@ -112,6 +124,11 @@ class TestBuildNetwork:
         # a repeated component; a referenced one left out
         with pytest.raises(error):
             build_network([two_arm("s1", "E", "A")], components)
+
+    def test_unknown_component_index(self):
+        net = build_network([two_arm("s1", "A", "B")])
+        with pytest.raises(UnknownComponent, match="'Z'"):
+            net.component_index("Z")
 
     def test_duplicate_study_ids(self):
         with pytest.raises(CnmaError):
@@ -214,6 +231,14 @@ class TestArmToContrast:
         assert block.y_star[0] == pytest.approx(-0.98083, abs=1e-5)
         assert block.treatments == study.treatments
 
+    @pytest.mark.parametrize(
+        "baseline, policy, message",
+        [(0, "cc", "zero-cell policy"), (2, "error", "out of range"), (-1, "error", "out of range")],
+    )
+    def test_bad_arguments_rejected(self, baseline, policy, message):
+        with pytest.raises(CnmaError, match=message):
+            arm_to_contrast(two_arm("s1", "P", "T"), baseline, policy)
+
     def test_three_arm_consistency(self):
         study = Study(
             id="s",
@@ -286,6 +311,7 @@ class TestContrastBlock:
             ({"se": np.array([0.3, 0.0])}, "must be positive"),
             ({"se": np.array([-0.3, 0.35])}, "must be positive"),
             ({"se_baseline": -0.1}, "must be >= 0"),
+            ({"se_baseline": 0.3}, r"se_baseline\^2 must be < every se\^2"),
         ],
     )
     def test_malformed_block_rejected(self, overrides, message):

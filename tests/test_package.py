@@ -59,3 +59,17 @@ def test_module_level_imports_are_used():
                     if name not in read:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_public_classes_and_functions_have_docstrings():
+    # every public module-level class and function says what it is for
+    package = Path(cnma.__file__).resolve().parent
+    missing = [
+        f"{path.name}: {node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and ast.get_docstring(node) is None
+    ]
+    assert missing == []
