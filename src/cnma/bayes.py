@@ -40,11 +40,10 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .design import ContrastDesign, incidence_matrix
+from .design import LOG_2PI, ContrastDesign, incidence_matrix
 from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
-from .mcmc import Block, McmcConfig, PosteriorSample, run_chains, summarize
+from .mcmc import Block, McmcConfig, PosteriorSample, rng_stream, run_chains, summarize
 from .network import ContrastBlock, Network, Study, Treatment, _check_study_ids, arm_to_contrast
-from .numerics import LOG_2PI, rng_stream
 
 logger = logging.getLogger("cnma")
 

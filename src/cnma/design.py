@@ -11,6 +11,7 @@ Sigma* is ever formed.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from .errors import CnmaError, UnknownComponent
 from .network import Network
-from .numerics import LOG_2PI, pinv
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def incidence_matrix(treatments, components) -> np.ndarray:
@@ -94,8 +96,20 @@ class ContrastDesign:
         self.within = np.concatenate([b.se**2 for b in blocks]) - self.shared[self.study]
 
     @cached_property
+    def null_space(self) -> np.ndarray:
+        """Orthonormal basis (c x (c - rank)) of the null space of X, from its
+        SVD alone: the rank counts singular values above numpy's ``matrix_rank``
+        tolerance, s_max * max(X.shape) * eps, so no weight enters it."""
+        n, c = self.X.shape
+        # zero rows complete vt to c x c and leave the singular values as they are
+        X = np.vstack([self.X, np.zeros((max(c - n, 0), c))])
+        _, s, vt = np.linalg.svd(X, full_matrices=False)
+        rank = int(np.count_nonzero(s > s[0] * max(n, c) * np.finfo(float).eps))
+        return vt[rank:].T
+
+    @property
     def rank(self) -> int:
-        return int(np.linalg.matrix_rank(self.X))
+        return self.X.shape[1] - self.null_space.shape[1]
 
     def _weights(self, tau2: float):
         """Per contrast w = 1 / diagonal; per study the Sherman-Morrison
@@ -130,9 +144,15 @@ class ContrastDesign:
 
     def gls(self, tau2: float) -> GlsSolution:
         """Generalized least squares with weights W at ``tau2``, through the
-        pseudoinverse of X'WX."""
+        pseudoinverse of X'WX cut at the rank of X, whatever the weights."""
         WX = self.weigh(tau2, self.X)
-        cov = pinv(self.X.T @ WX)
+        information = self.X.T @ WX
+        if not np.all(np.isfinite(information)):
+            raise CnmaError("X'WX has non-finite entries: a weight overflowed")
+        u, s, vt = np.linalg.svd(information, full_matrices=False)
+        s_inv = np.zeros_like(s)
+        s_inv[: self.rank] = 1.0 / s[: self.rank]
+        cov = (vt.T * s_inv) @ u.T
         d_hat = cov @ (WX.T @ self.y)
         resid = self.y - self.X @ d_hat
         w, g, _ = self._weights(tau2)

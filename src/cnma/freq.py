@@ -9,9 +9,9 @@ all pairwise contrasts.
 GLS answers the contrasts that the design estimates and refuses the rest.
 The design need not have full rank, nor the treatments form one connected
 group: a contrast w is estimable when it lies in the row space of the
-stacked design X, which is the range of (X'WX)^+. ``gls_fit`` refuses a
-network with a treatment contrast outside it, and ``p_scores`` a list of
-treatments with one.
+stacked design X, that is has no part along its null space; the weights
+never enter. ``gls_fit`` refuses a network with a treatment contrast outside
+it, and ``p_scores`` a list of treatments with one.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from .design import ContrastDesign, incidence_matrix
 from .effects import _ranked_treatments
 from .errors import CnmaError, NotIdentifiable
 from .network import Network, Treatment
-from .numerics import pinv
 
-# a contrast is estimable when its distance from the row space of the design
-# is below this: far above the rounding error of the projector onto that
-# space, and far below the distance of a treatment contrast (entries 0 and
-# +-1) outside it
+# a contrast is estimable when its coordinates along the orthonormal null
+# space of the design are all below this: far above their rounding error, and
+# far below those of a treatment contrast (entries 0 and +-1) outside the row
+# space
 ESTIMABLE_TOL = 1e-8
 
 
@@ -44,6 +43,7 @@ class FreqFit:
     Q: float
     df: int
     rank_X: int
+    null_space: np.ndarray  # orthonormal basis of the null space of X, c x (c - rank_X)
     components: tuple[str, ...]
     effects_model: str  # "fixed" | "random"
     tau2_truncated: bool
@@ -64,7 +64,7 @@ def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
     if design.rank < network.n_components:
         treatments = network.treatments
         _check_estimable(
-            treatments, incidence_matrix(treatments, network.components), fixed.cov
+            treatments, incidence_matrix(treatments, network.components), design.null_space
         )
     # generalized method of moments: tau2 = (Q - df) / trace(P) with
     # P = W - W X (X'WX)^+ X'W, truncated at zero and flagged when negative
@@ -85,20 +85,20 @@ def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
         Q=fixed.Q,
         df=df,
         rank_X=design.rank,
+        null_space=design.null_space,
         components=network.components,
         effects_model=effects_model,
         tau2_truncated=truncated,
     )
 
 
-def _check_estimable(treatments, M: np.ndarray, cov: np.ndarray) -> None:
+def _check_estimable(treatments, M: np.ndarray, null_space: np.ndarray) -> None:
     """Raise NotIdentifiable, naming the treatment, when the contrast of a
-    treatment against the first lies outside the range of ``cov`` = (X'WX)^+,
-    which is the row space of X. ``M`` holds the treatments' incidence rows."""
+    treatment against the first has a part along ``null_space``, the null
+    space of X. ``M`` holds the treatments' incidence rows."""
     contrasts = M[1:] - M[0]
-    projector = cov @ pinv(cov)
-    distance = np.abs(contrasts - contrasts @ projector.T).max(axis=1)
-    outside = np.flatnonzero(distance > ESTIMABLE_TOL)
+    outside_part = np.abs(contrasts @ null_space).max(axis=1, initial=0.0)
+    outside = np.flatnonzero(outside_part > ESTIMABLE_TOL)
     if outside.size:
         t = treatments[outside[0] + 1]
         raise NotIdentifiable(
@@ -120,8 +120,7 @@ def p_scores(
     treatments = _ranked_treatments(treatments, direction)
     n = len(treatments)
     M = incidence_matrix(treatments, fit.components)
-    if fit.rank_X < len(fit.components):
-        _check_estimable(treatments, M, fit.cov_d)
+    _check_estimable(treatments, M, fit.null_space)
     # W[k, l] weighs the effect of k minus that of l
     W = M[:, None, :] - M[None, :, :]
     diff = W @ fit.d_hat

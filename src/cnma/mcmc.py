@@ -35,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import McmcError
-from .numerics import rng_stream
 
 # Robbins-Monro acceptance targets: a block of one coordinate, a larger block
 TARGET_RATE_SCALAR = 0.44
@@ -48,6 +47,17 @@ COLLAPSE_WINDOWS = 20
 # at most this many bytes (one parameter at least), so their scratch memory, a
 # few times one chunk, does not grow with the number of parameters
 CHUNK_BYTES = 2**23
+
+
+def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
+    """Independent counter-based RNG stream.
+
+    Identical (seed, stream) pairs reproduce identical draws; distinct stream
+    ids give statistically independent streams, so replicates and chains can
+    own one each and run in parallel reproducibly.
+    """
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,12 @@ class Block:
     log_scale: bool = False
     cov_chol: np.ndarray | None = None
     shift_map: np.ndarray | None = None
+
+    def __post_init__(self):
+        # a step of size 0 never moves, yet its chains agree and accept every
+        # proposal, so they would read as converged
+        if not 0.0 < self.scale < math.inf:
+            raise McmcError(f"block {self.name!r}: scale must be finite and > 0, not {self.scale}")
 
 
 @dataclass

@@ -48,7 +48,7 @@ class Treatment:
         if len(self.components) == 0:
             raise CnmaError("treatment must have at least one component")
         if len(set(self.components)) != len(self.components):
-            raise DuplicateComponent(f"duplicate component in {self.components}")
+            raise DuplicateComponent(f"duplicate component in {self.label or self.components!r}")
         if tuple(sorted(self.components)) != self.components:
             object.__setattr__(self, "components", tuple(sorted(self.components)))
         if not self.label:
@@ -62,17 +62,15 @@ class Treatment:
 def parse_treatment(label: str, separator: str = DEFAULT_SEPARATOR) -> Treatment:
     """Parse a composite label like ``"A+C+D"`` into a Treatment.
 
-    Tokens are split on ``separator`` and whitespace-trimmed. Empty tokens and
-    repeated components are rejected.
+    Tokens are split on ``separator`` and whitespace-trimmed. Empty tokens are
+    rejected here, repeated components by ``Treatment``.
     """
     if not label or not label.strip():
         raise CnmaError("empty treatment label")
-    tokens = [tok.strip() for tok in label.split(separator)]
+    tokens = tuple(tok.strip() for tok in label.split(separator))
     if any(tok == "" for tok in tokens):
         raise CnmaError(f"empty component token in {label!r}")
-    if len(set(tokens)) != len(tokens):
-        raise DuplicateComponent(f"duplicate component token in {label!r}")
-    return Treatment(components=tuple(sorted(tokens)), label=label.strip())
+    return Treatment(components=tokens, label=label.strip())
 
 
 @dataclass(frozen=True)
@@ -84,6 +82,8 @@ class ArmRecord:
     total: int
 
     def __post_init__(self):
+        if not isinstance(self.treatment, Treatment):
+            raise CnmaError(f"arm treatment must be a Treatment, got {self.treatment!r}")
         for name in ("events", "total"):
             value = getattr(self, name)
             # numpy integers are integers and bool is not; a plain int skips
@@ -235,6 +235,9 @@ class ContrastBlock:
         a = len(self.treatments)
         if a < 2:
             raise CnmaError("contrast block needs >= 2 treatments")
+        for t in self.treatments:
+            if not isinstance(t, Treatment):
+                raise CnmaError(f"study {self.study_id!r}: {t!r} is not a Treatment")
         if not 0 <= self.baseline_arm < a:
             raise CnmaError("baseline arm out of range")
         if y.shape != (a - 1,) or se.shape != (a - 1,):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cnma.design import ContrastDesign, incidence_matrix, stack_X
 from cnma.errors import CnmaError
 from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
-from cnma.numerics import pinv
 from dense import block_covariance, build_Sigma, build_Sigma_star, build_U, mvn_logpdf
 
 
@@ -257,7 +256,9 @@ class TestContrastDesign:
         close(design.information(tau2), xtwx, np.abs(xtwx))
         close(design.X.T @ design.weigh(tau2, design.y), xtwy, abs_xtwy)
 
-        cov = pinv(xtwx)
+        # these weights differ at most 125-fold, so a cut at 1e-12 of the largest
+        # singular value keeps exactly rank(X) of them, as ``gls`` does
+        cov = np.linalg.pinv(xtwx, rtol=1e-12)
         d_hat = cov @ xtwy
         resid = y - X @ d_hat
         P = W - W @ X @ cov @ X.T @ W
@@ -266,6 +267,19 @@ class TestContrastDesign:
         close(solution.cov, cov, np.abs(cov))
         close(solution.Q, resid @ W @ resid, np.abs(y) @ np.abs(W) @ np.abs(y))
         close(solution.trace_P, np.trace(P), np.trace(W))
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=contrast_blocks())
+    def test_rank_and_null_space_of_X(self, blocks):
+        # one block of two arms has fewer rows than components; many blocks
+        # may have more
+        net, X, _, _ = dense_reference(blocks, 0.0)
+        design = ContrastDesign(blocks, net)
+        N = design.null_space
+        assert design.rank == np.linalg.matrix_rank(X)
+        assert N.shape == (net.n_components, net.n_components - design.rank)
+        assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-12)
+        assert np.allclose(X @ N, 0.0, atol=1e-12)
 
     def test_no_blocks_rejected(self):
         net = build_network([study_from(["A", "B"])])

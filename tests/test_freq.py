@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from cnma import bayes
-from cnma.design import incidence_matrix, stack_X
-from cnma.effects import sucra
+from cnma.design import ContrastDesign, incidence_matrix, stack_X
+from cnma.effects import contrast_vector, sucra
 from cnma.errors import CnmaError, NotIdentifiable
 from cnma.freq import FreqFit, gls_fit, p_scores
 from cnma.mcmc import McmcConfig
 from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
-from cnma.numerics import pinv
 from dense import block_covariance, build_Sigma_star, build_U
 
 
@@ -141,7 +140,7 @@ class TestGlsFit:
                        for s in net.studies])
         y = np.concatenate([b.y_star for b in blocks])
         w_inv = np.diag(1.0 / np.concatenate([b.se for b in blocks]) ** 2)
-        d_ap = pinv(X.T @ w_inv @ X) @ X.T @ w_inv @ y
+        d_ap = np.linalg.pinv(X.T @ w_inv @ X, rtol=1e-12) @ X.T @ w_inv @ y
         assert np.allclose(fit.d_hat, d_ap, atol=1e-10)
 
 
@@ -162,7 +161,9 @@ def random_network_blocks(seed):
 
 
 def dense_gls(blocks, net, effects_model):
-    """The GLS fit and moment estimator through dense n x n W and P."""
+    """The GLS fit and moment estimator through dense n x n W and P. The
+    weights are within a few hundred-fold of each other, so a pseudoinverse
+    cut at 1e-12 of the largest singular value keeps rank(X) of them."""
     X = stack_X(net)
     y = np.concatenate([b.y_star for b in blocks])
 
@@ -177,14 +178,14 @@ def dense_gls(blocks, net, effects_model):
         return W
 
     W = weights(0.0)
-    cov = pinv(X.T @ W @ X)
+    cov = np.linalg.pinv(X.T @ W @ X, rtol=1e-12)
     resid = y - X @ cov @ X.T @ W @ y
     Q = resid @ W @ resid
     df = y.size - np.linalg.matrix_rank(X)
     P = W - W @ X @ cov @ X.T @ W
     tau2 = max(0.0, (Q - df) / np.trace(P)) if effects_model == "random" else 0.0
     W = weights(tau2)
-    cov = pinv(X.T @ W @ X)
+    cov = np.linalg.pinv(X.T @ W @ X, rtol=1e-12)
     return cov @ X.T @ W @ y, cov, tau2, Q, df
 
 
@@ -257,6 +258,63 @@ class TestEstimabilityByRank:
             assert full_rank
 
 
+def contrast_se(fit, a, b):
+    """Standard error of the contrast of treatment b versus treatment a."""
+    w = contrast_vector(parse_treatment(a), parse_treatment(b), fit.components)
+    return np.sqrt(w @ fit.cov_d @ w)
+
+
+class TestWeightsDoNotDecideRank:
+    """The rank and null space of X, not the study weights, decide GLS's
+    pseudoinverse and which contrasts it estimates."""
+
+    @staticmethod
+    def rank_deficient_blocks(se_b=1 / np.sqrt(3000), se_c=np.sqrt(3000)):
+        # single-component treatments: every row of X sums to zero (rank 2 of 3)
+        return [
+            block("s1", ["A", "B"], 0.3, se_b, se_baseline=0.0),
+            block("s2", ["A", "B"], 0.31, se_b, se_baseline=0.0),
+            block("s3", ["A", "C"], -0.2, se_c, se_baseline=0.0),
+        ]
+
+    def test_rank_deficient_network_with_unequal_weights(self):
+        blocks = self.rank_deficient_blocks()
+        net = network_of(blocks)
+        fit = gls_fit(blocks, net, "fixed")
+        assert fit.rank_X == 2 and fit.null_space.shape == (3, 1)
+        assert contrast_se(fit, "A", "C") == pytest.approx(np.sqrt(3000), rel=1e-6)
+        assert contrast_se(fit, "A", "B") == pytest.approx(np.sqrt(1 / 6000), rel=1e-6)
+        assert set(p_scores(fit, net.treatments)) == set(net.treatments)
+
+    def test_full_rank_network_with_unequal_weights(self):
+        blocks = [
+            block("s1", ["A", "B"], 0.3, 0.001, se_baseline=0.0),
+            block("s2", ["A", "A+B"], 0.2, 0.001, se_baseline=0.0),
+            block("s3", ["A", "C"], -0.2, 1000.0, se_baseline=0.0),
+        ]
+        fit = gls_fit(blocks, network_of(blocks), "fixed")
+        assert fit.rank_X == 3 and fit.null_space.shape == (3, 0)
+        assert contrast_se(fit, "A", "C") == pytest.approx(1000.0, rel=1e-6)
+
+    def test_cov_is_the_pseudoinverse_of_the_information(self):
+        # the four Penrose conditions on a rank-deficient fit
+        blocks = self.rank_deficient_blocks(0.2, 0.3)
+        net = network_of(blocks)
+        fit = gls_fit(blocks, net, "fixed")
+        m = ContrastDesign(blocks, net).information(0.0)
+        p = fit.cov_d
+        assert np.allclose(m @ p @ m, m, atol=1e-10 * np.abs(m).max())
+        assert np.allclose(p @ m @ p, p, atol=1e-10 * np.abs(p).max())
+        assert np.allclose((m @ p).T, m @ p, atol=1e-10)
+        assert np.allclose((p @ m).T, p @ m, atol=1e-10)
+
+    def test_non_finite_weights_raise(self):
+        # se^2 = 1e-320 is subnormal: its weight 1 / se^2 overflows
+        blocks = self.rank_deficient_blocks(1e-160, 0.3)
+        with pytest.warns(RuntimeWarning), pytest.raises(CnmaError, match="non-finite"):
+            gls_fit(blocks, network_of(blocks), "fixed")
+
+
 class TestEstimateTau2:
     """The moment estimate of tau2 that gls_fit reports under random effects."""
 
@@ -309,6 +367,7 @@ class TestPScores:
             Q=0.0,
             df=0,
             rank_X=len(components),
+            null_space=np.zeros((len(components), 0)),
             components=tuple(components),
             effects_model="fixed",
             tau2_truncated=False,

@@ -15,10 +15,10 @@ from cnma.mcmc import (
     PosteriorSample,
     ess,
     rhat,
+    rng_stream,
     run_chains,
     summarize,
 )
-from cnma.numerics import rng_stream
 
 
 def std_normal_logpost(x):
@@ -117,6 +117,18 @@ def _copying_reference(logpost, x0, blocks, config, chain_index):
         if it >= config.burn_in:
             kept.append(x)
     return np.array(kept), scales.tolist()
+
+
+class TestRngStream:
+    def test_same_seed_stream_reproduces(self):
+        a = rng_stream(42, 3).normal(size=10)
+        b = rng_stream(42, 3).normal(size=10)
+        assert np.array_equal(a, b)
+
+    def test_distinct_streams_differ(self):
+        a = rng_stream(42, 0).normal(size=10)
+        b = rng_stream(42, 1).normal(size=10)
+        assert not np.array_equal(a, b)
 
 
 class TestRunChains:
@@ -267,6 +279,12 @@ class TestRunChains:
         for init, blocks, partials, match in cases:
             with pytest.raises(McmcError, match=match):
                 run_chains(std_normal_logpost, init, blocks, quick_config(), partials=partials)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, math.nan, math.inf])
+    def test_block_scale_must_be_finite_and_positive(self, scale):
+        # a block of scale 0 never moves, yet would read as converged
+        with pytest.raises(McmcError, match="scale must be finite and > 0"):
+            Block("x", (0,), scale=scale)
 
     def test_infinite_init_rejected(self):
         def logpost(x):

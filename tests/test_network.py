@@ -47,8 +47,9 @@ class TestParseTreatment:
         assert parse_treatment("E").components == ("E",)
 
     def test_duplicate_component(self):
-        with pytest.raises(DuplicateComponent):
-            parse_treatment("A+A")
+        # Treatment finds the repeat; the message shows the label as typed
+        with pytest.raises(DuplicateComponent, match=r"'B \+ A\+B'"):
+            parse_treatment(" B + A+B")
 
     def test_empty_token(self):
         with pytest.raises(CnmaError):
@@ -167,6 +168,10 @@ class TestBuildNetwork:
     def test_arm_counts_out_of_range(self, events, total):
         with pytest.raises(CnmaError, match="must be >= "):
             ArmRecord(parse_treatment("A"), events, total)
+
+    def test_arm_treatment_must_be_a_treatment(self):
+        with pytest.raises(CnmaError, match="must be a Treatment, got 'A'"):
+            ArmRecord("A", 1, 10)
 
     def test_arm_counts_accept_numpy_integers(self):
         arm = ArmRecord(parse_treatment("A"), np.int64(2), np.int32(10))
@@ -312,6 +317,10 @@ class TestContrastBlock:
             ({"se": np.array([-0.3, 0.35])}, "must be positive"),
             ({"se_baseline": -0.1}, "must be >= 0"),
             ({"se_baseline": 0.3}, r"se_baseline\^2 must be < every se\^2"),
+            (
+                {"treatments": ("P", parse_treatment("A"), parse_treatment("B"))},
+                "'P' is not a Treatment",
+            ),
         ],
     )
     def test_malformed_block_rejected(self, overrides, message):

@@ -9,17 +9,18 @@ from cnma import errors
 
 
 def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs tens of MB of memory at import; cnma needs only scipy.special
+    # scipy.stats costs tens of MB of memory at import and scipy.linalg about
+    # 6 MB; cnma needs only scipy.special, and numpy's SVD
     code = (
         "import sys, cnma, cnma.bayes, cnma.design, cnma.effects, cnma.freq, "
-        "cnma.mcmc, cnma.network, cnma.numerics; "
-        "print('scipy.stats' in sys.modules)"
+        "cnma.mcmc, cnma.network; "
+        "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cnma.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_error_type_is_raised():
