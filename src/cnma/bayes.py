@@ -43,7 +43,8 @@ from scipy.special import gammaln
 from .design import LOG_2PI, ContrastDesign, incidence_matrix
 from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
 from .mcmc import Block, McmcConfig, PosteriorSample, rng_stream, run_chains, summarize
-from .network import ContrastBlock, Network, Study, Treatment, _check_study_ids, arm_to_contrast
+from .network import ContrastBlock, Network, Study, Treatment, _check_study_ids
+from .network import _arm_first, arm_to_contrast
 
 logger = logging.getLogger("cnma")
 
@@ -101,13 +102,8 @@ def _log_binomial_coefficients(r: np.ndarray, n: np.ndarray) -> float:
 
 def _anchor_first(study: Study, anchor: Treatment) -> Study:
     """Reorder arms so the anchor treatment, when present, is arm 1."""
-    for j, arm in enumerate(study.arms):
-        if arm.treatment == anchor:
-            if j == 0:
-                return study
-            arms = (study.arms[j],) + study.arms[:j] + study.arms[j + 1 :]
-            return Study(id=study.id, arms=arms)
-    return study
+    treatments = study.treatments
+    return _arm_first(study, treatments.index(anchor)) if anchor in treatments else study
 
 
 class _Model:

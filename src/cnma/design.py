@@ -3,10 +3,11 @@
 Every design matrix in the package is rows of one treatment x component
 incidence matrix, built by ``incidence_matrix``: an arm-level model's V holds
 its arms' rows, and the stacked regression matrix X holds, per study, each
-non-baseline arm's row minus the baseline arm's. ``ContrastDesign`` holds the
-stacked contrasts of a set of contrast blocks with their compound-symmetry
-covariance in closed form; no contrast matrix U or compound-symmetry matrix
-Sigma* is ever formed.
+later arm's row minus the first arm's: a study's first treatment is its
+baseline, and ``arm_to_contrast`` puts the chosen one there. ``ContrastDesign``
+holds the stacked contrasts of a set of contrast blocks with their
+compound-symmetry covariance in closed form; no contrast matrix U or
+compound-symmetry matrix Sigma* is ever formed.
 """
 
 from __future__ import annotations
@@ -37,24 +38,23 @@ def incidence_matrix(treatments, components) -> np.ndarray:
     return V
 
 
-def _baseline_contrasts(V: np.ndarray, n_arms, baseline_arms) -> np.ndarray:
+def _baseline_contrasts(V: np.ndarray, n_arms) -> np.ndarray:
     """Rows of X from the stacked arm rows V of consecutive studies: per study,
-    each non-baseline arm's row (in arm order) minus the baseline arm's."""
+    each later arm's row minus the first arm's."""
     n_arms = np.asarray(n_arms)
-    baseline = np.cumsum(n_arms) - n_arms + np.asarray(baseline_arms)
-    study = np.repeat(np.arange(n_arms.size), n_arms)
+    first = np.cumsum(n_arms) - n_arms
     contrast = np.ones(len(V), dtype=bool)
-    contrast[baseline] = False
-    return V[contrast] - V[baseline[study[contrast]]]
+    contrast[first] = False
+    return V[contrast] - np.repeat(V[first], n_arms - 1, axis=0)
 
 
 def stack_X(network: Network) -> np.ndarray:
-    """Baseline contrasts against each study's first arm, stacked over studies;
+    """Contrasts against each study's first arm, stacked over studies;
     columns follow the network's component order. It is defined for any
     network; whether it identifies the effects is a question of its rank."""
     studies = network.studies
     V = incidence_matrix([t for s in studies for t in s.treatments], network.components)
-    return _baseline_contrasts(V, [s.n_arms for s in studies], [0] * len(studies))
+    return _baseline_contrasts(V, [s.n_arms for s in studies])
 
 
 class GlsSolution(NamedTuple):
@@ -85,9 +85,7 @@ class ContrastDesign:
         if not blocks:
             raise CnmaError("no contrast blocks")
         V = incidence_matrix([t for b in blocks for t in b.treatments], network.components)
-        self.X = _baseline_contrasts(
-            V, [b.n_arms for b in blocks], [b.baseline_arm for b in blocks]
-        )
+        self.X = _baseline_contrasts(V, [b.n_arms for b in blocks])
         self.y = np.concatenate([b.y_star for b in blocks])
         sizes = [b.y_star.size for b in blocks]
         self.starts = np.cumsum([0] + sizes[:-1])

@@ -81,6 +81,8 @@ def derive_relative_effect(
         raise CnmaError(f"level must be in (0, 1), got {level!r}")
     d = np.asarray(d, dtype=float)
     w = contrast_vector(comparator, target, components)
+    if d.shape != w.shape:
+        raise CnmaError(f"d must have one entry per component ({w.size}), got shape {d.shape}")
     point = float(w @ d)
 
     arr = np.asarray(cov_or_draws, dtype=float)

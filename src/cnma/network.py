@@ -73,6 +73,26 @@ def parse_treatment(label: str, separator: str = DEFAULT_SEPARATOR) -> Treatment
     return Treatment(components=tokens, label=label.strip())
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: numpy integers are and bool is not."""
+    # a plain int skips the abstract-class check, the costliest step here
+    return type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
+
+
+def _check_treatments(treatments, owner: str, owner_id: str) -> None:
+    """Raise CnmaError unless ``treatments`` holds >= 2 Treatments, none
+    repeated; the message names the owner, say ``study 's1'``."""
+    if len(treatments) < 2:
+        raise CnmaError(f"{owner} {owner_id!r} needs >= 2 treatments")
+    for t in treatments:
+        if not isinstance(t, Treatment):
+            raise CnmaError(f"{owner} {owner_id!r}: {t!r} is not a Treatment")
+    if len(set(treatments)) != len(treatments):
+        raise CnmaError(f"{owner} {owner_id!r} repeats a treatment")
+
+
 @dataclass(frozen=True)
 class ArmRecord:
     """One arm of a study: its treatment and its event and subject counts."""
@@ -86,12 +106,7 @@ class ArmRecord:
             raise CnmaError(f"arm treatment must be a Treatment, got {self.treatment!r}")
         for name in ("events", "total"):
             value = getattr(self, name)
-            # numpy integers are integers and bool is not; a plain int skips
-            # the abstract-class check, which costs more than the rest of
-            # the validation
-            if type(value) is not int and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
+            if not _is_integer(value):
                 raise CnmaError(f"arm {name} must be an integer, got {value!r}")
         if self.total < 1:
             raise CnmaError(f"arm total must be >= 1, got {self.total}")
@@ -109,10 +124,7 @@ class Study:
     arms: tuple[ArmRecord, ...]
 
     def __post_init__(self):
-        if len(self.arms) < 2:
-            raise CnmaError(f"study {self.id!r} needs >= 2 arms")
-        if len({arm.treatment for arm in self.arms}) != len(self.arms):
-            raise CnmaError(f"study {self.id!r} repeats a treatment")
+        _check_treatments(self.treatments, "study", self.id)
 
     @property
     def n_arms(self) -> int:
@@ -212,16 +224,15 @@ def build_network(studies, components=None) -> Network:
 
 @dataclass(frozen=True)
 class ContrastBlock:
-    """Per-study independent contrasts against a common baseline arm.
+    """One study's contrasts of each later treatment against its first, the baseline.
 
-    ``y_star[j]`` is the log-odds ratio of non-baseline arm j versus the
-    baseline arm; ``se[j]`` its standard error; ``se_baseline`` the standard
-    error of the baseline arm's raw log-odds (the shared covariance term for
-    multi-arm studies).
+    ``y_star[j]`` is the log-odds ratio of ``treatments[j + 1]`` versus the
+    baseline; ``se[j]`` its standard error; ``se_baseline`` the standard error
+    of the baseline arm's raw log-odds (the shared covariance term for
+    multi-arm studies). The treatments follow ``Study``'s rules.
     """
 
     study_id: str
-    baseline_arm: int
     y_star: np.ndarray
     se: np.ndarray
     se_baseline: float
@@ -232,14 +243,8 @@ class ContrastBlock:
         se = np.asarray(self.se, dtype=float)
         object.__setattr__(self, "y_star", y)
         object.__setattr__(self, "se", se)
+        _check_treatments(self.treatments, "contrast block", self.study_id)
         a = len(self.treatments)
-        if a < 2:
-            raise CnmaError("contrast block needs >= 2 treatments")
-        for t in self.treatments:
-            if not isinstance(t, Treatment):
-                raise CnmaError(f"study {self.study_id!r}: {t!r} is not a Treatment")
-        if not 0 <= self.baseline_arm < a:
-            raise CnmaError("baseline arm out of range")
         if y.shape != (a - 1,) or se.shape != (a - 1,):
             raise CnmaError("contrast block dimension mismatch")
         finite = np.isfinite(y).all() and np.isfinite(se).all()
@@ -265,10 +270,21 @@ def _cells(arm: ArmRecord, corrected: bool) -> tuple[float, float]:
     return float(arm.events), float(arm.total - arm.events)
 
 
+def _arm_first(study: Study, j) -> Study:
+    """``study`` with arm ``j`` moved to the front and the other arms in order."""
+    if not _is_integer(j):
+        raise CnmaError(f"baseline arm must be an integer, got {j!r}")
+    if not 0 <= j < study.n_arms:
+        raise CnmaError("baseline arm out of range")
+    arms = study.arms
+    return study if j == 0 else Study(study.id, (arms[j],) + arms[:j] + arms[j + 1 :])
+
+
 def arm_to_contrast(
     study: Study, baseline_arm: int = 0, zero_cell_policy: str = "error"
 ) -> ContrastBlock:
-    """Convert arm-level counts to baseline contrasts (log-odds ratios).
+    """Convert arm-level counts to contrasts (log-odds ratios) against arm
+    ``baseline_arm``, which the block lists first; the others keep their order.
 
     y*_j = log[(r_j/(n_j-r_j)) / (r_b/(n_b-r_b))],
     SE_j = sqrt(1/r_j + 1/(n_j-r_j) + 1/r_b + 1/(n_b-r_b)),
@@ -280,8 +296,7 @@ def arm_to_contrast(
     """
     if zero_cell_policy not in ZERO_CELL_POLICIES:
         raise CnmaError(f"unknown zero-cell policy {zero_cell_policy!r}")
-    if not 0 <= baseline_arm < study.n_arms:
-        raise CnmaError("baseline arm out of range")
+    study = _arm_first(study, baseline_arm)
 
     has_zero = any(
         arm.events == 0 or arm.events == arm.total for arm in study.arms
@@ -290,21 +305,17 @@ def arm_to_contrast(
         raise ZeroCell(f"study {study.id!r} has a zero cell")
     corrected = has_zero and zero_cell_policy == "cc05"
 
-    base = study.arms[baseline_arm]
-    rb, sb = _cells(base, corrected)
+    rb, sb = _cells(study.arms[0], corrected)
     base_logodds_var = 1.0 / rb + 1.0 / sb
 
     y, se = [], []
-    for j, arm in enumerate(study.arms):
-        if j == baseline_arm:
-            continue
+    for arm in study.arms[1:]:
         r, s = _cells(arm, corrected)
         y.append(math.log((r / s) / (rb / sb)))
         se.append(math.sqrt(1.0 / r + 1.0 / s + base_logodds_var))
 
     return ContrastBlock(
         study_id=study.id,
-        baseline_arm=baseline_arm,
         y_star=np.array(y),
         se=np.array(se),
         se_baseline=math.sqrt(base_logodds_var),

@@ -16,7 +16,9 @@ def build_U(a: int, mode: str = "baseline", baseline_arm: int = 0) -> np.ndarray
 
     ``allpairs``: a(a-1)/2 rows in lexicographic pair order, arm k minus arm j
     for j < k. ``baseline``: a-1 rows, each non-baseline arm (in arm order)
-    minus the baseline arm, whose column is all -1.
+    minus the baseline arm, whose column is all -1. The package's baseline is
+    always arm 1 (``baseline_arm=0``); ``cnma.network.arm_to_contrast`` moves
+    the chosen arm there, and the tests check that against other values.
     """
     if a < 2:
         raise CnmaError("contrasts need >= 2 arms")

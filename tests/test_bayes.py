@@ -30,12 +30,13 @@ DESIGNS = (
 )
 
 
-@pytest.fixture(scope="module")
-def studies():
-    """Twelve studies on four components, additive on the anchor A, with the
-    anchor as baseline arm wherever it appears."""
+EFFECT = {"A": 0.0, "B": 0.4, "C": -0.3, "D": 0.2}
+
+
+def additive_studies(effect):
+    """Twelve studies of ``DESIGNS`` on four components, additive in ``effect``,
+    with A as baseline arm wherever it appears."""
     rng = np.random.default_rng(20)
-    effect = {"A": 0.0, "B": 0.4, "C": -0.3, "D": 0.2}
     out = []
     for i, labels in enumerate(DESIGNS):
         treatments = [parse_treatment(lab) for lab in labels]
@@ -45,6 +46,12 @@ def studies():
         arms = zip(treatments, events.tolist(), totals.tolist())
         out.append(Study(id=f"s{i}", arms=tuple(ArmRecord(*arm) for arm in arms)))
     return tuple(out)
+
+
+@pytest.fixture(scope="module")
+def studies():
+    """The twelve studies, additive on the anchor A (its own effect is 0)."""
+    return additive_studies(EFFECT)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +96,33 @@ def test_arm_fixed_effects_agree_with_gls(kind, studies, network):
         w = contrast_vector(ANCHOR, t, network.components)
         post = draws @ w
         assert abs(post.mean() - w @ ref) <= 3.0 * post.std(), t.label
+
+
+@pytest.mark.parametrize("effect_a", [0.5, 0.0])
+def test_anchored_kind_misfits_truth_not_anchored_at_a(effect_a):
+    # the truth is additive, with A's own effect effect_a; the anchored kind
+    # fixes that effect at 0, so at 0.5 it misplaces the contrasts against A
+    # and fits worse by DIC, while the anchor-free kind recovers them
+    effect = dict(EFFECT, A=effect_a)
+    studies = additive_studies(effect)
+    network = build_network(studies)
+    truth = np.array([effect[c] for c in network.components])
+    contrasts = np.array(
+        [contrast_vector(ANCHOR, t, network.components) for t in network.treatments if t != ANCHOR]
+    )
+    worst, dic = {}, {}
+    for kind in ("anchored-arm", "unanchored-arm"):
+        spec, data = inputs(kind, studies, "fixed")
+        fit = bayes.fit(spec, data, network, McmcConfig(burn_in=1000, keep=1000, seed=1))
+        post = fit.component_effect_draws() @ contrasts.T
+        worst[kind] = np.max(np.abs(post.mean(axis=0) - contrasts @ truth) / post.std(axis=0))
+        dic[kind] = bayes.dic(fit).dic
+    gap = dic["anchored-arm"] - dic["unanchored-arm"]
+    assert worst["unanchored-arm"] < 3.0
+    if effect_a:
+        assert worst["anchored-arm"] > 3.0 and gap > 4.0
+    else:
+        assert worst["anchored-arm"] < 3.0 and gap < 4.0
 
 
 def test_contrast_fixed_effects_agrees_with_gls(studies, network):

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from cnma.design import ContrastDesign, incidence_matrix, stack_X
 from cnma.errors import CnmaError
-from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
+from cnma.network import (
+    ArmRecord,
+    ContrastBlock,
+    Study,
+    arm_to_contrast,
+    build_network,
+    parse_treatment,
+)
 from dense import block_covariance, build_Sigma, build_Sigma_star, build_U, mvn_logpdf
 
 
@@ -172,7 +179,8 @@ POOL = tuple(parse_treatment(lab) for lab in ("A", "B", "C", "D", "A+B", "B+C", 
 
 @st.composite
 def contrast_blocks(draw):
-    """1-4 contrast blocks of 2-5 arms with random se, se_baseline and baseline arm."""
+    """1-4 contrast blocks of 2-5 arms with random se, se_baseline and treatment
+    order, so any treatment may be the baseline."""
     blocks = []
     for i in range(draw(st.integers(1, 4))):
         a = draw(st.integers(2, 5))
@@ -184,7 +192,6 @@ def contrast_blocks(draw):
         blocks.append(
             ContrastBlock(
                 study_id=f"s{i}",
-                baseline_arm=draw(st.integers(0, a - 1)),
                 y_star=np.array(y),
                 se=np.sqrt(se_b**2 + np.array(extra)),
                 se_baseline=se_b,
@@ -200,14 +207,7 @@ def dense_reference(blocks, tau2):
         Study(b.study_id, tuple(ArmRecord(t, 1, 10) for t in b.treatments)) for b in blocks
     )
     X = np.vstack(
-        [
-            incidence_matrix(
-                [t for j, t in enumerate(b.treatments) if j != b.baseline_arm],
-                net.components,
-            )
-            - incidence_matrix([b.treatments[b.baseline_arm]], net.components)
-            for b in blocks
-        ]
+        [build_U(b.n_arms) @ incidence_matrix(b.treatments, net.components) for b in blocks]
     )
     y = np.concatenate([b.y_star for b in blocks])
     W = np.zeros((y.size, y.size))
@@ -218,6 +218,36 @@ def dense_reference(blocks, tau2):
         W[at : at + m, at : at + m] = np.linalg.inv(cov)
         at += m
     return net, X, y, W
+
+
+@st.composite
+def arm_studies(draw):
+    """A study of 2-5 arms of distinct treatments; any cell may be zero."""
+    arms = []
+    for j in draw(st.permutations(range(len(POOL))))[: draw(st.integers(2, 5))]:
+        total = draw(st.integers(1, 200))
+        arms.append(ArmRecord(POOL[j], draw(st.integers(0, total)), total))
+    return Study("s", tuple(arms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(study=arm_studies())
+def test_every_baseline_keeps_the_dense_contrasts(study):
+    # arm_to_contrast moves arm b first; the design's rows, contrasts and
+    # block covariance are U_b V, U_b (log-odds) and U_b diag(var) U_b',
+    # U_b taking every other arm minus arm b in arm order
+    net = build_network([study])
+    V = incidence_matrix(study.treatments, net.components)
+    corrected = 0.5 * any(arm.events in (0, arm.total) for arm in study.arms)
+    r = np.array([arm.events for arm in study.arms]) + corrected
+    s = np.array([arm.total - arm.events for arm in study.arms]) + corrected
+    for b in range(study.n_arms):
+        U = build_U(study.n_arms, "baseline", b)
+        design = ContrastDesign([arm_to_contrast(study, b, "cc05")], net)
+        cov = U @ np.diag(1.0 / r + 1.0 / s) @ U.T
+        assert np.array_equal(design.X, U @ V)
+        np.testing.assert_allclose(design.y, U @ np.log(r / s), rtol=1e-12, atol=1e-12)
+        close(np.diag(design.within) + design.shared[0], cov, cov)
 
 
 def close(actual, expected, scale):

@@ -128,6 +128,15 @@ class TestDeriveRelativeEffect:
         with pytest.raises(CnmaError, match="draws"):
             self.relative_a(self.draws_of_a(values))
 
+    @pytest.mark.parametrize("size", [4, 6])
+    @pytest.mark.parametrize("path", ["covariance", "draws"])
+    def test_d_of_wrong_length_rejected(self, path, size):
+        second = np.eye(5) if path == "covariance" else self.draws_of_a(np.arange(200.0))
+        with pytest.raises(CnmaError, match="one entry per component"):
+            derive_relative_effect(
+                np.zeros(size), second, parse_treatment("E"), parse_treatment("A"), COMPONENTS
+            )
+
     @pytest.mark.parametrize("shape", [(5,), (10, 4), (4, 4), (10, 6)])
     def test_second_argument_of_wrong_shape_rejected(self, shape):
         with pytest.raises(CnmaError, match="cov_or_draws"):

@@ -14,12 +14,11 @@ from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_t
 from dense import block_covariance, build_Sigma_star, build_U
 
 
-def block(study_id, labels, y, se, baseline=0, se_baseline=0.05):
+def block(study_id, labels, y, se, se_baseline=0.05):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     se = np.atleast_1d(np.asarray(se, dtype=float))
     return ContrastBlock(
         study_id=study_id,
-        baseline_arm=baseline,
         y_star=y,
         se=se,
         se_baseline=se_baseline,
@@ -148,7 +147,7 @@ POOL = ("A", "B", "C", "D", "A+B", "B+C", "A+C+D")
 
 
 def random_network_blocks(seed):
-    """Ten studies of 2-4 arms, baseline arm 0, noisy contrasts."""
+    """Ten studies of 2-4 arms, noisy contrasts."""
     rng = np.random.default_rng(seed)
     blocks = []
     for i in range(10):
@@ -156,7 +155,7 @@ def random_network_blocks(seed):
         labels = [POOL[j] for j in rng.choice(len(POOL), size=a, replace=False)]
         se_b = rng.uniform(0.05, 0.3)
         se = np.sqrt(se_b**2 + rng.uniform(0.01, 0.2, size=a - 1))
-        blocks.append(block(f"s{i}", labels, rng.normal(0.0, 0.6, size=a - 1), se, 0, se_b))
+        blocks.append(block(f"s{i}", labels, rng.normal(0.0, 0.6, size=a - 1), se, se_b))
     return blocks
 
 

@@ -234,11 +234,20 @@ class TestArmToContrast:
         study = two_arm("s1", "P", "T", r=(10, 20), n=(50, 50))
         block = arm_to_contrast(study, baseline_arm=1)
         assert block.y_star[0] == pytest.approx(-0.98083, abs=1e-5)
-        assert block.treatments == study.treatments
+        # the baseline comes first
+        assert block.treatments == study.treatments[::-1]
 
     @pytest.mark.parametrize(
         "baseline, policy, message",
-        [(0, "cc", "zero-cell policy"), (2, "error", "out of range"), (-1, "error", "out of range")],
+        [
+            (0, "cc", "zero-cell policy"),
+            (2, "error", "out of range"),
+            (-1, "error", "out of range"),
+            (True, "error", "must be an integer"),
+            (False, "error", "must be an integer"),
+            (1.0, "error", "must be an integer"),
+            ("1", "error", "must be an integer"),
+        ],
     )
     def test_bad_arguments_rejected(self, baseline, policy, message):
         with pytest.raises(CnmaError, match=message):
@@ -277,7 +286,6 @@ class TestContrastBlock:
     def three_arm(**overrides):
         fields = dict(
             study_id="s",
-            baseline_arm=0,
             y_star=np.array([0.4, -0.2]),
             se=np.array([0.3, 0.35]),
             se_baseline=0.2,
@@ -309,8 +317,14 @@ class TestContrastBlock:
         "overrides, message",
         [
             ({"treatments": (parse_treatment("P"),), "y_star": [], "se": []}, ">= 2 treatments"),
-            ({"baseline_arm": 3}, "baseline arm out of range"),
-            ({"baseline_arm": -1}, "baseline arm out of range"),
+            (
+                {"treatments": (parse_treatment("A"),) * 2, "y_star": [0.5], "se": [0.2]},
+                "repeats a treatment",
+            ),
+            (
+                {"treatments": tuple(parse_treatment(t) for t in ("A", "B", "B"))},
+                "repeats a treatment",
+            ),
             ({"y_star": np.array([0.4])}, "dimension mismatch"),
             ({"se": np.array([0.3, 0.35, 0.4])}, "dimension mismatch"),
             ({"se": np.array([0.3, 0.0])}, "must be positive"),
