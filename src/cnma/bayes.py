@@ -44,7 +44,7 @@ from .design import LOG_2PI, ContrastDesign, incidence_matrix
 from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
 from .mcmc import Block, McmcConfig, PosteriorSample, rng_stream, run_chains, summarize
 from .network import ContrastBlock, Network, Study, Treatment, _check_study_ids
-from .network import _arm_first, arm_to_contrast
+from .network import _arm_first, _is_real, arm_to_contrast
 
 logger = logging.getLogger("cnma")
 
@@ -67,7 +67,7 @@ class Priors:
     def __post_init__(self):
         for name in ("d_variance", "alpha_variance", "sigma_upper"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not math.isfinite(value) or value <= 0:
+            if not _is_real(value) or not math.isfinite(value) or value <= 0:
                 raise CnmaError(f"{name} must be finite and positive, got {value!r}")
 
 
@@ -89,6 +89,8 @@ class ModelSpec:
             raise UnknownAnchor(f"anchor must be a Treatment, got {self.anchor!r}")
         if (self.anchor is not None) != (self.kind == "anchored-arm"):
             raise CnmaError("anchor is required for anchored-arm and only there")
+        if not isinstance(self.priors, Priors):
+            raise CnmaError(f"priors must be a Priors, got {self.priors!r}")
 
     @property
     def random_effects(self) -> bool:

@@ -1,12 +1,11 @@
-"""Additivity and consistency algebra over fitted component effects, and SUCRA.
+"""Relative effects and rankings from fitted component effects.
 
-Component-effect vectors are indexed by an explicit component order (the
-network's frozen order). Treatment-level effects are sums of component
-entries; relative effects between arbitrary treatments follow from
-consistency: d(comparator -> target) = level(target) - level(comparator).
-
-SUCRA and ``freq.p_scores`` share one score: the mean over the other treatments
-of the probability of beating each (Rücker & Schwarzer 2015).
+``contrast_vector`` gives w with w @ d = one treatment's effect minus another's,
+where a treatment's effect is the sum of its components' entries of d (in the
+network's frozen component order). ``derive_relative_effect`` makes that an
+``EffectEstimate`` from a covariance or posterior draws; ``sucra`` ranks from
+posterior draws by the score it shares with ``freq.p_scores``: the mean over
+the other treatments of the probability of beating each (Rücker & Schwarzer 2015).
 """
 
 from __future__ import annotations
@@ -43,11 +42,6 @@ def _ranked_treatments(treatments, direction: str) -> list[Treatment]:
         if t in treatments[:i]:
             raise CnmaError(f"treatment {t.label!r} is listed more than once")
     return treatments
-
-
-def additive_effect(d: np.ndarray, treatment: Treatment, components) -> float:
-    """Treatment-level effect: the sum of its components' entries in d."""
-    return float(incidence_matrix([treatment], components)[0] @ np.asarray(d, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -142,60 +136,3 @@ def sucra(
     mean_rank = ranks.mean(axis=0)
     scores = (n_t - mean_rank) / (n_t - 1)
     return dict(zip(treatments, scores.tolist()))
-
-
-@dataclass(frozen=True)
-class AnchorCheck:
-    """Per multi, the additivity residual at a second anchor and its predicted value."""
-
-    residuals: dict[Treatment, float]
-    expected: dict[Treatment, float]
-    max_residual: float
-    matches_identity: bool
-
-
-def verify_unique_anchor(
-    d_relative_to_y: dict[Treatment, float],
-    y: Treatment,
-    z: Treatment,
-    multis,
-    tol: float = 1e-12,
-) -> AnchorCheck:
-    """Check the algebraic obstruction to a second anchor.
-
-    Given effects relative to Y under additivity anchored at Y, the additivity
-    residual anchored at Z for a multicomponent treatment X is
-    |d_{Z,X} - sum_{c in X} d_{Z,c}| and must equal (|X| - 1) * |d_{Y,Z}|,
-    so it vanishes only when Z coincides with Y.
-    """
-
-    def effect_vs_y(t: Treatment) -> float:
-        if t == y:
-            return 0.0
-        if t not in d_relative_to_y:
-            raise CnmaError(f"missing effect for {t.label!r} relative to {y.label!r}")
-        return d_relative_to_y[t]
-
-    d_yz = effect_vs_y(z)
-    residuals, expected = {}, {}
-    for x in multis:
-        if x.size < 2:
-            raise CnmaError(f"{x.label!r} is not multicomponent")
-        d_zx = effect_vs_y(x) - d_yz
-        parts = 0.0
-        for comp in x.components:
-            single = Treatment(components=(comp,))
-            parts += effect_vs_y(single) - d_yz
-        residuals[x] = abs(d_zx - parts)
-        expected[x] = (x.size - 1) * abs(d_yz)
-
-    max_residual = max(residuals.values()) if residuals else 0.0
-    matches = all(
-        abs(residuals[x] - expected[x]) <= tol for x in residuals
-    )
-    return AnchorCheck(
-        residuals=residuals,
-        expected=expected,
-        max_residual=max_residual,
-        matches_identity=matches,
-    )

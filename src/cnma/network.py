@@ -81,6 +81,13 @@ def _is_integer(value) -> bool:
     )
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: numpy numbers are and bool is not."""
+    return type(value) is float or (
+        not isinstance(value, bool) and isinstance(value, numbers.Real)
+    )
+
+
 def _check_treatments(treatments, owner: str, owner_id: str) -> None:
     """Raise CnmaError unless ``treatments`` holds >= 2 Treatments, none
     repeated; the message names the owner, say ``study 's1'``."""
@@ -149,10 +156,6 @@ class Network:
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    @property
-    def n_studies(self) -> int:
-        return len(self.studies)
 
     @cached_property
     def treatments(self) -> tuple[Treatment, ...]:
@@ -248,8 +251,8 @@ class ContrastBlock:
         if y.shape != (a - 1,) or se.shape != (a - 1,):
             raise CnmaError("contrast block dimension mismatch")
         finite = np.isfinite(y).all() and np.isfinite(se).all()
-        if not (finite and math.isfinite(self.se_baseline)):
-            raise CnmaError(f"study {self.study_id!r}: contrast entries must be finite")
+        if not (finite and _is_real(self.se_baseline) and math.isfinite(self.se_baseline)):
+            raise CnmaError(f"study {self.study_id!r}: contrast entries must be finite numbers")
         if np.any(se <= 0):
             raise CnmaError("contrast standard errors must be positive")
         if self.se_baseline < 0:

@@ -204,11 +204,13 @@ def test_validate_rejects(kind, anchor, contrast_data, error, studies, network):
         ("unanchored-arm", "random", None, {"sigma_upper": 0.0}),
         ("unanchored-arm", "random", None, {"d_variance": True}),
         ("anchored-arm", "random", "A", {}),
+        ("unanchored-arm", "random", None, {"d_variance": "1"}),
+        ("unanchored-arm", "random", None, None),
     ],
 )
 def test_model_settings_rejected(kind, effects, anchor, priors):
     with pytest.raises(CnmaError):
-        bayes.ModelSpec(kind, effects, anchor, bayes.Priors(**priors))
+        bayes.ModelSpec(kind, effects, anchor, None if priors is None else bayes.Priors(**priors))
 
 
 def test_anchor_moves_to_first_arm(studies, network):

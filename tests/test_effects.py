@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnma.effects import (
-    EffectEstimate,
-    additive_effect,
-    derive_relative_effect,
-    sucra,
-    verify_unique_anchor,
-)
+from cnma.effects import EffectEstimate, contrast_vector, derive_relative_effect, sucra
 from cnma.errors import CnmaError, UnknownComponent
-from cnma.network import parse_treatment
+from cnma.network import Treatment, parse_treatment
 
 COMPONENTS = ("E", "A", "B", "C", "D")
 # single-component effects relative to E
@@ -19,24 +13,23 @@ D_VS_E = np.array([0.0, 1.2, 0.9, 0.8, 0.7])
 
 
 class TestAdditiveEffect:
+    # against E, whose own entry is 0, a treatment's effect is its components' sum
+    @staticmethod
+    def effect_vs_e(label):
+        return contrast_vector(parse_treatment("E"), parse_treatment(label), COMPONENTS) @ D_VS_E
+
     def test_two_components(self):
-        assert additive_effect(D_VS_E, parse_treatment("A+C"), COMPONENTS) == (
-            pytest.approx(2.0)
-        )
+        assert self.effect_vs_e("A+C") == pytest.approx(2.0)
 
     def test_single_component(self):
-        assert additive_effect(D_VS_E, parse_treatment("B"), COMPONENTS) == (
-            pytest.approx(0.9)
-        )
+        assert self.effect_vs_e("B") == pytest.approx(0.9)
 
     def test_three_components(self):
-        assert additive_effect(D_VS_E, parse_treatment("A+C+D"), COMPONENTS) == (
-            pytest.approx(2.7)
-        )
+        assert self.effect_vs_e("A+C+D") == pytest.approx(2.7)
 
     def test_missing_component(self):
         with pytest.raises(UnknownComponent):
-            additive_effect(D_VS_E, parse_treatment("Z"), COMPONENTS)
+            self.effect_vs_e("Z")
 
 
 class TestDeriveRelativeEffect:
@@ -227,80 +220,41 @@ class TestSucra:
             sucra(draws, [parse_treatment(x) for x in labels])
 
 
-class TestVerifyUniqueAnchor:
-    def effects_vs_e(self):
-        # additivity holds with E as the anchor; multis are component sums
-        vals = {
-            parse_treatment("A"): 1.2,
-            parse_treatment("B"): 0.9,
-            parse_treatment("C"): 0.8,
-            parse_treatment("D"): 0.7,
-            parse_treatment("A+C"): 2.0,
-            parse_treatment("A+C+D"): 2.7,
-        }
-        return vals
+@st.composite
+def anchored_effects(draw):
+    """Component order, effects d with anchor Y's entry 0, a component Z and
+    a combination X of >= 2 components (X may hold Y or Z)."""
+    k = draw(st.integers(2, 6))
+    components = tuple(f"c{i}" for i in range(k))
+    d = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k)))
+    y, z = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    d[y] = 0.0
+    x = draw(st.lists(st.sampled_from(components), min_size=2, max_size=k, unique=True))
+    return components, d, components[y], components[z], x
 
-    def test_two_component_residual(self):
-        check = verify_unique_anchor(
-            self.effects_vs_e(),
-            parse_treatment("E"),
-            parse_treatment("B"),
-            [parse_treatment("A+C")],
-        )
-        assert check.residuals[parse_treatment("A+C")] == pytest.approx(
-            0.9, abs=1e-12
-        )
-        assert check.matches_identity
 
-    def test_three_component_residual(self):
-        check = verify_unique_anchor(
-            self.effects_vs_e(),
-            parse_treatment("E"),
-            parse_treatment("B"),
-            [parse_treatment("A+C+D")],
-        )
-        assert check.residuals[parse_treatment("A+C+D")] == pytest.approx(
-            1.8, abs=1e-12
-        )
-        assert check.max_residual == pytest.approx(1.8, abs=1e-12)
+@settings(max_examples=100, deadline=None)
+@given(anchored_effects())
+@example((COMPONENTS, D_VS_E, "E", "B", ["A", "C"]))  # residual 0.9
+@example((COMPONENTS, D_VS_E, "E", "B", ["A", "C", "D"]))  # residual 1.8
+@example((COMPONENTS, D_VS_E, "E", "B", ["E", "A"]))  # X holds the anchor Y
+@example((("E", "A", "Z"), np.array([0.0, 1.2, 0.0]), "E", "Z", ["Z", "A"]))  # d_Z = d_Y
+def test_additivity_anchored_at_y_misses_at_any_other_anchor(case):
+    # the paper's identity: under additivity anchored at Y, the additivity
+    # residual at a single-component anchor Z is (|X| - 1) |d_YZ| for every
+    # combination X, so Y is the only anchor at which additivity holds
+    components, d, y, z, x = case
+    y, z, x = Treatment((y,)), Treatment((z,)), Treatment(tuple(x))
 
-    def test_degenerate_anchor_zero_residual(self):
-        vals = self.effects_vs_e()
-        z = parse_treatment("Z")
-        vals[z] = 0.0  # Z indistinguishable from Y in effect
-        vals[parse_treatment("Z+A")] = 1.2  # additive under anchor E
-        check = verify_unique_anchor(
-            vals, parse_treatment("E"), z, [parse_treatment("Z+A")]
-        )
-        assert check.max_residual == pytest.approx(0.0, abs=1e-12)
+    def residual(anchor):
+        def effect(target):
+            return contrast_vector(anchor, target, components) @ d
 
-    def test_multi_containing_the_anchor(self):
-        # E's own effect relative to E is zero: E+A is additive at A's value
-        vals = self.effects_vs_e()
-        vals[parse_treatment("E+A")] = 1.2
-        check = verify_unique_anchor(
-            vals, parse_treatment("E"), parse_treatment("B"), [parse_treatment("E+A")]
-        )
-        assert check.residuals[parse_treatment("E+A")] == pytest.approx(0.9, abs=1e-12)
-        assert check.matches_identity
+        return abs(effect(x) - sum(effect(Treatment((c,))) for c in x.components))
 
-    def test_missing_effect_rejected(self):
-        with pytest.raises(CnmaError, match="missing effect for 'B\\+D' relative to 'E'"):
-            verify_unique_anchor(
-                self.effects_vs_e(),
-                parse_treatment("E"),
-                parse_treatment("C"),
-                [parse_treatment("B+D")],
-            )
-
-    def test_rejects_single_component_multi(self):
-        with pytest.raises(CnmaError):
-            verify_unique_anchor(
-                self.effects_vs_e(),
-                parse_treatment("E"),
-                parse_treatment("B"),
-                [parse_treatment("A")],
-            )
+    d_yz = contrast_vector(y, z, components) @ d
+    assert residual(z) == pytest.approx((x.size - 1) * abs(d_yz), rel=1e-9, abs=1e-12)
+    assert residual(y) == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,7 +268,7 @@ def test_composition_orderings(raw):
     c, b, dd = parse_treatment("C"), parse_treatment("B"), parse_treatment("D")
 
     # anchor E: the combination beats both of its components
-    eff_cd = additive_effect(d, cd, comps)
+    eff_cd = contrast_vector(parse_treatment("E"), cd, comps) @ d
     assert eff_cd > max(d_ec, d_ed)
 
     # anchor B: relative to B, the combination falls below both components

@@ -90,7 +90,6 @@ class TestBuildNetwork:
     def test_single_two_arm_study(self):
         net = build_network([two_arm("s1", "E", "A")])
         assert net.n_components == 2
-        assert net.n_studies == 1
         assert net.connected
 
     def test_component_first_appearance_order(self):
@@ -307,6 +306,7 @@ class TestContrastBlock:
             ("se", np.array([np.nan, 0.35])),
             ("se_baseline", np.nan),
             ("se_baseline", np.inf),
+            ("se_baseline", "0.1"),
         ],
     )
     def test_non_finite_entries_rejected(self, field, value):

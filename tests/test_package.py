@@ -7,6 +7,10 @@ from pathlib import Path
 import cnma
 from cnma import errors
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# the user entry points that no module of the package or the benchmark calls
+ENTRY_POINTS = {"dic"}
+
 
 def test_import_leaves_scipy_stats_out():
     # scipy.stats costs tens of MB of memory at import and scipy.linalg about
@@ -69,8 +73,29 @@ def test_public_classes_and_functions_have_docstrings():
         f"{path.name}: {node.name}"
         for path in sorted(package.glob("*.py"))
         for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
         and ast.get_docstring(node) is None
     ]
     assert missing == []
+
+
+def test_every_public_name_has_a_reader():
+    # a public function or class that only tests read is surface no caller
+    # needs: each is read by name outside its own definition, in the package
+    # or in bench/, or is an entry point
+    package = Path(cnma.__file__).resolve().parent
+    paths = sorted(package.glob("*.py")) + sorted((package.parents[1] / "bench").glob("*.py"))
+    public, reads = {}, set()
+    for path in paths:
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)  # set on def and class statements
+            if isinstance(stmt, DEFINITIONS) and path.parent == package:
+                if not owner.startswith("_"):
+                    public[owner] = path
+            reads.update(
+                (path, owner, node.id if isinstance(node, ast.Name) else node.attr)
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            )
+    read = {name for path, owner, name in reads if (path, owner) != (public.get(name), name)}
+    assert set(public) - read == ENTRY_POINTS
