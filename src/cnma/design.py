@@ -78,6 +78,11 @@ class ContrastDesign:
     block-diagonal weight W = (S* + tau2 Sigma*)^-1 costs per-contrast
     arithmetic plus one per-study sum (``np.add.reduceat``); no n x n matrix
     is formed.
+
+    The weights are computed once per tau2 and kept, read-only, for the two
+    most recently used tau2: a sweep asks for the current sigma and a proposal,
+    and returns to the current one after a rejection. The first ``logpdf`` at
+    a tau2 adds the log determinant to its entry, so ``gls`` never pays for it.
     """
 
     def __init__(self, blocks, network: Network):
@@ -91,7 +96,8 @@ class ContrastDesign:
         self.starts = np.cumsum([0] + sizes[:-1])
         self.study = np.repeat(np.arange(len(blocks)), sizes)
         self.shared = np.array([b.se_baseline**2 for b in blocks])
-        self.within = np.concatenate([b.se**2 for b in blocks]) - self.shared[self.study]
+        self.within = np.concatenate([b.se for b in blocks]) ** 2 - self.shared[self.study]
+        self._cache = []  # [tau2, w, g, denom, logdet or None], most recent first
 
     @cached_property
     def null_space(self) -> np.ndarray:
@@ -109,7 +115,18 @@ class ContrastDesign:
     def rank(self) -> int:
         return self.X.shape[1] - self.null_space.shape[1]
 
-    def _weights(self, tau2: float):
+    def _weights(self, tau2: float) -> list:
+        """The cache entry [tau2, w, g, denom, logdet or None] at ``tau2``, moved first."""
+        for i, entry in enumerate(self._cache):
+            if entry[0] == tau2:
+                self._cache.insert(0, self._cache.pop(i))
+                return entry
+        w, g, denom = self._compute_weights(tau2)
+        w.flags.writeable = g.flags.writeable = denom.flags.writeable = False
+        self._cache = [[tau2, w, g, denom, None], *self._cache[:1]]
+        return self._cache[0]
+
+    def _compute_weights(self, tau2: float):
         """Per contrast w = 1 / diagonal; per study the Sherman-Morrison
         denominator 1 + s sum(w) and factor g = s / denominator, s being the
         shared term, so that W_i = diag(w) - g w w'."""
@@ -120,7 +137,7 @@ class ContrastDesign:
 
     def weigh(self, tau2: float, m: np.ndarray) -> np.ndarray:
         """W @ m for a vector or matrix ``m`` with one row per contrast."""
-        w, g, _ = self._weights(tau2)
+        _, w, g, _, _ = self._weights(tau2)
         wm = w[:, None] * m.reshape(w.size, -1)
         sums = np.add.reduceat(wm, self.starts)
         out = wm - (w * g[self.study])[:, None] * sums[self.study]
@@ -132,12 +149,13 @@ class ContrastDesign:
 
     def logpdf(self, d: np.ndarray, tau2: float) -> float:
         """Log density of y* under N(X d, S* + tau2 Sigma*)."""
-        w, g, denom = self._weights(tau2)
+        _, w, g, denom, logdet = entry = self._weights(tau2)
+        if logdet is None:
+            logdet = entry[4] = np.sum(np.log(denom)) - np.sum(np.log(w))
         r = self.y - self.X @ d
         wr = w * r
         sums = np.add.reduceat(wr, self.starts)
         quad = wr @ r - g @ (sums * sums)
-        logdet = np.sum(np.log(denom)) - np.sum(np.log(w))
         return float(-0.5 * (r.size * LOG_2PI + logdet + quad))
 
     def gls(self, tau2: float) -> GlsSolution:
@@ -153,7 +171,7 @@ class ContrastDesign:
         cov = (vt.T * s_inv) @ u.T
         d_hat = cov @ (WX.T @ self.y)
         resid = self.y - self.X @ d_hat
-        w, g, _ = self._weights(tau2)
+        _, w, g, _, _ = self._weights(tau2)
         trace_W = np.sum(w) - g @ np.add.reduceat(w * w, self.starts)
         return GlsSolution(
             d_hat=d_hat,

@@ -242,17 +242,19 @@ class ContrastBlock:
     treatments: tuple[Treatment, ...]
 
     def __post_init__(self):
-        y = np.asarray(self.y_star, dtype=float)
-        se = np.asarray(self.se, dtype=float)
+        _check_treatments(self.treatments, "contrast block", self.study_id)
+        try:
+            y, se = np.asarray(self.y_star, dtype=float), np.asarray(self.se, dtype=float)
+            finite = np.isfinite(y).all() and np.isfinite(se).all()
+        except (TypeError, ValueError):  # an entry that is not a number
+            finite = False
+        if not (finite and _is_real(self.se_baseline) and math.isfinite(self.se_baseline)):
+            raise CnmaError(f"study {self.study_id!r}: contrast entries must be finite numbers")
         object.__setattr__(self, "y_star", y)
         object.__setattr__(self, "se", se)
-        _check_treatments(self.treatments, "contrast block", self.study_id)
         a = len(self.treatments)
         if y.shape != (a - 1,) or se.shape != (a - 1,):
             raise CnmaError("contrast block dimension mismatch")
-        finite = np.isfinite(y).all() and np.isfinite(se).all()
-        if not (finite and _is_real(self.se_baseline) and math.isfinite(self.se_baseline)):
-            raise CnmaError(f"study {self.study_id!r}: contrast entries must be finite numbers")
         if np.any(se <= 0):
             raise CnmaError("contrast standard errors must be positive")
         if self.se_baseline < 0:

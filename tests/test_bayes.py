@@ -137,6 +137,27 @@ def test_contrast_fixed_effects_agrees_with_gls(studies, network):
         assert post.std() == pytest.approx(np.sqrt(w @ gls.cov_d @ w), rel=0.3)
 
 
+def test_contrast_fit_computes_the_weights_once_per_sigma(studies, network, monkeypatch):
+    # a sweep evaluates the current sigma and one proposal, and returns to the
+    # current sigma after a rejection, so the two-entry cache of the design
+    # misses at most once per sweep, once per chain start and once for the
+    # preconditioner's fixed-effects information
+    seen = []
+    compute = ContrastDesign._compute_weights
+
+    def counted(self, tau2):
+        seen.append(tau2)
+        return compute(self, tau2)
+
+    monkeypatch.setattr(ContrastDesign, "_compute_weights", counted)
+    spec, blocks = inputs("unanchored-contrast", studies)
+    config = McmcConfig(burn_in=60, keep=40, seed=5)
+    bayes.fit(spec, blocks, network, config)
+    sweeps = config.n_chains * (config.burn_in + config.keep)
+    assert 0.0 in seen
+    assert len(seen) <= sweeps + config.n_chains + 1
+
+
 def test_anchored_preconditioner_is_information_without_anchor(studies, network):
     spec, data = inputs("anchored-arm", studies)
     model = bayes.build_model(spec, data, network)

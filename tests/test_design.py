@@ -311,6 +311,46 @@ class TestContrastDesign:
         assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-12)
         assert np.allclose(X @ N, 0.0, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        blocks=contrast_blocks(),
+        sigmas=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
+        extra=st.lists(st.integers(0, 2), max_size=6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_cached_weights_equal_a_fresh_design(self, blocks, sigmas, extra, seed):
+        # tau2 a, b, a, c, b, a, ... hits the front entry, the second entry and
+        # a dropped one; each step calls the four readers in a different order,
+        # so the log determinant joins entries that gls or weigh made
+        net = dense_reference(blocks, 0.0)[0]
+        d = np.random.default_rng(seed).normal(size=net.n_components)
+        design = ContrastDesign(blocks, net)
+
+        def results(design, tau2, order):
+            out = {
+                "logpdf": lambda: design.logpdf(d, tau2),
+                "weigh": lambda: design.weigh(tau2, design.y),
+                "information": lambda: design.information(tau2),
+                "gls": lambda: design.gls(tau2),
+            }
+            return {name: out[name]() for name in order}
+
+        names = ["logpdf", "weigh", "information", "gls"]
+        for step, i in enumerate([0, 1, 0, 2, 1, 0, *extra]):
+            tau2 = sigmas[i] ** 2
+            order = names[step % 4 :] + names[: step % 4]
+            cached = results(design, tau2, order)
+            fresh = results(ContrastDesign(blocks, net), tau2, names)
+            assert cached["logpdf"] == fresh["logpdf"]
+            assert np.array_equal(cached["weigh"], fresh["weigh"])
+            assert np.array_equal(cached["information"], fresh["information"])
+            for a, b in zip(cached["gls"], fresh["gls"]):
+                assert np.array_equal(a, b)
+            _, w, g, _, _ = design._weights(tau2)
+            for array in (w, g):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
     def test_no_blocks_rejected(self):
         net = build_network([study_from(["A", "B"])])
         with pytest.raises(CnmaError):

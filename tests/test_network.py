@@ -307,10 +307,13 @@ class TestContrastBlock:
             ("se_baseline", np.nan),
             ("se_baseline", np.inf),
             ("se_baseline", "0.1"),
+            ("y_star", ["x", -0.2]),
+            ("se", [0.3, "x"]),
+            ("se", [0.3, {}]),
         ],
     )
     def test_non_finite_entries_rejected(self, field, value):
-        with pytest.raises(CnmaError, match="finite"):
+        with pytest.raises(CnmaError, match="study 's': .*finite"):
             self.three_arm(**{field: value})
 
     @pytest.mark.parametrize(
