@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .design import LOG_2PI, ContrastDesign, incidence_matrix
 from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
@@ -99,7 +98,10 @@ class ModelSpec:
 
 def _log_binomial_coefficients(r: np.ndarray, n: np.ndarray) -> float:
     """Sum of log C(n, r) over arms: the binomial likelihood's constant."""
-    return float(np.sum(gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1)))
+    return float(np.sum([
+        math.lgamma(total + 1) - math.lgamma(events + 1) - math.lgamma(total - events + 1)
+        for events, total in zip(r.tolist(), n.tolist())
+    ]))
 
 
 def _anchor_first(study: Study, anchor: Treatment) -> Study:

@@ -6,20 +6,29 @@ network's frozen component order). ``derive_relative_effect`` makes that an
 ``EffectEstimate`` from a covariance or posterior draws; ``sucra`` ranks from
 posterior draws by the score it shares with ``freq.p_scores``: the mean over
 the other treatments of the probability of beating each (Rücker & Schwarzer 2015).
+
+The normal law's CDF and quantile come from the standard library (``math.erfc``
+and ``statistics.NormalDist``): the package imports numpy and the standard
+library only, and its tests check both against a reference implementation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .design import incidence_matrix
 from .errors import CnmaError
 from .network import Treatment
 
 DIRECTIONS = ("higher-better", "lower-better")
+
+# a covariance whose contrast variance w'Sw falls below -NEGATIVE_VAR_RTOL *
+# |w|'|S||w| is refused: rounding leaves w'Sw far closer to zero than that
+NEGATIVE_VAR_RTOL = 1e-12
 
 
 def contrast_vector(
@@ -28,6 +37,14 @@ def contrast_vector(
     """Weights w such that w @ d = effect of target minus effect of comparator."""
     target_row, comparator_row = incidence_matrix([target, comparator], components)
     return target_row - comparator_row
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of each entry of the vector ``z``, as
+    erfc(-z / sqrt 2) / 2, which keeps its relative accuracy deep in the
+    lower tail."""
+    root2 = math.sqrt(2.0)
+    return np.array([0.5 * math.erfc(-x / root2) for x in np.asarray(z, dtype=float).tolist()])
 
 
 def _ranked_treatments(treatments, direction: str) -> list[Treatment]:
@@ -68,8 +85,10 @@ def derive_relative_effect(
     """Relative effect of ``target`` versus ``comparator``.
 
     ``cov_or_draws`` is either a c x c covariance matrix (frequentist fit,
-    normal interval) or an N x c matrix of finite posterior draws (per-draw
-    evaluation, equal-tailed interval interpolated linearly, type 7).
+    normal interval) or an N x c matrix of posterior draws (per-draw
+    evaluation, equal-tailed interval interpolated linearly, type 7); either
+    must be finite. A covariance that gives the contrast a variance below
+    rounding level is refused.
     """
     if not 0.0 < level < 1.0:
         raise CnmaError(f"level must be in (0, 1), got {level!r}")
@@ -80,20 +99,26 @@ def derive_relative_effect(
     point = float(w @ d)
 
     arr = np.asarray(cov_or_draws, dtype=float)
+    # before the covariance test: a NaN fails np.allclose and would pass for draws
+    if not np.all(np.isfinite(arr)):
+        raise CnmaError("cov_or_draws must be finite")
     tail = (1.0 - level) / 2.0
     is_cov = arr.ndim == 2 and arr.shape == (d.size, d.size) and np.allclose(arr, arr.T)
     if is_cov:
         var = float(w @ arr @ w)
+        if var < -NEGATIVE_VAR_RTOL * float(np.abs(w) @ np.abs(arr) @ np.abs(w)):
+            raise CnmaError(
+                f"cov_or_draws gives the contrast a negative variance ({var!r}): "
+                "it is not a covariance"
+            )
         se = float(np.sqrt(max(var, 0.0)))
-        z = float(ndtri(1.0 - tail))
+        z = NormalDist().inv_cdf(1.0 - tail)
         return EffectEstimate(
             comparator, target, point, point - z * se, point + z * se, se, "freq"
         )
     if arr.ndim == 2 and arr.shape[1] == d.size:
         if arr.shape[0] == 0:
             raise CnmaError("no posterior draws")
-        if not np.all(np.isfinite(arr)):
-            raise CnmaError("posterior draws must be finite")
         vals = arr @ w
         lower, upper = np.quantile(vals, [tail, 1.0 - tail], method="linear")
         return EffectEstimate(

@@ -12,6 +12,9 @@ group: a contrast w is estimable when it lies in the row space of the
 stacked design X, that is has no part along its null space; the weights
 never enter. ``gls_fit`` refuses a network with a treatment contrast outside
 it, and ``p_scores`` a list of treatments with one.
+
+Like the rest of the package, this module needs numpy and the standard
+library only: ``p_scores`` takes the normal CDF from ``effects``.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .design import ContrastDesign, incidence_matrix
-from .effects import _ranked_treatments
+from .effects import _normal_cdf, _ranked_treatments
 from .errors import CnmaError, NotIdentifiable
 from .network import Network, Treatment
 
@@ -134,5 +136,5 @@ def p_scores(
             f"{treatments[l].label!r}"
         )
     z = diff[pairs] / np.sqrt(var[pairs])
-    probs = ndtr(z if direction == "higher-better" else -z).reshape(n, n - 1)
+    probs = _normal_cdf(z if direction == "higher-better" else -z).reshape(n, n - 1)
     return dict(zip(treatments, probs.mean(axis=1).tolist()))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, gammaln
 from scipy.stats import binom, norm
 
 from cnma import bayes, mcmc
@@ -510,6 +510,19 @@ def binomial_loglik(kind, studies, names, x):
     ).T
     p = expit(reported_logits(kind, studies, names, x))
     return binom.logpmf(r, n, p).sum(axis=-1)
+
+
+@pytest.mark.parametrize("total", [1, 2, 7, 40, 10**3, 10**5, 10**6, 10**7])
+def test_log_binomial_coefficients_match_gammaln(total):
+    # the constant is summed with the standard library's lgamma, one arm at a
+    # time; scipy's vectorised gammaln is the reference
+    rng = np.random.default_rng(total)
+    n = rng.integers(1, total, size=12, endpoint=True).astype(float)
+    n[:2] = total
+    r = np.floor(rng.uniform(size=n.size) * (n + 1)).clip(0, n)
+    r[0], r[1] = 0.0, n[1]  # log C(n, 0) = log C(n, n) = 0
+    expected = np.sum(gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1))
+    assert bayes._log_binomial_coefficients(r, n) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("effects", ["fixed", "random"])

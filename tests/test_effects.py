@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
-from cnma.effects import EffectEstimate, contrast_vector, derive_relative_effect, sucra
+from cnma.effects import (
+    EffectEstimate,
+    _normal_cdf,
+    contrast_vector,
+    derive_relative_effect,
+    sucra,
+)
 from cnma.errors import CnmaError, UnknownComponent
 from cnma.network import Treatment, parse_treatment
 
@@ -109,6 +116,45 @@ class TestDeriveRelativeEffect:
         assert (est.lower, est.upper) == pytest.approx((1.2 - 1.959964, 1.2 + 1.959964))
         assert type(est.lower) is type(est.upper) is float
 
+    def test_covariance_interval_quantile_matches_ndtri_in_the_tails(self):
+        # with point 0 and se 1 the upper bound is the normal quantile itself,
+        # taken from the standard library; scipy's ndtri is the reference
+        levels = np.concatenate([
+            np.logspace(-9, -1, 60), np.linspace(0.1, 0.9, 60), 1.0 - np.logspace(-1, -9, 60)
+        ])
+        for level in levels:
+            est = derive_relative_effect(
+                np.zeros(5), np.eye(5) / 2, parse_treatment("E"), parse_treatment("A"),
+                COMPONENTS, level,
+            )
+            assert est.upper == pytest.approx(ndtri(1.0 - (1.0 - level) / 2.0), rel=0, abs=4e-15)
+
+    def test_negative_contrast_variance_rejected(self):
+        # a covariance of -I gives var(d_B - d_A) = -2, which is no variance
+        with pytest.raises(CnmaError, match="negative variance"):
+            derive_relative_effect(
+                np.array([0.0, 0.3]), -np.eye(2), parse_treatment("A"),
+                parse_treatment("B"), ("A", "B"),
+            )
+
+    def test_rounding_level_negative_variance_reads_as_zero(self):
+        # w'Sw = 1 - 2 + (1 - 2^-53) = -1.1e-16, rounding error of a singular S
+        cov = np.array([[1.0, 1.0], [1.0, np.nextafter(1.0, 0.0)]])
+        est = derive_relative_effect(
+            np.array([0.0, 0.3]), cov, parse_treatment("A"), parse_treatment("B"), ("A", "B")
+        )
+        assert est.se == 0.0
+        assert est.lower == est.upper == est.point == 0.3
+
+    def test_non_finite_covariance_named_as_such(self):
+        # a NaN fails the symmetry test, so it is caught before the split
+        # between covariance and draws
+        with pytest.raises(CnmaError, match="cov_or_draws must be finite"):
+            derive_relative_effect(
+                np.array([0.0, 0.3]), np.array([[1.0, 0.0], [0.0, np.nan]]),
+                parse_treatment("A"), parse_treatment("B"), ("A", "B"),
+            )
+
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -1.0, np.nan])
     @pytest.mark.parametrize("path", ["covariance", "draws"])
     def test_level_outside_unit_interval_rejected(self, path, level):
@@ -145,6 +191,13 @@ class TestDeriveRelativeEffect:
                     lm = derive_relative_effect(D_VS_E, cov, l, m, COMPONENTS).point
                     km = derive_relative_effect(D_VS_E, cov, k, m, COMPONENTS).point
                     assert kl + lm == pytest.approx(km, abs=1e-12)
+
+
+def test_normal_cdf_matches_ndtr_in_the_tails():
+    # the standard library's erfc gives the CDF that P-scores use; scipy's
+    # ndtr is the reference, down to 1e-316 in the lower tail
+    z = np.linspace(-38.0, 38.0, 20001)
+    np.testing.assert_allclose(_normal_cdf(z), ndtr(z), rtol=0, atol=2.3e-16)
 
 
 class TestSucra:
