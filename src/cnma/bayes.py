@@ -244,9 +244,8 @@ class _ArmModel(_Model):
     @cached_property
     def design(self) -> ContrastDesign:
         """The studies' contrasts against arm 1 from the arm counts (cc05)."""
-        return ContrastDesign(
-            [arm_to_contrast(s, 0, "cc05") for s in self.studies], self.network
-        )
+        blocks = [arm_to_contrast(s, 0, "cc05") for s in self.studies]
+        return ContrastDesign(blocks, self.network.components)
 
     # --- parameterization maps -------------------------------------------
 
@@ -431,7 +430,7 @@ class _ContrastModel(_Model):
 
     def __init__(self, blocks, network: Network, spec: ModelSpec):
         super().__init__(network, spec, network.components)
-        self.design = ContrastDesign(blocks, network)
+        self.design = ContrastDesign(blocks, network.components)
 
     def loglik(self, x: np.ndarray) -> float:
         sigma2 = x[self.sigma_pos] ** 2 if self.spec.random_effects else 0.0
@@ -566,7 +565,8 @@ def _warn_if_unconverged(spec: ModelSpec, sample: PosteriorSample) -> None:
 def build_model(spec: ModelSpec, data, network: Network):
     """The model of ``spec`` for ``data``; a design whose columns for the
     sampled effects have rank below their number is refused, since the prior
-    alone would fix the effects it leaves free."""
+    alone would fix the effects it leaves free. ``data`` may be a generator."""
+    data = tuple(data)
     _validate(spec, data, network)
     if spec.kind in ("anchored-arm", "unanchored-arm"):
         model = _ArmModel(data, network, spec)

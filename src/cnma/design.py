@@ -4,16 +4,16 @@ Every design matrix in the package is rows of one treatment x component
 incidence matrix, built by ``incidence_matrix``: an arm-level model's V holds
 its arms' rows, and the stacked regression matrix X holds, per study, each
 later arm's row minus the first arm's: a study's first treatment is its
-baseline, and ``arm_to_contrast`` puts the chosen one there. ``ContrastDesign``
-holds the stacked contrasts of a set of contrast blocks with their
-compound-symmetry covariance in closed form; no contrast matrix U or
-compound-symmetry matrix Sigma* is ever formed.
+baseline, and ``arm_to_contrast`` puts the chosen one there.
+``ContrastDesign`` holds the stacked contrasts of a set of contrast blocks; one
+helper, ``_compound_symmetry``, gives their covariance's closed forms, so no
+contrast matrix U or compound-symmetry matrix Sigma* is ever formed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,10 +38,12 @@ def incidence_matrix(treatments, components) -> np.ndarray:
     return V
 
 
-def _baseline_contrasts(V: np.ndarray, n_arms) -> np.ndarray:
-    """Rows of X from the stacked arm rows V of consecutive studies: per study,
-    each later arm's row minus the first arm's."""
-    n_arms = np.asarray(n_arms)
+def _baseline_contrasts(records, components) -> np.ndarray:
+    """Rows of X for consecutive studies or contrast blocks, from their
+    ``treatments`` and ``n_arms``: per record, each later treatment's
+    incidence row minus the first's; columns follow ``components``."""
+    V = incidence_matrix([t for r in records for t in r.treatments], components)
+    n_arms = np.array([r.n_arms for r in records])
     first = np.cumsum(n_arms) - n_arms
     contrast = np.ones(len(V), dtype=bool)
     contrast[first] = False
@@ -52,9 +54,20 @@ def stack_X(network: Network) -> np.ndarray:
     """Contrasts against each study's first arm, stacked over studies;
     columns follow the network's component order. It is defined for any
     network; whether it identifies the effects is a question of its rank."""
-    studies = network.studies
-    V = incidence_matrix([t for s in studies for t in s.treatments], network.components)
-    return _baseline_contrasts(V, [s.n_arms for s in studies])
+    return _baseline_contrasts(network.studies, network.components)
+
+
+def _compound_symmetry(within, shared, starts, tau2: float):
+    """(w, g, logdet) for studies whose covariance blocks, from row
+    ``starts[i]``, are diag(within + tau2/2) + s 11' with s = shared + tau2/2:
+    read-only w = 1 / diagonal and g = s / (1 + s sum(w)), so that the block
+    of W is diag(w) - g w w', and the log determinant of the covariance."""
+    w = 1.0 / (within + 0.5 * tau2)
+    s = shared + 0.5 * tau2
+    denom = 1.0 + s * np.add.reduceat(w, starts)
+    g = s / denom
+    w.flags.writeable = g.flags.writeable = False
+    return w, g, np.sum(np.log(denom)) - np.sum(np.log(w))
 
 
 class GlsSolution(NamedTuple):
@@ -79,27 +92,28 @@ class ContrastDesign:
     arithmetic plus one per-study sum (``np.add.reduceat``); no n x n matrix
     is formed.
 
-    The weights are computed once per tau2 and kept, read-only, for the two
-    most recently used tau2: a sweep asks for the current sigma and a proposal,
-    and returns to the current one after a rejection. The first ``logpdf`` at
-    a tau2 adds the log determinant to its entry, so ``gls`` never pays for it.
+    ``_weights`` is ``_compound_symmetry`` behind an LRU cache of the two most
+    recent tau2: a sweep asks for the current sigma and a proposal, and
+    returns to the current one after a rejection.
     """
 
-    def __init__(self, blocks, network: Network):
+    def __init__(self, blocks, components):
         blocks = tuple(blocks)
         if not blocks:
             raise CnmaError("no contrast blocks")
-        V = incidence_matrix([t for b in blocks for t in b.treatments], network.components)
-        self.X = _baseline_contrasts(V, [b.n_arms for b in blocks])
+        self.X = _baseline_contrasts(blocks, components)
         self.y = np.concatenate([b.y_star for b in blocks])
         sizes = [b.y_star.size for b in blocks]
         self.starts = np.cumsum([0] + sizes[:-1])
         self.study = np.repeat(np.arange(len(blocks)), sizes)
         self.shared = np.array([b.se_baseline**2 for b in blocks])
         self.within = np.concatenate([b.se for b in blocks]) ** 2 - self.shared[self.study]
-        self._cache = []  # [tau2, w, g, denom, logdet or None], most recent first
+        # a cached bound method would make a reference cycle through self
+        self._weights = functools.lru_cache(maxsize=2)(
+            functools.partial(_compound_symmetry, self.within, self.shared, self.starts)
+        )
 
-    @cached_property
+    @functools.cached_property
     def null_space(self) -> np.ndarray:
         """Orthonormal basis (c x (c - rank)) of the null space of X, from its
         SVD alone: the rank counts singular values above numpy's ``matrix_rank``
@@ -115,29 +129,9 @@ class ContrastDesign:
     def rank(self) -> int:
         return self.X.shape[1] - self.null_space.shape[1]
 
-    def _weights(self, tau2: float) -> list:
-        """The cache entry [tau2, w, g, denom, logdet or None] at ``tau2``, moved first."""
-        for i, entry in enumerate(self._cache):
-            if entry[0] == tau2:
-                self._cache.insert(0, self._cache.pop(i))
-                return entry
-        w, g, denom = self._compute_weights(tau2)
-        w.flags.writeable = g.flags.writeable = denom.flags.writeable = False
-        self._cache = [[tau2, w, g, denom, None], *self._cache[:1]]
-        return self._cache[0]
-
-    def _compute_weights(self, tau2: float):
-        """Per contrast w = 1 / diagonal; per study the Sherman-Morrison
-        denominator 1 + s sum(w) and factor g = s / denominator, s being the
-        shared term, so that W_i = diag(w) - g w w'."""
-        w = 1.0 / (self.within + 0.5 * tau2)
-        s = self.shared + 0.5 * tau2
-        denom = 1.0 + s * np.add.reduceat(w, self.starts)
-        return w, s / denom, denom
-
     def weigh(self, tau2: float, m: np.ndarray) -> np.ndarray:
         """W @ m for a vector or matrix ``m`` with one row per contrast."""
-        _, w, g, _, _ = self._weights(tau2)
+        w, g, _ = self._weights(tau2)
         wm = w[:, None] * m.reshape(w.size, -1)
         sums = np.add.reduceat(wm, self.starts)
         out = wm - (w * g[self.study])[:, None] * sums[self.study]
@@ -149,9 +143,7 @@ class ContrastDesign:
 
     def logpdf(self, d: np.ndarray, tau2: float) -> float:
         """Log density of y* under N(X d, S* + tau2 Sigma*)."""
-        _, w, g, denom, logdet = entry = self._weights(tau2)
-        if logdet is None:
-            logdet = entry[4] = np.sum(np.log(denom)) - np.sum(np.log(w))
+        w, g, logdet = self._weights(tau2)
         r = self.y - self.X @ d
         wr = w * r
         sums = np.add.reduceat(wr, self.starts)
@@ -171,7 +163,7 @@ class ContrastDesign:
         cov = (vt.T * s_inv) @ u.T
         d_hat = cov @ (WX.T @ self.y)
         resid = self.y - self.X @ d_hat
-        _, w, g, _, _ = self._weights(tau2)
+        w, g, _ = self._weights(tau2)
         trace_W = np.sum(w) - g @ np.add.reduceat(w * w, self.starts)
         return GlsSolution(
             d_hat=d_hat,

@@ -10,8 +10,8 @@ GLS answers the contrasts that the design estimates and refuses the rest.
 The design need not have full rank, nor the treatments form one connected
 group: a contrast w is estimable when it lies in the row space of the
 stacked design X, that is has no part along its null space; the weights
-never enter. ``gls_fit`` refuses a network with a treatment contrast outside
-it, and ``p_scores`` a list of treatments with one.
+never enter. ``gls_fit`` refuses blocks that compare treatments with a
+contrast outside it, and ``p_scores`` a list of treatments with one.
 
 Like the rest of the package, this module needs numpy and the standard
 library only: ``p_scores`` takes the normal CDF from ``effects``.
@@ -60,11 +60,12 @@ def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
     if effects_model not in ("fixed", "random"):
         raise CnmaError(f"unknown effects model {effects_model!r}")
 
-    design = ContrastDesign(blocks, network)
+    blocks = tuple(blocks)
+    design = ContrastDesign(blocks, network.components)
     fixed = design.gls(0.0)
     # with full rank every contrast is estimable
     if design.rank < network.n_components:
-        treatments = network.treatments
+        treatments = tuple(dict.fromkeys(t for b in blocks for t in b.treatments))
         _check_estimable(
             treatments, incidence_matrix(treatments, network.components), design.null_space
         )

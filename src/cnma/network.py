@@ -47,6 +47,8 @@ class Treatment:
             raise CnmaError(f"components must be a sequence of labels, got {self.components!r}")
         if len(self.components) == 0:
             raise CnmaError("treatment must have at least one component")
+        if not all(isinstance(comp, str) for comp in self.components):
+            raise CnmaError(f"component labels must be strings, got {self.components!r}")
         if len(set(self.components)) != len(self.components):
             raise DuplicateComponent(f"duplicate component in {self.label or self.components!r}")
         if tuple(sorted(self.components)) != self.components:
@@ -65,8 +67,8 @@ def parse_treatment(label: str, separator: str = DEFAULT_SEPARATOR) -> Treatment
     Tokens are split on ``separator`` and whitespace-trimmed. Empty tokens are
     rejected here, repeated components by ``Treatment``.
     """
-    if not label or not label.strip():
-        raise CnmaError("empty treatment label")
+    if not isinstance(label, str) or not label.strip():
+        raise CnmaError(f"treatment label must be a non-empty string, got {label!r}")
     tokens = tuple(tok.strip() for tok in label.split(separator))
     if any(tok == "" for tok in tokens):
         raise CnmaError(f"empty component token in {label!r}")
@@ -131,6 +133,9 @@ class Study:
     arms: tuple[ArmRecord, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "arms", tuple(self.arms))
+        if not all(isinstance(arm, ArmRecord) for arm in self.arms):
+            raise CnmaError(f"study {self.id!r}: every arm must be an ArmRecord")
         _check_treatments(self.treatments, "study", self.id)
 
     @property
@@ -242,6 +247,7 @@ class ContrastBlock:
     treatments: tuple[Treatment, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "treatments", tuple(self.treatments))
         _check_treatments(self.treatments, "contrast block", self.study_id)
         try:
             y, se = np.asarray(self.y_star, dtype=float), np.asarray(self.se, dtype=float)

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit, gammaln
 from scipy.stats import binom, norm
 
-from cnma import bayes, mcmc
+from cnma import bayes, design, mcmc
 from cnma.design import ContrastDesign, incidence_matrix, stack_X
 from cnma.effects import contrast_vector
 from cnma.errors import (
@@ -77,6 +77,15 @@ def test_same_seed_bit_identical_draws(kind, studies, network):
     assert np.array_equal(first.sample.draws, second.sample.draws)
 
 
+@pytest.mark.parametrize("kind", ["unanchored-arm", "unanchored-contrast"])
+def test_generator_data_fits_as_a_tuple(kind, studies, network):
+    spec, data = inputs(kind, studies)
+    config = McmcConfig(burn_in=60, keep=40, seed=5)
+    first = bayes.fit(spec, tuple(data), network, config)
+    second = bayes.fit(spec, (x for x in data), network, config)
+    assert np.array_equal(first.sample.draws, second.sample.draws)
+
+
 @pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
 def test_arm_fixed_effects_agree_with_gls(kind, studies, network):
     # every treatment's contrast against A lies within 3 posterior SDs of the
@@ -139,17 +148,17 @@ def test_contrast_fixed_effects_agrees_with_gls(studies, network):
 
 def test_contrast_fit_computes_the_weights_once_per_sigma(studies, network, monkeypatch):
     # a sweep evaluates the current sigma and one proposal, and returns to the
-    # current sigma after a rejection, so the two-entry cache of the design
+    # current sigma after a rejection, so the design's two-entry LRU cache
     # misses at most once per sweep, once per chain start and once for the
     # preconditioner's fixed-effects information
     seen = []
-    compute = ContrastDesign._compute_weights
+    compute = design._compound_symmetry
 
-    def counted(self, tau2):
+    def counted(within, shared, starts, tau2):
         seen.append(tau2)
-        return compute(self, tau2)
+        return compute(within, shared, starts, tau2)
 
-    monkeypatch.setattr(ContrastDesign, "_compute_weights", counted)
+    monkeypatch.setattr(design, "_compound_symmetry", counted)
     spec, blocks = inputs("unanchored-contrast", studies)
     config = McmcConfig(burn_in=60, keep=40, seed=5)
     bayes.fit(spec, blocks, network, config)

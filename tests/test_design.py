@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,7 +246,7 @@ def test_every_baseline_keeps_the_dense_contrasts(study):
     s = np.array([arm.total - arm.events for arm in study.arms]) + corrected
     for b in range(study.n_arms):
         U = build_U(study.n_arms, "baseline", b)
-        design = ContrastDesign([arm_to_contrast(study, b, "cc05")], net)
+        design = ContrastDesign([arm_to_contrast(study, b, "cc05")], net.components)
         cov = U @ np.diag(1.0 / r + 1.0 / s) @ U.T
         assert np.array_equal(design.X, U @ V)
         np.testing.assert_allclose(design.y, U @ np.log(r / s), rtol=1e-12, atol=1e-12)
@@ -268,7 +271,7 @@ class TestContrastDesign:
             cov = block_covariance(b) + sigma**2 * build_Sigma_star(b.n_arms)
             expected += mvn_logpdf(b.y_star, X[at : at + m] @ d, cov)
             at += m
-        actual = ContrastDesign(blocks, net).logpdf(d, sigma**2)
+        actual = ContrastDesign(blocks, net.components).logpdf(d, sigma**2)
         assert actual == pytest.approx(expected, rel=1e-10)
 
     @settings(max_examples=200, deadline=None)
@@ -276,7 +279,7 @@ class TestContrastDesign:
     def test_weighted_products_match_dense(self, blocks, sigma):
         tau2 = sigma**2
         net, X, y, W = dense_reference(blocks, tau2)
-        design = ContrastDesign(blocks, net)
+        design = ContrastDesign(blocks, net.components)
         assert np.array_equal(design.X, X)
         assert np.array_equal(design.y, y)
 
@@ -304,7 +307,7 @@ class TestContrastDesign:
         # one block of two arms has fewer rows than components; many blocks
         # may have more
         net, X, _, _ = dense_reference(blocks, 0.0)
-        design = ContrastDesign(blocks, net)
+        design = ContrastDesign(blocks, net.components)
         N = design.null_space
         assert design.rank == np.linalg.matrix_rank(X)
         assert N.shape == (net.n_components, net.n_components - design.rank)
@@ -319,12 +322,12 @@ class TestContrastDesign:
         seed=st.integers(0, 2**32),
     )
     def test_cached_weights_equal_a_fresh_design(self, blocks, sigmas, extra, seed):
-        # tau2 a, b, a, c, b, a, ... hits the front entry, the second entry and
-        # a dropped one; each step calls the four readers in a different order,
-        # so the log determinant joins entries that gls or weigh made
+        # tau2 a, b, a, c, b, a, ... hits the most recent entry, the other entry
+        # and a dropped one; each step calls the four readers in a different
+        # order
         net = dense_reference(blocks, 0.0)[0]
         d = np.random.default_rng(seed).normal(size=net.n_components)
-        design = ContrastDesign(blocks, net)
+        design = ContrastDesign(blocks, net.components)
 
         def results(design, tau2, order):
             out = {
@@ -340,18 +343,39 @@ class TestContrastDesign:
             tau2 = sigmas[i] ** 2
             order = names[step % 4 :] + names[: step % 4]
             cached = results(design, tau2, order)
-            fresh = results(ContrastDesign(blocks, net), tau2, names)
+            fresh_design = ContrastDesign(blocks, net.components)
+            fresh = results(fresh_design, tau2, names)
             assert cached["logpdf"] == fresh["logpdf"]
             assert np.array_equal(cached["weigh"], fresh["weigh"])
             assert np.array_equal(cached["information"], fresh["information"])
             for a, b in zip(cached["gls"], fresh["gls"]):
                 assert np.array_equal(a, b)
-            _, w, g, _, _ = design._weights(tau2)
+            w, g, logdet = design._weights(tau2)
+            for a, b in zip((w, g, logdet), fresh_design._weights(tau2)):
+                assert np.array_equal(a, b)
             for array in (w, g):
                 with pytest.raises(ValueError):
                     array[0] = 1.0
 
+    def test_used_design_is_freed_by_reference_counting(self):
+        # the weights cache holds the design's arrays, not the design, so no
+        # reference cycle keeps a design alive until the garbage collector runs
+        study = study_from(["A", "B", "A+B"])
+        net = build_network([study])
+        design = ContrastDesign([arm_to_contrast(study, 0, "cc05")], net.components)
+        design.gls(0.0)
+        design.logpdf(np.zeros(net.n_components), 0.5)
+        ref = weakref.ref(design)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del design
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_no_blocks_rejected(self):
         net = build_network([study_from(["A", "B"])])
         with pytest.raises(CnmaError):
-            ContrastDesign([], net)
+            ContrastDesign([], net.components)

@@ -10,7 +10,14 @@ from cnma.effects import contrast_vector, sucra
 from cnma.errors import CnmaError, NotIdentifiable
 from cnma.freq import FreqFit, gls_fit, p_scores
 from cnma.mcmc import McmcConfig
-from cnma.network import ArmRecord, ContrastBlock, Study, build_network, parse_treatment
+from cnma.network import (
+    ArmRecord,
+    ContrastBlock,
+    Network,
+    Study,
+    build_network,
+    parse_treatment,
+)
 from dense import block_covariance, build_Sigma_star, build_U
 
 
@@ -94,6 +101,21 @@ class TestGlsFit:
             spec = bayes.ModelSpec(kind, "random", anchor)
             with pytest.raises(NotIdentifiable, match=rf"{kind}: .* rank 2 for"):
                 bayes.fit(spec, data, net, McmcConfig(burn_in=60, keep=40, seed=1))
+
+    @pytest.mark.parametrize("effects_model", ["fixed", "random"])
+    def test_contrast_only_network_fits(self, effects_model):
+        # a network of no studies but the components: estimability is checked
+        # over the treatments the blocks compare, in order of first appearance
+        blocks = [
+            block("s1", ["A", "B+C"], 0.5, 0.2),
+            block("s2", ["A", "B"], 0.3, 0.25),
+            block("s3", ["A", "B", "B+C"], [0.2, 0.6], [0.3, 0.35]),
+        ]
+        bare = gls_fit((b for b in blocks), Network((), ("A", "B", "C")), effects_model)
+        fit = gls_fit(blocks, network_of(blocks), effects_model)
+        assert bare.rank_X == fit.rank_X == 2
+        for field in ("d_hat", "cov_d", "tau2", "Q", "df", "null_space", "components"):
+            assert np.array_equal(getattr(bare, field), getattr(fit, field))
 
     def test_random_effects_uses_estimated_tau2(self):
         blocks = [
@@ -300,7 +322,7 @@ class TestWeightsDoNotDecideRank:
         blocks = self.rank_deficient_blocks(0.2, 0.3)
         net = network_of(blocks)
         fit = gls_fit(blocks, net, "fixed")
-        m = ContrastDesign(blocks, net).information(0.0)
+        m = ContrastDesign(blocks, net.components).information(0.0)
         p = fit.cov_d
         assert np.allclose(m @ p @ m, m, atol=1e-10 * np.abs(m).max())
         assert np.allclose(p @ m @ p, p, atol=1e-10 * np.abs(p).max())

@@ -71,12 +71,22 @@ class TestParseTreatment:
 
     @pytest.mark.parametrize(
         "components, error, message",
-        [((), CnmaError, "at least one component"), (("A", "A"), DuplicateComponent, "duplicate")],
-        ids=["empty", "repeated"],
+        [
+            ((), CnmaError, "at least one component"),
+            (("A", "A"), DuplicateComponent, "duplicate"),
+            (("A", 1), CnmaError, "must be strings"),
+            ((None,), CnmaError, "must be strings"),
+        ],
+        ids=["empty", "repeated", "int", "None"],
     )
     def test_treatment_rejects_components(self, components, error, message):
         with pytest.raises(error, match=message):
             Treatment(components)
+
+    @pytest.mark.parametrize("label", [5, None, b"A+B", ("A", "B")])
+    def test_label_must_be_a_string(self, label):
+        with pytest.raises(CnmaError, match="label must be a non-empty string"):
+            parse_treatment(label)
 
     def test_treatment_sorts_components(self):
         assert Treatment(("B", "A")).components == ("A", "B")
@@ -171,6 +181,19 @@ class TestBuildNetwork:
     def test_arm_treatment_must_be_a_treatment(self):
         with pytest.raises(CnmaError, match="must be a Treatment, got 'A'"):
             ArmRecord("A", 1, 10)
+
+    def test_study_stores_its_arms_as_a_tuple(self):
+        arm_a = ArmRecord(parse_treatment("A"), 10, 50)
+        arm_b = ArmRecord(parse_treatment("B"), 20, 50)
+        study = Study("s1", [arm_b, arm_a])
+        assert study.arms == (arm_b, arm_a)
+        assert hash(study) == hash(Study("s1", (arm_b, arm_a)))
+        assert arm_to_contrast(study, 1).treatments == (arm_a.treatment, arm_b.treatment)
+
+    @pytest.mark.parametrize("arms", [(1, 2), "AB", (ArmRecord(parse_treatment("A"), 1, 10), "B")])
+    def test_study_arms_must_be_arm_records(self, arms):
+        with pytest.raises(CnmaError, match="study 's': every arm must be an ArmRecord"):
+            Study("s", arms)
 
     def test_arm_counts_accept_numpy_integers(self):
         arm = ArmRecord(parse_treatment("A"), np.int64(2), np.int32(10))
@@ -295,6 +318,10 @@ class TestContrastBlock:
 
     def test_valid_block(self):
         assert self.three_arm().n_arms == 3
+
+    def test_treatments_stored_as_a_tuple(self):
+        treatments = [parse_treatment(t) for t in ("P", "A", "B")]
+        assert self.three_arm(treatments=treatments).treatments == tuple(treatments)
 
     @pytest.mark.parametrize(
         "field, value",
