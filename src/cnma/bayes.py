@@ -124,9 +124,7 @@ class _Model:
         self.spec = spec
         self.d_components = tuple(d_components)
         # each effect coordinate's column among network.components
-        self.d_columns = np.array(
-            [network.component_index(c) for c in self.d_components], dtype=int
-        )
+        self.d_columns = np.array([network.components.index(c) for c in self.d_components], int)
         self.d_sl = slice(0, len(self.d_components))
         names = [f"d[{c}]" for c in self.d_components] + list(study_names)
         self.sigma_pos = len(names) if spec.random_effects else None
@@ -487,11 +485,9 @@ class BayesFit:
             return None
         return self.sample.pooled()[:, self.model.sigma_pos]
 
-    def treatment_effect_draws(self, treatments, reference: Treatment | None = None):
-        """Draws of treatment-level effects (optionally versus a reference)."""
+    def treatment_effect_draws(self, treatments) -> np.ndarray:
+        """Pooled draws of treatment-level effects, one column per treatment."""
         M = incidence_matrix(treatments, self.network.components)
-        if reference is not None:
-            M = M - incidence_matrix([reference], self.network.components)
         return self.component_effect_draws() @ M.T
 
 
@@ -590,6 +586,8 @@ def fit(
 ) -> BayesFit:
     """Sample the posterior of one model and return the assembled fit."""
     config = mcmc_config if mcmc_config is not None else McmcConfig()
+    if not isinstance(config, McmcConfig):
+        raise CnmaError(f"mcmc_config must be an McmcConfig, got {mcmc_config!r}")
     model = build_model(spec, data, network)
     blocks, partials = model.blocks_and_partials(_d_preconditioner(model))
     inits = model.to_internal(_initial_vectors(model, config))

@@ -26,15 +26,18 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 def incidence_matrix(treatments, components) -> np.ndarray:
     """Treatment x component incidence: entry (t, k) is 1 iff treatment t
-    contains ``components[k]``."""
+    contains ``components[k]``. Each treatment must be a ``Treatment``."""
     column = {c: k for k, c in enumerate(components)}
     treatments = tuple(treatments)
     V = np.zeros((len(treatments), len(column)))
-    for i, treatment in enumerate(treatments):
-        for comp in treatment.components:
-            if comp not in column:
-                raise UnknownComponent(f"component {comp!r} not in the component order")
-            V[i, column[comp]] = 1.0
+    try:
+        for i, treatment in enumerate(treatments):
+            for comp in treatment.components:
+                if comp not in column:
+                    raise UnknownComponent(f"component {comp!r} not in the component order")
+                V[i, column[comp]] = 1.0
+    except AttributeError:  # not a Treatment
+        raise CnmaError(f"{treatment!r} is not a Treatment") from None
     return V
 
 

@@ -56,6 +56,8 @@ def _ranked_treatments(treatments, direction: str) -> list[Treatment]:
     if len(treatments) < 2:
         raise CnmaError("a ranking needs >= 2 treatments")
     for i, t in enumerate(treatments):
+        if not isinstance(t, Treatment):
+            raise CnmaError(f"{t!r} is not a Treatment")
         if t in treatments[:i]:
             raise CnmaError(f"treatment {t.label!r} is listed more than once")
     return treatments

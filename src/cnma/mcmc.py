@@ -7,10 +7,12 @@ for positive parameters) whose scalar step size is tuned by Robbins-Monro
 toward a target acceptance rate during burn-in only; scales are frozen
 afterwards so the kept draws target the exact posterior.
 
-Per-block partial log posteriors may be supplied: a block's partial must
-include every term of the log posterior that depends on that block's
-coordinates, and is used in place of the full log posterior when forming the
-acceptance ratio. This keeps per-study updates O(study) instead of O(data).
+``run_chains`` takes one start per chain and one partial log posterior per
+block: a block's partial must include every term of the log posterior that
+depends on that block's coordinates (the full log posterior will do), and is
+used in place of it when forming the acceptance ratio. This keeps per-study
+updates O(study) instead of O(data). ``partials`` is keyword-only, so that a
+wrapper of ``run_chains`` that counts the partial calls always finds them.
 
 The sampler moves the state vector in place: a proposal writes the block's
 new coordinates into ``x`` and a rejection writes the saved ones back. A
@@ -18,9 +20,9 @@ partial (or the log posterior) must therefore neither keep a reference to
 ``x`` nor modify it; it may only read it during the call.
 
 Convergence diagnostics are functions of the draws alone: ``rhat`` and
-``ess`` take one parameter's chains as (n_chains, n_draws), or many
-parameters' as (n_chains, n_draws, n_params) in one vectorised call, and a
-``PosteriorSample`` derives its ``rhat`` and ``ess`` from its own ``draws``.
+``ess`` take (n_chains, n_draws, n_params) draws and give one value per
+parameter; a ``PosteriorSample`` derives its ``rhat`` and ``ess`` from its own
+``draws``.
 They and ``summarize`` walk the parameters ``CHUNK_BYTES`` of draws at a
 time, each chunk with the arithmetic one parameter would get alone.
 """
@@ -70,7 +72,7 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the diagnostics need >= 2 chains of >= 4 draws (see _columns)
+        # the diagnostics need >= 2 chains of >= 4 draws (see _per_parameter)
         for name, least in (("n_chains", 2), ("burn_in", 1), ("keep", 4), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -175,7 +177,6 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
         raise McmcError(f"log posterior not finite at init of chain {chain_index}")
 
     n_blocks = len(blocks)
-    evaluators = partials if partials is not None else [logpost] * n_blocks
     scales = [float(b.scale) for b in blocks]
     targets = [TARGET_RATE_SCALAR if len(b.dims) == 1 else TARGET_RATE_BLOCK for b in blocks]
     where = [_coordinates(b) for b in blocks]
@@ -193,7 +194,7 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
             # Robbins-Monro gain, decaying per proposal; damped at the start
             gain = (10.0 + it) ** -0.6
         for bi in range(n_blocks):
-            block, at, evaluate = blocks[bi], where[bi], evaluators[bi]
+            block, at, evaluate = blocks[bi], where[bi], partials[bi]
             # propose in place; ``saved`` restores the block on rejection
             if isinstance(at, int):
                 saved = x.item(at)
@@ -253,24 +254,19 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
     return kept, rates, scales
 
 
-def run_chains(logpost, init, blocks, config: McmcConfig, partials=None) -> PosteriorSample:
+def run_chains(logpost, inits, blocks, config: McmcConfig, *, partials) -> PosteriorSample:
     """Run independent chains and assemble a PosteriorSample.
 
-    ``init`` is a single vector (shared by every chain) or one vector per
-    chain for overdispersed starts. ``partials``, when given, is one callable
-    per block (see module docstring).
+    ``inits`` holds one start vector per chain, (n_chains, dim);
+    ``partials`` one callable per block (see module docstring).
     """
     blocks = list(blocks)
-    init_arr = np.asarray(init, dtype=float)
-    if init_arr.ndim == 1:
-        inits = [init_arr] * config.n_chains
-    else:
-        if init_arr.shape[0] != config.n_chains:
-            raise McmcError("need one init per chain")
-        inits = [init_arr[i] for i in range(config.n_chains)]
-    dim = inits[0].size
+    inits = np.asarray(inits, dtype=float)
+    if inits.ndim != 2 or inits.shape[0] != config.n_chains:
+        raise McmcError(f"need one init per chain, got shape {inits.shape}")
+    dim = inits.shape[1]
     _check_blocks(blocks, dim)
-    if partials is not None and len(partials) != len(blocks):
+    if len(partials) != len(blocks):
         raise McmcError("need one partial log posterior per block")
 
     draws = np.empty((config.n_chains, config.keep, dim))
@@ -296,15 +292,6 @@ def run_chains(logpost, init, blocks, config: McmcConfig, partials=None) -> Post
     )
 
 
-def _columns(chains: np.ndarray) -> np.ndarray:
-    """``chains`` as (n_chains, n_draws, n_params), a view where it can be.
-    R-hat compares >= 2 chains and splits each in half, so needs >= 4 draws."""
-    arr = np.asarray(chains, dtype=float)
-    if arr.ndim not in (2, 3) or arr.shape[0] < 2 or arr.shape[1] < 4:
-        raise McmcError(f"need (chains >= 2, draws >= 4[, params]), got shape {arr.shape}")
-    return arr.reshape(arr.shape[:2] + (-1,))
-
-
 def _chunks(columns: np.ndarray):
     """Copies of (n_chains, n_draws, n_params) ``columns``, at most
     CHUNK_BYTES of draws (one parameter at least) each, as
@@ -315,21 +302,22 @@ def _chunks(columns: np.ndarray):
         yield np.moveaxis(columns[..., j : j + width], -1, 0).copy()
 
 
-def _per_parameter(kernel, chains: np.ndarray):
+def _per_parameter(kernel, chains: np.ndarray) -> np.ndarray:
     """``kernel``, which maps (k, n_chains, n_draws) draws to k values, over
-    every chunk of ``chains``: a float for (n_chains, n_draws) chains, one
-    value per parameter for (n_chains, n_draws, n_params)."""
-    out = np.concatenate([kernel(x) for x in _chunks(_columns(chains))] or [np.empty(0)])
-    return out if np.ndim(chains) == 3 else float(out[0])
+    every chunk of (n_chains, n_draws, n_params) ``chains``. R-hat compares
+    >= 2 chains and splits each in half, so needs >= 4 draws."""
+    arr = np.asarray(chains, dtype=float)
+    if arr.ndim != 3 or arr.shape[0] < 2 or arr.shape[1] < 4:
+        raise McmcError(f"need (chains >= 2, draws >= 4, params), got shape {arr.shape}")
+    return np.concatenate([kernel(x) for x in _chunks(arr)] or [np.empty(0)])
 
 
-def rhat(chains: np.ndarray):
-    """Split-chain potential scale reduction factor.
+def rhat(chains: np.ndarray) -> np.ndarray:
+    """Split-chain potential scale reduction factor of each parameter of
+    (n_chains, n_draws, n_params) ``chains``.
 
-    ``chains`` is (n_chains, n_draws) for one parameter, giving a float, or
-    (n_chains, n_draws, n_params), giving one value per parameter. Each chain
-    is split in half, so stuck-but-drifting single chains are also flagged.
-    A parameter whose chains sit at distinct constants gets inf.
+    Each chain is split in half, so stuck-but-drifting single chains are also
+    flagged. A parameter whose chains sit at distinct constants gets inf.
     """
     return _per_parameter(_rhat, chains)
 
@@ -356,12 +344,11 @@ def _mean_periodogram(centered: np.ndarray, size: int) -> np.ndarray:
     return power.mean(axis=1)
 
 
-def ess(chains: np.ndarray):
-    """Effective sample size from pooled-chain autocorrelations.
+def ess(chains: np.ndarray) -> np.ndarray:
+    """Effective sample size of each parameter of (n_chains, n_draws,
+    n_params) ``chains``, from pooled-chain autocorrelations.
 
-    ``chains`` is (n_chains, n_draws) for one parameter, giving a float, or
-    (n_chains, n_draws, n_params), giving one value per parameter. FFT
-    autocovariances per chain are combined across chains and summed with
+    FFT autocovariances per chain are combined across chains and summed with
     Geyer's initial monotone positive sequence rule.
     """
     return _per_parameter(_ess, chains)

@@ -1,9 +1,9 @@
 """Domain model: treatments built from components, studies, networks, contrasts.
 
 Treatments compare equal when their component sets are equal; the label is
-display-only. Component indices are assigned in first-appearance order when a
-network is built and stay frozen for that network, so every design matrix in
-the package refers to one shared column order.
+display-only. A ``Network`` checks its studies and its component order,
+which every design matrix built for it follows; ``build_network`` derives the
+order from the studies, and ``Network((), order)`` serves contrast-only data.
 """
 
 from __future__ import annotations
@@ -42,17 +42,12 @@ class Treatment:
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
-        # a string is a sequence of one-letter components, never what is meant
-        if isinstance(self.components, str):
-            raise CnmaError(f"components must be a sequence of labels, got {self.components!r}")
-        if len(self.components) == 0:
+        components = _labels(self.components)
+        if len(components) == 0:
             raise CnmaError("treatment must have at least one component")
-        if not all(isinstance(comp, str) for comp in self.components):
-            raise CnmaError(f"component labels must be strings, got {self.components!r}")
-        if len(set(self.components)) != len(self.components):
-            raise DuplicateComponent(f"duplicate component in {self.label or self.components!r}")
-        if tuple(sorted(self.components)) != self.components:
-            object.__setattr__(self, "components", tuple(sorted(self.components)))
+        if len(set(components)) != len(components):
+            raise DuplicateComponent(f"duplicate component in {self.label or components!r}")
+        object.__setattr__(self, "components", tuple(sorted(components)))
         if not self.label:
             object.__setattr__(self, "label", DEFAULT_SEPARATOR.join(self.components))
 
@@ -61,18 +56,37 @@ class Treatment:
         return len(self.components)
 
 
-def parse_treatment(label: str, separator: str = DEFAULT_SEPARATOR) -> Treatment:
+def parse_treatment(label: str) -> Treatment:
     """Parse a composite label like ``"A+C+D"`` into a Treatment.
 
-    Tokens are split on ``separator`` and whitespace-trimmed. Empty tokens are
-    rejected here, repeated components by ``Treatment``.
+    Tokens are split on ``DEFAULT_SEPARATOR`` and whitespace-trimmed. Empty
+    tokens are rejected here, repeated components by ``Treatment``.
     """
     if not isinstance(label, str) or not label.strip():
         raise CnmaError(f"treatment label must be a non-empty string, got {label!r}")
-    tokens = tuple(tok.strip() for tok in label.split(separator))
+    tokens = tuple(tok.strip() for tok in label.split(DEFAULT_SEPARATOR))
     if any(tok == "" for tok in tokens):
         raise CnmaError(f"empty component token in {label!r}")
     return Treatment(components=tokens, label=label.strip())
+
+
+def _as_tuple(items) -> tuple | None:
+    """``items`` as a tuple, or None when it is a string (a sequence of
+    letters, never what is meant) or not iterable."""
+    try:
+        return None if isinstance(items, str) else tuple(items)
+    except TypeError:
+        return None
+
+
+def _labels(components) -> tuple:
+    """``components`` as a tuple of strings, or CnmaError."""
+    labels = _as_tuple(components)
+    if labels is None:
+        raise CnmaError(f"components must be a sequence of labels, got {components!r}")
+    if not all(isinstance(comp, str) for comp in labels):
+        raise CnmaError(f"component labels must be strings, got {labels!r}")
+    return labels
 
 
 def _is_integer(value) -> bool:
@@ -133,9 +147,10 @@ class Study:
     arms: tuple[ArmRecord, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "arms", tuple(self.arms))
-        if not all(isinstance(arm, ArmRecord) for arm in self.arms):
-            raise CnmaError(f"study {self.id!r}: every arm must be an ArmRecord")
+        arms = _as_tuple(self.arms)
+        if arms is None or not all(isinstance(arm, ArmRecord) for arm in arms):
+            raise CnmaError(f"study {self.id!r}: arms must be a sequence of ArmRecords")
+        object.__setattr__(self, "arms", arms)
         _check_treatments(self.treatments, "study", self.id)
 
     @property
@@ -149,14 +164,27 @@ class Study:
 
 @dataclass(frozen=True)
 class Network:
-    """All studies plus the frozen component order.
-
-    The treatment list and connectivity follow from the studies, so they are
-    computed from them on first use and never stored apart from them.
-    """
+    """Studies with distinct ids, and the component order of every design built
+    for them: distinct labels covering the studies' components, and maybe more.
+    The treatments and connectivity are computed from the studies on first use."""
 
     studies: tuple[Study, ...]
     components: tuple[str, ...]
+
+    def __post_init__(self):
+        studies = _as_tuple(self.studies)
+        if studies is None:
+            raise CnmaError(f"studies must be a sequence of Study records, got {self.studies!r}")
+        _check_study_ids(studies)
+        components = _labels(self.components)
+        if len(set(components)) != len(components):
+            raise DuplicateComponent(f"component order {components!r} has duplicates")
+        object.__setattr__(self, "studies", studies)
+        object.__setattr__(self, "components", components)
+        used = {c for study in studies for arm in study.arms for c in arm.treatment.components}
+        missing = used.difference(components)
+        if missing:
+            raise UnknownComponent(f"components {sorted(missing)} referenced but not listed")
 
     @property
     def n_components(self) -> int:
@@ -180,54 +208,29 @@ class Network:
                 group[t] = merged
         return bool(group) and len(group[self.treatments[0]]) == len(group)
 
-    def component_index(self, label: str) -> int:
-        try:
-            return self.components.index(label)
-        except ValueError:
-            raise UnknownComponent(f"component {label!r} not in network") from None
-
 
 def _check_study_ids(studies) -> None:
-    """Raise CnmaError naming the first study whose id an earlier one has."""
+    """Raise CnmaError at the first record that is not a Study or repeats an id."""
     seen = set()
     for study in studies:
+        if not isinstance(study, Study):
+            raise CnmaError(f"{study!r} is not a Study")
         if study.id in seen:
             raise CnmaError(f"duplicate study id {study.id!r}")
         seen.add(study.id)
 
 
-def build_network(studies, components=None) -> Network:
-    """Assemble a Network from studies.
-
-    Component indices follow first appearance (scanning studies, arms, then
-    each treatment's sorted components) unless an explicit ``components``
-    order is given; an explicit order may include extra, unreferenced
-    components but must cover every referenced one.
-    """
+def build_network(studies) -> Network:
+    """A Network of ``studies`` (not empty) whose component order is first
+    appearance, scanning studies, arms, then each treatment's sorted components."""
     studies = tuple(studies)
     if not studies:
         raise EmptyNetwork("no studies")
-    _check_study_ids(studies)
-
-    referenced: list[str] = []
-    for study in studies:
-        for arm in study.arms:
-            for comp in arm.treatment.components:
-                if comp not in referenced:
-                    referenced.append(comp)
-
-    if components is None:
-        component_order = tuple(referenced)
-    elif isinstance(components, str):
-        raise CnmaError(f"components must be a sequence of labels, got {components!r}")
-    else:
-        component_order = tuple(components)
-        if len(set(component_order)) != len(component_order):
-            raise DuplicateComponent("component list has duplicates")
-        missing = [c for c in referenced if c not in component_order]
-        if missing:
-            raise UnknownComponent(f"components {missing} referenced but not listed")
-    return Network(studies=studies, components=component_order)
+    # a record that is not a Study adds no component; Network refuses it
+    order = dict.fromkeys(
+        c for s in studies if isinstance(s, Study) for a in s.arms for c in a.treatment.components
+    )
+    return Network(studies, tuple(order))
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,11 @@ class ContrastBlock:
     treatments: tuple[Treatment, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "treatments", tuple(self.treatments))
-        _check_treatments(self.treatments, "contrast block", self.study_id)
+        treatments = _as_tuple(self.treatments)
+        if treatments is None:
+            raise CnmaError(f"contrast block {self.study_id!r}: treatments must be a sequence")
+        object.__setattr__(self, "treatments", treatments)
+        _check_treatments(treatments, "contrast block", self.study_id)
         try:
             y, se = np.asarray(self.y_star, dtype=float), np.asarray(self.se, dtype=float)
             finite = np.isfinite(y).all() and np.isfinite(se).all()

@@ -8,7 +8,7 @@ from scipy.stats import binom, norm
 
 from cnma import bayes, design, mcmc
 from cnma.design import ContrastDesign, incidence_matrix, stack_X
-from cnma.effects import contrast_vector
+from cnma.effects import contrast_vector, derive_relative_effect, sucra
 from cnma.errors import (
     CnmaError,
     EmptyNetwork,
@@ -17,7 +17,14 @@ from cnma.errors import (
 )
 from cnma.freq import gls_fit, p_scores
 from cnma.mcmc import McmcConfig
-from cnma.network import ArmRecord, Study, arm_to_contrast, build_network, parse_treatment
+from cnma.network import (
+    ArmRecord,
+    Network,
+    Study,
+    arm_to_contrast,
+    build_network,
+    parse_treatment,
+)
 from dense import block_covariance, build_Sigma_star, mvn_logpdf
 from test_mcmc import reference_ess, reference_rhat
 
@@ -96,7 +103,7 @@ def test_arm_fixed_effects_agree_with_gls(kind, studies, network):
     gls = gls_fit([arm_to_contrast(s, 0, "cc05") for s in studies], network, "fixed")
     ref = gls.d_hat
     if kind == "anchored-arm":
-        at = network.component_index("A")
+        at = network.components.index("A")
         ref = ref - gls.cov_d[:, at] * ref[at] / gls.cov_d[at, at]
     draws = fit.component_effect_draws()
     for t in network.treatments:
@@ -243,6 +250,45 @@ def test_model_settings_rejected(kind, effects, anchor, priors):
         bayes.ModelSpec(kind, effects, anchor, None if priors is None else bayes.Priors(**priors))
 
 
+def test_mcmc_config_must_be_an_mcmc_config(studies, network, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with a config that is not an McmcConfig")
+
+    monkeypatch.setattr(bayes, "run_chains", no_sampling)
+    spec, data = inputs("unanchored-contrast", studies)
+    with pytest.raises(CnmaError, match="mcmc_config must be an McmcConfig"):
+        bayes.fit(spec, data, network, {"n_chains": 2})
+
+
+@pytest.fixture(scope="module")
+def short_fits(studies, network):
+    """A short contrast-kind fit and the GLS fit of the same contrasts."""
+    spec, data = inputs("unanchored-contrast", studies)
+    fit = bayes.fit(spec, data, network, McmcConfig(burn_in=10, keep=10, seed=1))
+    return fit, gls_fit(data, network)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fit, gls, components: p_scores(gls, ["A", "B"]),
+        lambda fit, gls, components: contrast_vector("A", "B", components),
+        lambda fit, gls, components: derive_relative_effect(
+            np.zeros(4), np.eye(4), "A", "B", components
+        ),
+        lambda fit, gls, components: fit.treatment_effect_draws(["A"]),
+        lambda fit, gls, components: sucra(np.zeros((100, 2)), ["x", "y"]),
+    ],
+    ids=["p_scores", "contrast_vector", "derive_relative_effect", "treatment_effect_draws",
+         "sucra"],
+)
+def test_treatments_passed_in_must_be_treatments(call, short_fits, network):
+    # a label is not a Treatment: parse it first
+    fit, gls = short_fits
+    with pytest.raises(CnmaError, match="is not a Treatment"):
+        call(fit, gls, network.components)
+
+
 def test_anchor_moves_to_first_arm(studies, network):
     # the anchor is the first arm wherever it appears; moved to the last arm,
     # the anchored model reorders it back and samples the same chain
@@ -267,11 +313,6 @@ def test_treatment_effect_draws(kind, studies, network):
     levels = fit.treatment_effect_draws(treatments)
     expected = components @ incidence_matrix(treatments, network.components).T
     assert np.array_equal(levels, expected)
-    reference = parse_treatment("B+C")
-    relative = fit.treatment_effect_draws(treatments, reference)
-    at = treatments.index(reference)
-    np.testing.assert_allclose(relative, levels - levels[:, [at]], rtol=0, atol=1e-12)
-    assert np.all(relative[:, at] == 0.0)
     if kind == "anchored-arm":
         assert np.all(fit.treatment_effect_draws([ANCHOR]) == 0.0)
 
@@ -364,7 +405,7 @@ def test_disconnected_identified_network_fits(kind):
     fit = bayes.fit(spec, data, net, McmcConfig(burn_in=1000, keep=1000, seed=1))
     ref, cov = gls.d_hat, gls.cov_d
     if kind == "anchored-arm":
-        at = net.component_index("A")
+        at = net.components.index("A")
         col = cov[:, at]
         ref = ref - col * ref[at] / col[at]
         cov = cov - np.outer(col, col) / col[at]
@@ -381,7 +422,7 @@ def test_disconnected_identified_network_fits(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_unreferenced_component_is_not_identified(kind, studies, network):
     # a listed component no study uses has an all-zero column
-    extra = build_network(studies, components=network.components + ("E",))
+    extra = Network(studies, network.components + ("E",))
     spec, data = inputs(kind, studies)
     columns = 4 if kind == "anchored-arm" else 5
     with pytest.raises(NotIdentifiable, match=rf"rank {columns - 1} for {columns} effect"):

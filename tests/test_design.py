@@ -11,6 +11,7 @@ from cnma.errors import CnmaError
 from cnma.network import (
     ArmRecord,
     ContrastBlock,
+    Network,
     Study,
     arm_to_contrast,
     build_network,
@@ -31,9 +32,7 @@ def chd_trial23():
     """Three-arm trial: Edu+Cog+Rel vs Edu+Rel vs Usual, with the full
     six-component dictionary in its conventional column order."""
     study = study_from(["Edu+Cog+Rel", "Edu+Rel", "Usual"], "t23")
-    net = build_network(
-        [study], components=("Usual", "Edu", "Beh", "Cog", "Rel", "Sup")
-    )
+    net = Network((study,), ("Usual", "Edu", "Beh", "Cog", "Rel", "Sup"))
     return study, net
 
 
@@ -54,13 +53,13 @@ class TestBuildV:
 
     def test_placebo_vs_a(self):
         study = study_from(["Placebo", "A"])
-        net = build_network([study], components=("Placebo", "A", "B"))
+        net = Network((study,), ("Placebo", "A", "B"))
         V = incidence_matrix(study.treatments, net.components)
         assert np.array_equal(V, [[1, 0, 0], [0, 1, 0]])
 
     def test_all_components_row_of_ones(self):
         study = study_from(["A+B+C", "A"])
-        net = build_network([study], components=("A", "B", "C"))
+        net = Network((study,), ("A", "B", "C"))
         assert np.array_equal(incidence_matrix(study.treatments, net.components)[0], [1, 1, 1])
 
     def test_row_sums_equal_component_counts(self, chd_trial23):
@@ -130,12 +129,12 @@ class TestSigma:
 class TestStackX:
     def test_single_study_row(self):
         study = study_from(["Placebo", "A"])
-        net = build_network([study], components=("Placebo", "A", "B"))
+        net = Network((study,), ("Placebo", "A", "B"))
         assert np.array_equal(stack_X(net), [[-1, 1, 0]])
 
     def test_multicomponent_vs_single(self):
         study = study_from(["C", "A+B"])
-        net = build_network([study], components=("A", "B", "C"))
+        net = Network((study,), ("A", "B", "C"))
         assert np.array_equal(stack_X(net), [[1, 1, -1]])
 
     def test_duplicated_study_duplicates_row(self):
@@ -160,7 +159,7 @@ class TestDesignSet:
         # the same arm predictors up to the study baseline.
         rng = np.random.default_rng(7)
         study = study_from(["E", "A+C", "B"], "s1")
-        net = build_network([study], components=("E", "A", "B", "C"))
+        net = Network((study,), ("E", "A", "B", "C"))
         V = incidence_matrix(study.treatments, net.components)
         V1 = np.delete(V, 0, axis=1)
         d = rng.normal(size=4)

@@ -81,6 +81,13 @@ def quick_config(**overrides):
     return McmcConfig(**base)
 
 
+def run_from(logpost, x0, blocks, config):
+    """``run_chains`` with every chain started at ``x0`` and ``logpost`` as
+    every block's partial."""
+    inits = np.tile(np.asarray(x0, dtype=float), (config.n_chains, 1))
+    return run_chains(logpost, inits, blocks, config, partials=[logpost] * len(blocks))
+
+
 def _copying_reference(logpost, x0, blocks, config, chain_index):
     """The sampler's sweep with a copied state per proposal: kept draws and
     final scales of one chain."""
@@ -134,7 +141,7 @@ class TestRngStream:
 class TestRunChains:
     def test_standard_normal_moments(self):
         config = McmcConfig(n_chains=2, burn_in=1000, keep=5000, seed=7)
-        sample = run_chains(
+        sample = run_from(
             std_normal_logpost,
             np.array([1.5]),
             [Block("x", (0,), scale=0.5)],
@@ -158,7 +165,7 @@ class TestRunChains:
             Block("sigma", (5,), scale=0.5, log_scale=True),
         ]
         init = np.array([0.0] * 5 + [1.0])
-        sample = run_chains(logpost, init, blocks, config)
+        sample = run_from(logpost, init, blocks, config)
         sigma_draws = sample.pooled()[:, 5]
         assert sigma_draws.mean() == pytest.approx(1.0, abs=0.05)
         d_draws = sample.pooled()[:, 0]
@@ -170,7 +177,7 @@ class TestRunChains:
             b = -0.5 * ((x[0] + 0.5) / 0.2) ** 2
             return float(np.logaddexp(a, b))
 
-        sample = run_chains(
+        sample = run_from(
             logpost,
             np.array([0.0]),
             [Block("x", (0,), scale=0.5)],
@@ -182,9 +189,10 @@ class TestRunChains:
         config = quick_config()
         kwargs = dict(
             logpost=std_normal_logpost,
-            init=np.array([0.2]),
+            inits=np.array([[0.2], [-0.3]]),
             blocks=[Block("x", (0,), scale=0.4)],
             config=config,
+            partials=[std_normal_logpost],
         )
         a = run_chains(**kwargs)
         b = run_chains(**kwargs)
@@ -195,7 +203,7 @@ class TestRunChains:
         # stay at the reported ones
         blocks = [Block("x", (0,), scale=2.0)]
         config = quick_config(keep=4000)
-        sample = run_chains(std_normal_logpost, np.array([0.0]), blocks, config)
+        sample = run_from(std_normal_logpost, np.array([0.0]), blocks, config)
         for c in range(config.n_chains):
             kept, final = _copying_reference(std_normal_logpost, [0.0], blocks, config, c)
             assert np.array_equal(sample.draws[c], kept)
@@ -214,7 +222,8 @@ class TestRunChains:
 
         blocks = [Block("a", (0,), 0.8), Block("b", (1,), 0.4)]
         config = McmcConfig(n_chains=2, burn_in=1500, keep=6000, seed=21)
-        with_partials = run_chains(full, np.zeros(2), blocks, config, partials=[p0, p1])
+        inits = np.zeros((config.n_chains, 2))
+        with_partials = run_chains(full, inits, blocks, config, partials=[p0, p1])
         pooled = with_partials.pooled()
         assert pooled[:, 0].mean() == pytest.approx(0.0, abs=0.05)
         assert pooled[:, 1].mean() == pytest.approx(1.0, abs=0.05)
@@ -228,7 +237,7 @@ class TestRunChains:
             return float(-0.5 * x @ prec @ x)
 
         chol = np.linalg.cholesky(cov)
-        sample = run_chains(
+        sample = run_from(
             logpost,
             np.zeros(2),
             [Block("xy", (0, 1), scale=1.0, cov_chol=chol)],
@@ -243,7 +252,7 @@ class TestRunChains:
             return float("nan") if x[0] > 0.5 else 0.0
 
         with pytest.raises(McmcError):
-            run_chains(
+            run_from(
                 bad,
                 np.array([0.0]),
                 [Block("x", (0,), scale=2.0)],
@@ -257,7 +266,7 @@ class TestRunChains:
             return 0.0 if x[0] == 0.0 else -np.inf
 
         with pytest.raises(McmcError, match="collapse"):
-            run_chains(
+            run_from(
                 spike,
                 init,
                 [Block("x", (0,), scale=1.0)],
@@ -265,16 +274,20 @@ class TestRunChains:
             )
 
     def test_blocks_must_partition(self):
-        # each case: init, blocks, partials and the error it must raise; the
-        # last two break the shapes of inits and partials instead
+        # each case: inits, blocks, partials and the error it must raise; the
+        # last three break the shapes of inits and partials instead: a
+        # single start shared by the chains is refused too
         two = [Block("x", (0,), 0.5), Block("y", (1,), 0.5)]
         shift = Block("s", (0, 1), 0.5, shift_map=np.ones((2, 1)))
+        full = [std_normal_logpost] * 3
+        inits = np.zeros((2, 2))
         cases = [
-            (np.zeros(2), [Block("x", (0,), 0.5)], None, "partition"),
-            (np.zeros(2), [Block("x", (0, 1), 0.5), Block("y", (1,), 0.5)], None, "two blocks"),
-            (np.zeros(2), two + [shift], None, "shift_map"),
-            (np.zeros((3, 2)), two, None, "init per chain"),
-            (np.zeros(2), two, [std_normal_logpost], "partial"),
+            (inits, [Block("x", (0,), 0.5)], full[:1], "partition"),
+            (inits, [Block("x", (0, 1), 0.5), Block("y", (1,), 0.5)], full[:2], "two blocks"),
+            (inits, two + [shift], full, "shift_map"),
+            (np.zeros((3, 2)), two, full[:2], "init per chain"),
+            (np.zeros(2), two, full[:2], "init per chain"),
+            (inits, two, full[:1], "partial"),
         ]
         for init, blocks, partials, match in cases:
             with pytest.raises(McmcError, match=match):
@@ -291,9 +304,7 @@ class TestRunChains:
             return -np.inf
 
         with pytest.raises(McmcError):
-            run_chains(
-                logpost, np.zeros(1), [Block("x", (0,), 0.5)], quick_config()
-            )
+            run_from(logpost, np.zeros(1), [Block("x", (0,), 0.5)], quick_config())
 
     def test_keep_below_four_rejected(self):
         # rhat needs 4 draws per chain; the config fails before any sweep runs
@@ -329,7 +340,7 @@ class TestRunChains:
     def test_non_finite_draws_raise(self):
         # a flat target accepts every step, and a huge scale overflows
         with pytest.raises(McmcError, match="non-finite draws"):
-            run_chains(
+            run_from(
                 lambda x: 0.0, np.zeros(1), [Block("x", (0,), scale=1e308)], quick_config()
             )
 
@@ -353,7 +364,7 @@ class TestRunChains:
             Block("shift", (0, 3, 5), 0.5, shift_map=np.array([[1.0], [-0.5]])),
         ]
         config = quick_config(burn_in=30, keep=20)
-        sample = run_chains(only_start, x0, blocks, config, partials=[only_start] * 6)
+        sample = run_from(only_start, x0, blocks, config)
         # per proposal: the current state, then the proposed one; the first
         # call of each chain checks its start
         per_chain = len(seen) // config.n_chains
@@ -381,7 +392,7 @@ class TestRunChains:
         ]
         config = quick_config(burn_in=200, keep=200)
         x0 = np.array([0.3, -0.2, 0.1, 0.5, 1.2])
-        sample = run_chains(logpost, x0, blocks, config)
+        sample = run_from(logpost, x0, blocks, config)
         for c in range(config.n_chains):
             kept, scales = _copying_reference(logpost, x0, blocks, config, c)
             assert np.array_equal(sample.draws[c], kept)
@@ -394,6 +405,7 @@ class TestRunChains:
             inits,
             [Block("x", (0,), 0.5)],
             McmcConfig(n_chains=2, burn_in=2000, keep=3000, seed=9),
+            partials=[std_normal_logpost],
         )
         assert sample.rhat[0] < 1.05
 
@@ -401,25 +413,25 @@ class TestRunChains:
 class TestRhat:
     def test_identical_long_chains(self):
         rng = np.random.default_rng(0)
-        chains = rng.normal(size=(2, 10000))
-        assert rhat(chains) < 1.01
+        chains = rng.normal(size=(2, 10000, 1))
+        assert rhat(chains)[0] < 1.01
 
     def test_constant_distinct_chains(self):
-        chains = np.vstack([np.zeros(100), np.ones(100)])
-        assert rhat(chains) > 1.1
+        chains = np.vstack([np.zeros(100), np.ones(100)])[..., None]
+        assert rhat(chains)[0] > 1.1
 
     def test_identical_constant_chains(self):
-        assert rhat(np.zeros((2, 100))) == 1.0
+        assert rhat(np.zeros((2, 100, 1)))[0] == 1.0
 
     def test_single_chain_rejected(self):
         with pytest.raises(McmcError):
-            rhat(np.zeros((1, 100)))
+            rhat(np.zeros((1, 100, 1)))
 
     def test_split_detects_drift(self):
         # one chain drifting, one stationary: split-chain flags it
         drifting = np.linspace(0, 5, 1000)
         flat = np.zeros(1000)
-        assert rhat(np.vstack([drifting, flat])) > 1.1
+        assert rhat(np.vstack([drifting, flat])[..., None])[0] > 1.1
 
 
 def random_walk(rng, shape):
@@ -454,8 +466,8 @@ class TestBatchedDiagnostics:
         assert batch_rhat.shape == batch_ess.shape == (draws.shape[-1],)
         for j in range(draws.shape[-1]):
             column = draws[:, :, j]
-            assert batch_rhat[j] == rhat(column)
-            assert batch_ess[j] == ess(column)
+            assert batch_rhat[j] == rhat(draws[:, :, j : j + 1])[0]
+            assert batch_ess[j] == ess(draws[:, :, j : j + 1])[0]
             # same arithmetic for R-hat; the batched FFTs may differ in the last bit
             assert batch_rhat[j] == reference_rhat(column)
             assert batch_ess[j] == pytest.approx(reference_ess(column), rel=1e-12)
@@ -472,6 +484,9 @@ class TestBatchedDiagnostics:
         for fn in (rhat, ess):
             with pytest.raises(McmcError):
                 fn(np.zeros(10))
+            # one parameter's (chains, draws) too: the parameter axis is required
+            with pytest.raises(McmcError):
+                fn(np.zeros((2, 10)))
             with pytest.raises(McmcError):
                 fn(np.zeros((2, 10, 1, 1)))
         with pytest.raises(McmcError):
@@ -497,8 +512,8 @@ class TestBatchedDiagnostics:
 class TestEss:
     def test_iid_close_to_n(self):
         rng = np.random.default_rng(1)
-        chains = rng.normal(size=(2, 5000))
-        assert ess(chains) > 0.5 * 10000
+        chains = rng.normal(size=(2, 5000, 1))
+        assert ess(chains)[0] > 0.5 * 10000
 
     def test_sticky_chain_small_ess(self):
         rng = np.random.default_rng(2)
@@ -507,10 +522,10 @@ class TestEss:
         for c in range(2):
             for i in range(1, n):
                 x[c, i] = 0.995 * x[c, i - 1] + rng.normal() * 0.1
-        assert ess(x) < 1000
+        assert ess(x[..., None])[0] < 1000
 
     def test_constant_chains(self):
-        assert ess(np.ones((2, 50))) == 100.0
+        assert ess(np.ones((2, 50, 1)))[0] == 100.0
 
     @pytest.mark.parametrize("budget", [1, 17, 18, 19, 36, 37, 38])
     def test_chunks_match_one_pass(self, budget, monkeypatch):

@@ -62,9 +62,6 @@ class TestParseTreatment:
     def test_whitespace_trimmed(self):
         assert parse_treatment(" A + C ").components == ("A", "C")
 
-    def test_custom_separator(self):
-        assert parse_treatment("Edu/Rel", separator="/").components == ("Edu", "Rel")
-
     def test_equality_ignores_label(self):
         assert parse_treatment("C+A") == parse_treatment("A+C")
         assert hash(parse_treatment("C+A")) == hash(parse_treatment("A+C"))
@@ -76,8 +73,9 @@ class TestParseTreatment:
             (("A", "A"), DuplicateComponent, "duplicate"),
             (("A", 1), CnmaError, "must be strings"),
             ((None,), CnmaError, "must be strings"),
+            (5, CnmaError, "sequence of labels"),
         ],
-        ids=["empty", "repeated", "int", "None"],
+        ids=["empty", "repeated", "int", "None", "not-a-sequence"],
     )
     def test_treatment_rejects_components(self, components, error, message):
         with pytest.raises(error, match=message):
@@ -107,10 +105,9 @@ class TestBuildNetwork:
         assert net.components == ("E", "A", "C", "B")
 
     def test_explicit_component_order_with_extras(self):
-        net = build_network(
-            [two_arm("s1", "E", "A")], components=("Z", "A", "E", "Q")
-        )
+        net = Network([two_arm("s1", "E", "A")], ["Z", "A", "E", "Q"])
         assert net.components == ("Z", "A", "E", "Q")
+        assert isinstance(net.studies, tuple)
 
     def test_disconnected_flag(self):
         net = build_network([two_arm("s1", "E", "A"), two_arm("s2", "C", "D")])
@@ -133,16 +130,27 @@ class TestBuildNetwork:
     def test_explicit_components_rejected(self, components, error):
         # a repeated component; a referenced one left out
         with pytest.raises(error):
-            build_network([two_arm("s1", "E", "A")], components)
+            Network([two_arm("s1", "E", "A")], components)
 
-    def test_unknown_component_index(self):
-        net = build_network([two_arm("s1", "A", "B")])
-        with pytest.raises(UnknownComponent, match="'Z'"):
-            net.component_index("Z")
+    @pytest.mark.parametrize(
+        "studies, components, error, message",
+        [
+            ([two_arm("s1", "E", "A")], ("A", 3, "E"), CnmaError, "must be strings"),
+            ((), ("A", "A"), DuplicateComponent, "duplicates"),
+            ((), 5, CnmaError, "sequence of labels"),
+            (5, ("A",), CnmaError, "sequence of Study records"),
+            ([two_arm("s1", "E", "A"), "s2"], ("A", "E"), CnmaError, "'s2' is not a Study"),
+        ],
+        ids=["int", "repeated-no-studies", "int-order", "int-studies", "not-a-study"],
+    )
+    def test_network_checks_its_fields(self, studies, components, error, message):
+        with pytest.raises(error, match=message):
+            Network(studies, components)
 
     def test_duplicate_study_ids(self):
-        with pytest.raises(CnmaError):
-            build_network([two_arm("s1", "E", "A"), two_arm("s1", "A", "B")])
+        for make in (build_network, lambda studies: Network(studies, ("A", "B", "E"))):
+            with pytest.raises(CnmaError, match="duplicate study id 's1'"):
+                make([two_arm("s1", "E", "A"), two_arm("s1", "A", "B")])
 
     def test_no_studies(self):
         with pytest.raises(EmptyNetwork):
@@ -190,9 +198,11 @@ class TestBuildNetwork:
         assert hash(study) == hash(Study("s1", (arm_b, arm_a)))
         assert arm_to_contrast(study, 1).treatments == (arm_a.treatment, arm_b.treatment)
 
-    @pytest.mark.parametrize("arms", [(1, 2), "AB", (ArmRecord(parse_treatment("A"), 1, 10), "B")])
+    @pytest.mark.parametrize(
+        "arms", [(1, 2), "AB", (ArmRecord(parse_treatment("A"), 1, 10), "B"), 5]
+    )
     def test_study_arms_must_be_arm_records(self, arms):
-        with pytest.raises(CnmaError, match="study 's': every arm must be an ArmRecord"):
+        with pytest.raises(CnmaError, match="study 's': arms must be a sequence of ArmRecords"):
             Study("s", arms)
 
     def test_arm_counts_accept_numpy_integers(self):
@@ -365,6 +375,7 @@ class TestContrastBlock:
                 {"treatments": ("P", parse_treatment("A"), parse_treatment("B"))},
                 "'P' is not a Treatment",
             ),
+            ({"treatments": 5}, "contrast block 's': treatments must be a sequence"),
         ],
     )
     def test_malformed_block_rejected(self, overrides, message):
@@ -374,8 +385,8 @@ class TestContrastBlock:
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: Treatment("AB"), lambda: build_network([two_arm("s1", "A", "B")], "AB")],
-    ids=["Treatment", "build_network"],
+    [lambda: Treatment("AB"), lambda: Network([two_arm("s1", "A", "B")], "AB")],
+    ids=["Treatment", "Network"],
 )
 def test_bare_string_is_not_a_component_list(make):
     with pytest.raises(CnmaError, match="sequence of labels"):

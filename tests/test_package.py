@@ -10,6 +10,9 @@ from cnma import errors
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # the user entry points that no module of the package or the benchmark calls
 ENTRY_POINTS = {"dic"}
+# the parameters whose defaults a user sets for each analysis: the ranking
+# direction and the interval level
+USER_CHOICES = {"direction", "level"}
 
 
 def test_import_leaves_scipy_out():
@@ -99,3 +102,50 @@ def test_every_public_name_has_a_reader():
             )
     read = {name for path, owner, name in reads if (path, owner) != (public.get(name), name)}
     assert set(public) - read == ENTRY_POINTS
+
+
+def _defaults(function: ast.FunctionDef, method: bool) -> dict[str, int | None]:
+    """Each parameter of ``function`` that has a default, mapped to its
+    position among the arguments a call passes (None if keyword-only)."""
+    args = function.args
+    positional = [a.arg for a in args.posonlyargs + args.args][int(method) :]
+    first = len(positional) - len(args.defaults)
+    out = {name: i for i, name in enumerate(positional) if i >= first}
+    out.update((a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults) if default)
+    return out
+
+
+def test_every_parameter_default_is_set_by_a_caller():
+    # an option that only tests set is surface no caller needs: each parameter
+    # with a default, of a public function or a public method of a public
+    # class, is passed by keyword or by position in some call in the package
+    # or in bench/, unless it is a choice a user makes for each analysis
+    package = Path(cnma.__file__).resolve().parent
+    paths = sorted(package.glob("*.py")) + sorted((package.parents[1] / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    options = set()  # (function name, parameter, its position or None)
+    for path in sorted(package.glob("*.py")):
+        for stmt in trees[path].body:
+            if not isinstance(stmt, DEFINITIONS) or stmt.name.startswith("_"):
+                continue
+            # a class's public methods: no public class has a static or class method
+            functions = [(stmt, False)] if not isinstance(stmt, ast.ClassDef) else [
+                (node, True) for node in stmt.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            ]
+            for function, method in functions:
+                options.update(
+                    (function.name, name, at) for name, at in _defaults(function, method).items()
+                )
+    passed = set()
+    for call in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(call, ast.Call):
+            called = getattr(call.func, "id", getattr(call.func, "attr", None))
+            passed.update((called, k.arg) for k in call.keywords)
+            passed.update((called, i) for i in range(len(call.args)))
+    unset = {
+        f"{function}({name}=)"
+        for function, name, at in options
+        if name not in USER_CHOICES and not {(function, name), (function, at)} & passed
+    }
+    assert unset == set()
