@@ -4,10 +4,15 @@ Every design matrix in the package is rows of one treatment x component
 incidence matrix, built by ``incidence_matrix``: an arm-level model's V holds
 its arms' rows, and the stacked regression matrix X holds, per study, each
 later arm's row minus the first arm's: a study's first treatment is its
-baseline, and ``arm_to_contrast`` puts the chosen one there.
-``ContrastDesign`` holds the stacked contrasts of a set of contrast blocks; one
-helper, ``_compound_symmetry``, gives their covariance's closed forms, so no
-contrast matrix U or compound-symmetry matrix Sigma* is ever formed.
+baseline, and ``arm_to_contrast`` puts the chosen one there. A network has
+many arms and few distinct treatments, so the incidence builds one row per
+distinct component set and copies it to every arm with that set; one row
+builder, ``_baseline_contrasts``, takes the arms' treatments in one flat
+sequence with each study's number of arms.
+``ContrastDesign`` holds the stacked contrasts of a set of contrast blocks,
+read in one pass over the blocks; one helper, ``_compound_symmetry``, gives
+their covariance's closed forms, so no contrast matrix U or compound-symmetry
+matrix Sigma* is ever formed.
 """
 
 from __future__ import annotations
@@ -26,27 +31,38 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 def incidence_matrix(treatments, components) -> np.ndarray:
     """Treatment x component incidence: entry (t, k) is 1 iff treatment t
-    contains ``components[k]``. Each treatment must be a ``Treatment``."""
+    contains ``components[k]``. Each treatment must be a ``Treatment``; the
+    first bad entry is the one refused. One row is built per distinct
+    component set, keyed on ``Treatment.components``, and indexed per entry."""
     column = {c: k for k, c in enumerate(components)}
     treatments = tuple(treatments)
-    V = np.zeros((len(treatments), len(column)))
+    rows: dict[tuple, int] = {}  # component set -> its row
+    index = []
     try:
-        for i, treatment in enumerate(treatments):
-            for comp in treatment.components:
-                if comp not in column:
-                    raise UnknownComponent(f"component {comp!r} not in the component order")
-                V[i, column[comp]] = 1.0
-    except AttributeError:  # not a Treatment
+        for treatment in treatments:
+            key = treatment.components
+            row = rows.get(key)
+            if row is None:
+                for comp in key:
+                    if comp not in column:
+                        raise UnknownComponent(f"component {comp!r} not in the component order")
+                row = rows[key] = len(rows)
+            index.append(row)
+    except (AttributeError, TypeError):  # not a Treatment
         raise CnmaError(f"{treatment!r} is not a Treatment") from None
-    return V
+    distinct = np.zeros((len(rows), len(column)))
+    for key, row in rows.items():
+        distinct[row, [column[comp] for comp in key]] = 1.0
+    return distinct[np.array(index, dtype=np.intp)]
 
 
-def _baseline_contrasts(records, components) -> np.ndarray:
-    """Rows of X for consecutive studies or contrast blocks, from their
-    ``treatments`` and ``n_arms``: per record, each later treatment's
-    incidence row minus the first's; columns follow ``components``."""
-    V = incidence_matrix([t for r in records for t in r.treatments], components)
-    n_arms = np.array([r.n_arms for r in records])
+def _baseline_contrasts(treatments, n_arms, components) -> np.ndarray:
+    """Rows of X for consecutive studies or contrast blocks, given their
+    treatments in one flat sequence and their numbers of arms: per record,
+    each later treatment's incidence row minus the first's; columns follow
+    ``components``."""
+    V = incidence_matrix(treatments, components)
+    n_arms = np.asarray(n_arms)
     first = np.cumsum(n_arms) - n_arms
     contrast = np.ones(len(V), dtype=bool)
     contrast[first] = False
@@ -57,7 +73,9 @@ def stack_X(network: Network) -> np.ndarray:
     """Contrasts against each study's first arm, stacked over studies;
     columns follow the network's component order. It is defined for any
     network; whether it identifies the effects is a question of its rank."""
-    return _baseline_contrasts(network.studies, network.components)
+    studies = network.studies
+    treatments = [arm.treatment for study in studies for arm in study.arms]
+    return _baseline_contrasts(treatments, [study.n_arms for study in studies], network.components)
 
 
 def _compound_symmetry(within, shared, starts, tau2: float):
@@ -95,22 +113,32 @@ class ContrastDesign:
     arithmetic plus one per-study sum (``np.add.reduceat``); no n x n matrix
     is formed.
 
+    The constructor reads each block once, taking its treatments, y*, se,
+    se_baseline and number of arms, and builds X with ``_baseline_contrasts``.
     ``_weights`` is ``_compound_symmetry`` behind an LRU cache of the two most
     recent tau2: a sweep asks for the current sigma and a proposal, and
-    returns to the current one after a rejection.
+    returns to the current one after a rejection. ``_solve`` is the one GLS
+    solve, giving d_hat and (X'WX)^+; ``gls`` adds the generalized Q and
+    trace(P), which only the moment estimator reads.
     """
 
     def __init__(self, blocks, components):
-        blocks = tuple(blocks)
-        if not blocks:
+        treatments, n_arms, y, se, shared = [], [], [], [], []
+        for b in blocks:
+            treatments += b.treatments
+            n_arms.append(len(b.treatments))
+            y.append(b.y_star)
+            se.append(b.se)
+            shared.append(b.se_baseline**2)
+        if not n_arms:
             raise CnmaError("no contrast blocks")
-        self.X = _baseline_contrasts(blocks, components)
-        self.y = np.concatenate([b.y_star for b in blocks])
-        sizes = [b.y_star.size for b in blocks]
-        self.starts = np.cumsum([0] + sizes[:-1])
-        self.study = np.repeat(np.arange(len(blocks)), sizes)
-        self.shared = np.array([b.se_baseline**2 for b in blocks])
-        self.within = np.concatenate([b.se for b in blocks]) ** 2 - self.shared[self.study]
+        self.X = _baseline_contrasts(treatments, n_arms, components)
+        self.y = np.concatenate(y)
+        sizes = np.array(n_arms) - 1
+        self.starts = np.cumsum(sizes) - sizes
+        self.study = np.repeat(np.arange(sizes.size), sizes)
+        self.shared = np.array(shared)
+        self.within = np.concatenate(se) ** 2 - self.shared[self.study]
         # a cached bound method would make a reference cycle through self
         self._weights = functools.lru_cache(maxsize=2)(
             functools.partial(_compound_symmetry, self.within, self.shared, self.starts)
@@ -153,9 +181,10 @@ class ContrastDesign:
         quad = wr @ r - g @ (sums * sums)
         return float(-0.5 * (r.size * LOG_2PI + logdet + quad))
 
-    def gls(self, tau2: float) -> GlsSolution:
-        """Generalized least squares with weights W at ``tau2``, through the
-        pseudoinverse of X'WX cut at the rank of X, whatever the weights."""
+    def _solve(self, tau2: float):
+        """(d_hat, cov, WX) of generalized least squares with weights W at
+        ``tau2``: cov is the pseudoinverse of X'WX cut at the rank of X,
+        whatever the weights."""
         WX = self.weigh(tau2, self.X)
         information = self.X.T @ WX
         if not np.all(np.isfinite(information)):
@@ -164,7 +193,12 @@ class ContrastDesign:
         s_inv = np.zeros_like(s)
         s_inv[: self.rank] = 1.0 / s[: self.rank]
         cov = (vt.T * s_inv) @ u.T
-        d_hat = cov @ (WX.T @ self.y)
+        return cov @ (WX.T @ self.y), cov, WX
+
+    def gls(self, tau2: float) -> GlsSolution:
+        """Generalized least squares with weights W at ``tau2`` (see
+        ``_solve``), with its generalized Q and trace(P)."""
+        d_hat, cov, WX = self._solve(tau2)
         resid = self.y - self.X @ d_hat
         w, g, _ = self._weights(tau2)
         trace_W = np.sum(w) - g @ np.add.reduceat(w * w, self.starts)

@@ -54,8 +54,11 @@ class FreqFit:
 def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
     """Weighted least squares on the stacked contrasts.
 
-    Under random effects the heterogeneity variance is estimated first by
-    the method of moments and then held fixed in the weights.
+    The fixed-effects pass (tau2 = 0) gives Q and trace(P), and so the
+    method-of-moments heterogeneity variance. Under random effects the
+    weights then hold that variance fixed, and the second pass computes only
+    the d_hat and covariance it returns (``ContrastDesign._solve``), equal bit
+    for bit to ``ContrastDesign.gls`` at that variance.
     """
     if effects_model not in ("fixed", "random"):
         raise CnmaError(f"unknown effects model {effects_model!r}")
@@ -78,13 +81,14 @@ def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
     truncated = not defined or tau2 < 0.0
     tau2 = max(tau2, 0.0)
     if effects_model == "fixed":
-        tau2_used, solution = 0.0, fixed
+        tau2, d_hat, cov = 0.0, fixed.d_hat, fixed.cov
     else:
-        tau2_used, solution = tau2, design.gls(tau2)
+        # Q and trace(P) are read at tau2 = 0 only
+        d_hat, cov, _ = design._solve(tau2)
     return FreqFit(
-        d_hat=solution.d_hat,
-        cov_d=solution.cov,
-        tau2=tau2_used,
+        d_hat=d_hat,
+        cov_d=cov,
+        tau2=tau2,
         Q=fixed.Q,
         df=df,
         rank_X=design.rank,

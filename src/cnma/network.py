@@ -192,8 +192,15 @@ class Network:
 
     @cached_property
     def treatments(self) -> tuple[Treatment, ...]:
-        """Every treatment of the studies, in first-appearance order."""
-        return tuple(dict.fromkeys(t for study in self.studies for t in study.treatments))
+        """Every treatment of the studies, in first-appearance order, each
+        as its first appearance (so with that one's label)."""
+        # keyed on the component tuple: hashing it skips the dataclass's
+        # Python-level __hash__
+        first: dict[tuple[str, ...], Treatment] = {}
+        for study in self.studies:
+            for arm in study.arms:
+                first.setdefault(arm.treatment.components, arm.treatment)
+        return tuple(first.values())
 
     # no fit reads this (rank decides); bench/synth.py and its tests still do
     @cached_property

@@ -1,14 +1,44 @@
-"""Dense references for the tests: the paper's contrast matrices U, the
-compound-symmetry structures Sigma and Sigma*, a contrast block's sampling
-covariance and the multivariate normal log-density, each as an explicit
-matrix. The package computes the same quantities in closed form (see
-``cnma.design.ContrastDesign`` and the arm models' eps prior); the tests check
-it against these.
+"""Dense references for the tests: the treatment x component incidence, the
+paper's contrast matrices U, the compound-symmetry structures Sigma and
+Sigma*, a contrast block's sampling covariance, the stacked arrays of a
+``ContrastDesign`` and the multivariate normal log-density, each as an
+explicit matrix or built block by block. The package computes the same
+quantities in closed form or in one pass (see ``cnma.design`` and the arm
+models' eps prior); the tests check it against these.
 """
 
 import numpy as np
 
 from cnma.errors import CnmaError
+
+
+def incidence_rows(treatments, components) -> np.ndarray:
+    """Treatment x component incidence, each row built on its own: entry
+    (t, k) is 1 iff ``components[k]`` is one of treatment t's components."""
+    rows = [[float(c in t.components) for c in components] for t in treatments]
+    return np.array(rows).reshape(len(rows), len(components))
+
+
+def contrast_design_arrays(blocks, components) -> dict:
+    """A ``ContrastDesign``'s stacked arrays, built block by block: rows
+    U_i V_i, contrasts y*_i, each block's first row and index, its shared
+    variance se_b^2 and each contrast's se^2 - se_b^2."""
+    X, y, starts, study, shared, within = [], [], [], [], [], []
+    at = 0
+    for i, b in enumerate(blocks):
+        m = b.y_star.size
+        X.append(build_U(b.n_arms) @ incidence_rows(b.treatments, components))
+        y.append(b.y_star)
+        starts.append(at)
+        study += [i] * m
+        shared.append(b.se_baseline**2)
+        within.append(b.se**2 - b.se_baseline**2)
+        at += m
+    return {
+        "X": np.vstack(X), "y": np.concatenate(y), "starts": np.array(starts),
+        "study": np.array(study), "shared": np.array(shared),
+        "within": np.concatenate(within),
+    }
 
 
 def build_U(a: int, mode: str = "baseline", baseline_arm: int = 0) -> np.ndarray:

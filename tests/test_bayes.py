@@ -278,9 +278,10 @@ def short_fits(studies, network):
         ),
         lambda fit, gls, components: fit.treatment_effect_draws(["A"]),
         lambda fit, gls, components: sucra(np.zeros((100, 2)), ["x", "y"]),
+        lambda fit, gls, components: incidence_matrix(["A"], components),
     ],
     ids=["p_scores", "contrast_vector", "derive_relative_effect", "treatment_effect_draws",
-         "sucra"],
+         "sucra", "incidence_matrix"],
 )
 def test_treatments_passed_in_must_be_treatments(call, short_fits, network):
     # a label is not a Treatment: parse it first

@@ -3,21 +3,30 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cnma.design import ContrastDesign, incidence_matrix, stack_X
-from cnma.errors import CnmaError
+from cnma.errors import CnmaError, UnknownComponent
 from cnma.network import (
     ArmRecord,
     ContrastBlock,
     Network,
     Study,
+    Treatment,
     arm_to_contrast,
     build_network,
     parse_treatment,
 )
-from dense import block_covariance, build_Sigma, build_Sigma_star, build_U, mvn_logpdf
+from dense import (
+    block_covariance,
+    build_Sigma,
+    build_Sigma_star,
+    build_U,
+    contrast_design_arrays,
+    incidence_rows,
+    mvn_logpdf,
+)
 
 
 def study_from(labels, study_id="s"):
@@ -34,6 +43,14 @@ def chd_trial23():
     study = study_from(["Edu+Cog+Rel", "Edu+Rel", "Usual"], "t23")
     net = Network((study,), ("Usual", "Edu", "Beh", "Cog", "Rel", "Sup"))
     return study, net
+
+
+# equal treatments under other labels: the incidence reads the components only
+LABELLED = tuple(
+    Treatment(parse_treatment(lab).components, label)
+    for lab, label in [("A", ""), ("A+B", ""), ("B+A", "B and A"), ("C+D", ""),
+                       ("A+C+D", ""), ("D+C", "D then C"), ("B", "")]
+)
 
 
 class TestBuildV:
@@ -66,6 +83,32 @@ class TestBuildV:
         study, net = chd_trial23
         V = incidence_matrix(study.treatments, net.components)
         assert list(V.sum(axis=1)) == [3, 2, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        treatments=st.lists(st.sampled_from(LABELLED), max_size=12),
+        order=st.permutations(("A", "B", "C", "D", "E")),
+    )
+    @example(treatments=[], order=("A", "B", "C", "D", "E"))
+    def test_rows_equal_the_dense_rows(self, treatments, order):
+        # repeats, equal treatments under other labels, the empty list and a
+        # component no treatment has: one row per entry, whatever shares it
+        V = incidence_matrix(treatments, order)
+        assert V.shape == (len(treatments), len(order))
+        assert np.array_equal(V, incidence_rows(treatments, order))
+
+    @pytest.mark.parametrize(
+        "treatments, error, message",
+        [
+            (["A", "Z", 5], UnknownComponent, "'Z' not in the component order"),
+            (["A", 5, "Z"], CnmaError, "5 is not a Treatment"),
+        ],
+    )
+    def test_first_bad_entry_refused(self, treatments, error, message):
+        # a label stands for its parsed treatment; the rest enter as they are
+        treatments = [parse_treatment(t) if isinstance(t, str) else t for t in treatments]
+        with pytest.raises(error, match=message):
+            incidence_matrix(treatments, ("A", "B"))
 
 
 class TestBuildU:
@@ -203,13 +246,35 @@ def contrast_blocks(draw):
     return blocks
 
 
+def _mixed_block(study_id, labels, seed):
+    a = len(labels)
+    rng = np.random.default_rng(seed)
+    se_b = rng.uniform(0.05, 0.3)
+    return ContrastBlock(
+        study_id=study_id,
+        y_star=rng.normal(size=a - 1),
+        se=np.sqrt(se_b**2 + rng.uniform(0.01, 0.2, size=a - 1)),
+        se_baseline=se_b,
+        treatments=tuple(parse_treatment(lab) for lab in labels),
+    )
+
+
+# one network of 2-, 3- and 4-arm blocks
+MIXED_BLOCKS = [
+    _mixed_block("two", ["A", "B"], 1),
+    _mixed_block("three", ["B+C", "A", "D"], 2),
+    _mixed_block("four", ["A+C+D", "B", "C", "A+B"], 3),
+    _mixed_block("two again", ["D", "A+B"], 4),
+]
+
+
 def dense_reference(blocks, tau2):
     """Per-block rows, contrasts and the dense block-diagonal weight matrix W."""
     net = build_network(
         Study(b.study_id, tuple(ArmRecord(t, 1, 10) for t in b.treatments)) for b in blocks
     )
     X = np.vstack(
-        [build_U(b.n_arms) @ incidence_matrix(b.treatments, net.components) for b in blocks]
+        [build_U(b.n_arms) @ incidence_rows(b.treatments, net.components) for b in blocks]
     )
     y = np.concatenate([b.y_star for b in blocks])
     W = np.zeros((y.size, y.size))
@@ -299,6 +364,14 @@ class TestContrastDesign:
         close(solution.cov, cov, np.abs(cov))
         close(solution.Q, resid @ W @ resid, np.abs(y) @ np.abs(W) @ np.abs(y))
         close(solution.trace_P, np.trace(P), np.trace(W))
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=contrast_blocks(), order=st.permutations(("A", "B", "C", "D", "E")))
+    @example(blocks=MIXED_BLOCKS, order=("A", "B", "C", "D", "E"))
+    def test_stacked_arrays_equal_the_per_block_reference(self, blocks, order):
+        design = ContrastDesign(iter(blocks), order)
+        for name, expected in contrast_design_arrays(blocks, order).items():
+            assert np.array_equal(getattr(design, name), expected), name
 
     @settings(max_examples=100, deadline=None)
     @given(blocks=contrast_blocks())

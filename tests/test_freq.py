@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -223,6 +223,21 @@ class TestGlsMatchesDense:
         np.testing.assert_allclose(fit.cov_d, cov, rtol=1e-10, atol=1e-10 * np.abs(cov).max())
         assert fit.tau2 == pytest.approx(tau2, rel=1e-10, abs=1e-12)
         assert fit.Q == pytest.approx(Q, rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    @example(seed=0)
+    def test_random_effects_answer_is_the_gls_at_its_tau2(self, seed):
+        # the random-effects solve skips Q and trace(P) and keeps the rest;
+        # seed 0 estimates tau2 > 0, so its two passes weigh differently
+        blocks = random_network_blocks(seed)
+        net = network_of(blocks)
+        fit = gls_fit(blocks, net, "random")
+        solution = ContrastDesign(blocks, net.components).gls(fit.tau2)
+        if seed == 0:
+            assert fit.tau2 > 0.0
+        assert np.array_equal(fit.d_hat, solution.d_hat)
+        assert np.array_equal(fit.cov_d, solution.cov)
 
 
 def sparse_network_blocks(seed):

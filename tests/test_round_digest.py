@@ -1,7 +1,9 @@
 """The digest that tools/round_digest.py prints per call: equal for equal
-answers, different after one flipped bit. No benchmark round is run."""
+answers, different after one flipped bit; and its per-kind subtotals. No
+benchmark round is run."""
 
 import dataclasses
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -18,11 +20,16 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "round_digest.py"
 
 
 @pytest.fixture(scope="module")
-def digest():
+def tool():
     spec = importlib.util.spec_from_file_location("round_digest", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.digest
+    return module
+
+
+@pytest.fixture(scope="module")
+def digest(tool):
+    return tool.digest
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +75,26 @@ def test_equal_answers_equal_digests_and_one_bit_changes_it(digest, answers, kin
 def test_unknown_answer_refused(digest):
     with pytest.raises(TypeError):
         digest("not an answer")
+
+
+def test_subtotals_hash_each_kind_as_the_total_is(tool):
+    whats = ["gls-random", "gls-fixed", "unanchored-arm", "gls-random", "new-kind"]
+    lines = [f"{i:064x} sim-small 1 {what}" for i, what in enumerate(whats)]
+    subtotals = tool.subtotals(whats, lines)
+    kinds = [line.split(":")[0] for line in subtotals]
+    assert kinds == [
+        "anchored-arm", "unanchored-arm", "unanchored-contrast",
+        "gls-random", "gls-fixed", "sucra", "p_scores", "new-kind",
+    ]
+    random = [lines[0], lines[3]]
+    sha = hashlib.sha256("\n".join(random).encode()).hexdigest()
+    assert subtotals[3] == f"gls-random: 2 calls, subtotal {sha}"
+    # a kind with no calls hashes nothing; the subtotals of a one-kind round
+    # hash what its total hashes
+    empty = hashlib.sha256(b"").hexdigest()
+    assert subtotals[0] == f"anchored-arm: 0 calls, subtotal {empty}"
+    assert tool.subtotals(whats[:1], lines[:1])[3].endswith(tool._sha(lines[:1]))
+    # a changed line changes its own kind's subtotal and no other
+    changed = lines[:2] + ["f" + lines[2][1:]] + lines[3:]
+    moved = [a != b for a, b in zip(subtotals, tool.subtotals(whats, changed))]
+    assert moved == [k == "unanchored-arm" for k in kinds]

@@ -7,9 +7,12 @@ Run the copy in each of two checkouts and compare the last lines. For every
 workload and seed it sets up the workload's networks and runs
 ``workloads.run_round`` once, importing ``bench/``'s modules and ``cnma``
 from ``src/`` of the checkout the script sits in; it changes neither. It prints one SHA-256 per
-call (see ``digest``), then the number of calls and one SHA-256 over all the
-printed lines. BLAS is pinned to one thread, as in the benchmark, and
-``cnma``'s convergence warnings are silenced.
+call (see ``digest``); then, per call kind (each model kind, ``gls-random``,
+``gls-fixed``, ``sucra`` and ``p_scores``), its number of calls and one SHA-256
+over its lines (see ``subtotals``), so a change can show which kinds it left
+identical; last, the number of calls and one SHA-256 over all the per-call
+lines. BLAS is pinned to one thread, as in the benchmark, and ``cnma``'s
+convergence warnings are silenced.
 """
 
 import os
@@ -33,7 +36,7 @@ import numpy as np
 
 from cnma.bayes import BayesFit
 from cnma.freq import FreqFit
-from workloads import WORKLOADS, Meter, run_round, setup
+from workloads import KINDS, WORKLOADS, Meter, run_round, setup
 
 
 def digest(result) -> str:
@@ -59,6 +62,23 @@ def digest(result) -> str:
     return sha.hexdigest()
 
 
+def _sha(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def subtotals(whats, lines) -> list[str]:
+    """One line per call kind: the number of ``lines`` whose call was that kind
+    (``whats`` names each line's kind) and one SHA-256 over them, hashed as the
+    total is. Every kind a round makes is listed, in a fixed order and even
+    with no calls; a kind outside that list follows in first appearance."""
+    kinds = dict.fromkeys((*KINDS, "gls-random", "gls-fixed", "sucra", "p_scores", *whats))
+    out = []
+    for kind in kinds:
+        mine = [line for what, line in zip(whats, lines) if what == kind]
+        out.append(f"{kind}: {len(mine)} calls, subtotal {_sha(mine)}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS),
@@ -69,7 +89,7 @@ def main(argv=None) -> int:
     logging.getLogger("cnma").setLevel(logging.ERROR)
 
     meter = Meter()
-    lines = []
+    whats, lines = [], []
     for name in args.workloads:
         workload = WORKLOADS[name]
         for seed in args.seeds:
@@ -78,9 +98,10 @@ def main(argv=None) -> int:
                 if call.failure:
                     line += f" FAILED {call.failure}"
                 print(line)
+                whats.append(call.what)
                 lines.append(line)
-    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    print(f"{len(lines)} calls, total {total}")
+    print("\n".join(subtotals(whats, lines)))
+    print(f"{len(lines)} calls, total {_sha(lines)}")
     return 0
 
 
