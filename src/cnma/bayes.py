@@ -23,7 +23,9 @@ Each model kind has one log likelihood and one log posterior, its ``loglik``
 and ``logpost``. Both take the sampling parameterization that the sampler
 moves through: for the arm kinds the study baselines are arm-1 logits (see
 ``_ArmModel``). A model's ``to_internal`` maps reported vectors there, and its
-``reported_draws`` maps the draws back, in place.
+``reported_draws`` maps the draws back, in place. A model's ``sample`` draws
+in its sampling parameterization; ``fit`` validates, samples, maps the draws
+to the reported parameterization and warns when they have not converged.
 
 A fit's R-hat and ESS are those of its reported draws. ``fit`` logs one
 warning on the ``cnma`` logger when they miss ``RHAT_LIMIT`` or ``ESS_LIMIT``.
@@ -84,8 +86,10 @@ class ModelSpec:
             raise CnmaError(f"unknown model kind {self.kind!r}")
         if self.effects not in ("fixed", "random"):
             raise CnmaError(f"unknown effects mode {self.effects!r}")
-        if self.anchor is not None and not isinstance(self.anchor, Treatment):
-            raise UnknownAnchor(f"anchor must be a Treatment, got {self.anchor!r}")
+        if self.anchor is not None and not (
+            isinstance(self.anchor, Treatment) and self.anchor.size == 1
+        ):
+            raise UnknownAnchor(f"anchor must be a single-component Treatment, got {self.anchor!r}")
         if (self.anchor is not None) != (self.kind == "anchored-arm"):
             raise CnmaError("anchor is required for anchored-arm and only there")
         if not isinstance(self.priors, Priors):
@@ -117,6 +121,7 @@ class _Model:
     coordinates, then, under random effects, sigma at ``sigma_pos``. The
     effects get a normal prior and sigma a uniform one. ``to_internal`` and
     ``reported_draws`` are the identity unless a kind remaps coordinates.
+    ``sample`` runs the block Metropolis sampler over ``blocks_and_partials``.
     """
 
     def __init__(self, network: Network, spec: ModelSpec, d_components, study_names=()):
@@ -168,14 +173,21 @@ class _Model:
             return -math.inf
         return float(self.loglik(x) + self._d_prior(x) + self._study_prior(x) + bounds)
 
-    def _shared_blocks(self, d_chol) -> list[Block]:
-        """The effect block and, under random effects, the sigma block."""
+    def blocks_and_partials(self, d_chol):
+        """The effect block and, under random effects, the sigma block, each
+        with the log posterior as its partial."""
         k = len(self.d_components)
         scale = 2.38 / math.sqrt(max(k, 1))
         blocks = [Block("d", tuple(range(k)), scale=scale, cov_chol=d_chol)]
         if self.spec.random_effects:
             blocks.append(Block("sigma", (self.sigma_pos,), scale=0.4, log_scale=True))
-        return blocks
+        return blocks, [self.logpost] * len(blocks)
+
+    def sample(self, config: McmcConfig) -> PosteriorSample:
+        """Draws in the sampling parameterization, one chain per jittered start."""
+        blocks, partials = self.blocks_and_partials(_d_preconditioner(self))
+        inits = self.to_internal(_initial_vectors(self, config))
+        return run_chains(self.logpost, inits, blocks, config, partials=partials)
 
     def initial_vector(self) -> np.ndarray:
         x = np.zeros(self.dim)
@@ -385,7 +397,7 @@ class _ArmModel(_Model):
         return alpha_partial, eps_partial
 
     def blocks_and_partials(self, d_chol):
-        blocks = self._shared_blocks(d_chol)
+        blocks, _ = super().blocks_and_partials(d_chol)
         partials = [lambda x: self.loglik(x) + self._d_prior(x) + self._alpha_prior(x)]
         if self.spec.random_effects:
             partials.append(lambda x: self._eps_prior(x) + self._sigma_bounds(x))
@@ -433,10 +445,6 @@ class _ContrastModel(_Model):
     def loglik(self, x: np.ndarray) -> float:
         sigma2 = x[self.sigma_pos] ** 2 if self.spec.random_effects else 0.0
         return self.design.logpdf(x[self.d_sl], sigma2)
-
-    def blocks_and_partials(self, d_chol):
-        blocks = self._shared_blocks(d_chol)
-        return blocks, [self.logpost] * len(blocks)
 
 
 @dataclass
@@ -502,13 +510,8 @@ def _validate(spec: ModelSpec, data, network: Network):
     if arm_kind:
         # an arm kind names its parameters by study id
         _check_study_ids(data)
-    if spec.kind == "anchored-arm":
-        if spec.anchor.size != 1:
-            raise UnknownAnchor("anchor must be a single-component treatment")
-        if spec.anchor not in network.treatments:
-            raise UnknownAnchor(
-                f"anchor {spec.anchor.label!r} is not a treatment in the network"
-            )
+    if spec.kind == "anchored-arm" and spec.anchor not in network.treatments:
+        raise UnknownAnchor(f"anchor {spec.anchor.label!r} is not a treatment in the network")
 
 
 def _d_preconditioner(model) -> np.ndarray | None:
@@ -584,14 +587,14 @@ def fit(
     network: Network,
     mcmc_config: McmcConfig | None = None,
 ) -> BayesFit:
-    """Sample the posterior of one model and return the assembled fit."""
+    """Sample the posterior of one model and return the assembled fit: validate
+    the config, build the model, let its ``sample`` draw in the sampling
+    parameterization, map the draws to the reported one and warn if unconverged."""
     config = mcmc_config if mcmc_config is not None else McmcConfig()
     if not isinstance(config, McmcConfig):
         raise CnmaError(f"mcmc_config must be an McmcConfig, got {mcmc_config!r}")
     model = build_model(spec, data, network)
-    blocks, partials = model.blocks_and_partials(_d_preconditioner(model))
-    inits = model.to_internal(_initial_vectors(model, config))
-    raw = run_chains(model.logpost, inits, blocks, config, partials=partials)
+    raw = model.sample(config)
     sample = dataclasses.replace(raw, names=model.names, draws=model.reported_draws(raw.draws))
     _warn_if_unconverged(spec, sample)
     return BayesFit(spec=spec, sample=sample, network=network, model=model)

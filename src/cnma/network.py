@@ -207,13 +207,16 @@ class Network:
     def connected(self) -> bool:
         """Whether the treatments form one group closed under "co-appear in
         a study"."""
-        # each treatment's group: the treatments joined to it by the studies so far
-        group: dict[Treatment, set[Treatment]] = {}
+        # each treatment's group: the treatments joined to it by the studies so
+        # far, keyed on the component tuple as in ``treatments``
+        group: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
         for study in self.studies:
-            merged = set().union(*(group.get(t, {t}) for t in study.treatments))
-            for t in merged:
-                group[t] = merged
-        return bool(group) and len(group[self.treatments[0]]) == len(group)
+            merged = set()
+            for key in [arm.treatment.components for arm in study.arms]:
+                merged |= group.get(key, {key})
+            for key in merged:
+                group[key] = merged
+        return bool(group) and len(next(iter(group.values()))) == len(group)
 
 
 def _check_study_ids(studies) -> None:

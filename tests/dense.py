@@ -2,10 +2,13 @@
 paper's contrast matrices U, the compound-symmetry structures Sigma and
 Sigma*, a contrast block's sampling covariance, the stacked arrays of a
 ``ContrastDesign`` and the multivariate normal log-density, each as an
-explicit matrix or built block by block. The package computes the same
-quantities in closed form or in one pass (see ``cnma.design`` and the arm
-models' eps prior); the tests check it against these.
+explicit matrix or built block by block, and a network's connectivity by
+breadth-first search. The package computes the same quantities in closed form
+or in one pass (see ``cnma.design``, the arm models' eps prior and
+``Network.connected``); the tests check it against these.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -114,3 +117,22 @@ def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     z = np.linalg.solve(lower, x - mean)
     logdet = 2.0 * np.sum(np.log(np.diag(lower)))
     return float(-0.5 * (k * np.log(2.0 * np.pi) + logdet + z @ z))
+
+
+def treatments_connected(network) -> bool:
+    """Whether a breadth-first search over ``Treatment``s, stepping between two
+    that share a study, reaches every treatment of the network from the first
+    one; False for a network without studies."""
+    neighbours: dict = {}
+    for study in network.studies:
+        for t in study.treatments:
+            neighbours.setdefault(t, set()).update(study.treatments)
+    if not neighbours:
+        return False
+    start = next(iter(neighbours))
+    seen, queue = {start}, deque([start])
+    while queue:
+        for t in neighbours[queue.popleft()] - seen:
+            seen.add(t)
+            queue.append(t)
+    return len(seen) == len(neighbours)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cnma.errors import (
@@ -24,7 +24,15 @@ from cnma.network import (
     build_network,
     parse_treatment,
 )
-from dense import block_covariance
+from dense import block_covariance, treatments_connected
+
+
+# single- and multi-component treatments, two of them twice under other labels
+RELABELLED = tuple(
+    Treatment(parse_treatment(lab).components, label)
+    for lab, label in [("A", ""), ("B", ""), ("A+B", ""), ("B+A", "B and A"), ("C", ""),
+                       ("D+E", ""), ("E+D", "E then D"), ("E", "")]
+)
 
 
 def two_arm(study_id, label_a, label_b, r=(10, 20), n=(50, 50)):
@@ -236,6 +244,22 @@ class TestConnectivity:
         )
         assert not net.connected
         assert build_network(net.studies[:2] + net.studies[3:]).connected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(RELABELLED), min_size=2, max_size=4), max_size=7))
+    @example(designs=[])
+    def test_agrees_with_breadth_first_search(self, designs):
+        # treatments drawn from a small pool, so most draws reuse some, and
+        # equal treatments under other labels join the same group; a network
+        # of no studies is not connected
+        studies = []
+        for i, treatments in enumerate(designs):
+            treatments = tuple(dict.fromkeys(treatments))  # distinct, first label kept
+            if len(treatments) >= 2:
+                arms = tuple(ArmRecord(t, 5, 20) for t in treatments)
+                studies.append(Study(f"s{i}", arms))
+        net = Network(studies, ("A", "B", "C", "D", "E"))
+        assert net.connected == treatments_connected(net)
 
 
 class TestArmToContrast:
