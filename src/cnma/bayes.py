@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import LOG_2PI, ContrastDesign, incidence_matrix
+from .design import LOG_2PI, ContrastDesign, _baseline_contrasts, incidence_matrix
 from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
 from .mcmc import Block, McmcConfig, PosteriorSample, rng_stream, run_chains, summarize
 from .network import ContrastBlock, Network, Study, Treatment, _check_study_ids
@@ -204,8 +204,10 @@ class _ArmModel(_Model):
 
     Sampling parameterization: alpha is replaced by the arm-1 logit
     a_i = alpha_i + (V d)_{arm 1}, so the effect block changes only contrast
-    predictions and the baseline block absorbs the level. The map is affine
-    and volume-preserving, so draws are transformed back after sampling.
+    predictions and the baseline block absorbs the level: the logit is a_i on
+    a study's first arm and a_i + X d + eps on a later one, where X is the
+    stacked contrast design of ``design._baseline_contrasts``. The map is
+    affine and volume-preserving, so draws are transformed back after sampling.
     """
 
     def __init__(self, studies, network: Network, spec: ModelSpec):
@@ -230,11 +232,15 @@ class _ArmModel(_Model):
         self.m = np.array([s.n_arms - 1 for s in self.studies], dtype=int)
         # offset of each study's first arm in the stacked arm arrays
         self.arm_starts = np.cumsum(self.m + 1) - (self.m + 1)
-        # the anchored kind has no column for the anchor component
-        V = incidence_matrix([arm.treatment for _, arm in arms], network.components)
-        self.V = V[:, self.d_columns]
-        self.V1 = self.V[self.arm_starts]
-        self.Vc = self.V - self.V1[self.arm_study]
+        # every arm but each study's first: the rows of X, and the arms with a latent
+        self.later_arms = np.setdiff1d(np.arange(self.r.size), self.arm_starts)
+        # the anchored kind has no column for the anchor component; BLAS takes
+        # another path, and so other bits, on an F-ordered matrix
+        components = network.components
+        X = _baseline_contrasts([arm.treatment for _, arm in arms], self.m + 1, components)
+        self.X = np.ascontiguousarray(X[:, self.d_columns])
+        V1 = incidence_matrix([s.arms[0].treatment for s in self.studies], components)
+        self.V1 = np.ascontiguousarray(V1[:, self.d_columns])
         self.logc_total = _log_binomial_coefficients(self.r, self.n)
 
         k, n_studies = self.d_sl.stop, len(self.studies)
@@ -244,16 +250,14 @@ class _ArmModel(_Model):
         self.jitter_scale[self.eps_sl] = 0.2
 
         if spec.random_effects:
-            # every arm but each study's first carries a latent
-            self.eps_arm_positions = np.setdiff1d(np.arange(self.r.size), self.arm_starts)
             # offset of each study's first latent within the eps block
             self.eps_starts = np.cumsum(self.m) - self.m
-            # log det of the contrast compound-symmetry block, per study
-            self.eps_logdets = np.log(self.m + 1.0) - self.m * math.log(2.0)
+            # log det of the contrast compound-symmetry blocks, summed over studies
+            self.eps_logdet = (np.log(self.m + 1.0) - self.m * math.log(2.0)).sum()
 
     @cached_property
     def design(self) -> ContrastDesign:
-        """The studies' contrasts against arm 1 from the arm counts (cc05)."""
+        """The studies' cc05 contrasts against arm 1; only ``_d_preconditioner`` reads them."""
         blocks = [arm_to_contrast(s, 0, "cc05") for s in self.studies]
         return ContrastDesign(blocks, self.network.components)
 
@@ -274,13 +278,15 @@ class _ArmModel(_Model):
     # --- log likelihood and priors (sampling parameterization) ------------
 
     def loglik(self, x: np.ndarray):
-        """Binomial log likelihood, logit = a_i + (V - V_{arm 1}) d + eps: a
-        float for one vector, an array for a matrix holding one per row."""
+        """Binomial log likelihood, logit = a_i on each study's first arm and
+        a_i + X d + eps on the later ones: a float for one vector, an array
+        for a matrix holding one per row."""
         # x.T puts the coordinates first for one vector and for rows alike
         xt = x.T
-        logits = xt[self.alpha_sl][self.arm_study] + self.Vc @ xt[self.d_sl]
+        logits = xt[self.alpha_sl][self.arm_study]
+        logits[self.later_arms] += self.X @ xt[self.d_sl]
         if self.spec.random_effects:
-            logits[self.eps_arm_positions] += xt[self.eps_sl]
+            logits[self.later_arms] += xt[self.eps_sl]
         return self.r @ logits - self.n @ np.logaddexp(0.0, logits) + self.logc_total
 
     def _alpha_prior(self, x) -> float:
@@ -301,7 +307,7 @@ class _ArmModel(_Model):
             -0.5
             * (
                 e.size * (LOG_2PI + 2.0 * math.log(sigma))
-                + self.eps_logdets.sum()
+                + self.eps_logdet
                 + quads.sum() / (sigma * sigma)
             )
         )
@@ -318,47 +324,40 @@ class _ArmModel(_Model):
 
         Each is study i's log-likelihood in the sampling parameterization plus
         that block's prior: alpha_i's normal prior, or the compound-symmetry
-        prior of eps_i. They use scalar math with the study's constants worked
-        out once, since each runs tens of thousands of times per chain; the
-        eps partial is None under fixed effects.
+        prior of eps_i, up to the terms the block does not move. They use
+        scalar math with the study's constants worked out once, since each
+        runs tens of thousands of times per chain; the eps partial is None
+        under fixed effects.
         """
-        start = int(self.arm_starts[i])
-        stop = start + int(self.m[i]) + 1
+        start, m = int(self.arm_starts[i]), int(self.m[i])
+        stop = start + m + 1
+        # study i's rows of X start at its first latent's offset, arm_starts[i] - i
+        rows = self.X[start - i : stop - i - 1]
         alpha_pos = self.alpha_sl.start + i
         random_effects = self.spec.random_effects
-        eps_start = self.eps_sl.start + int(self.eps_starts[i]) if random_effects else -1
-        # per arm: events, total, nonzero (column, Vc entry) pairs, latent position
-        arms = tuple(
-            (
-                float(self.r[g]),
-                float(self.n[g]),
-                tuple((int(j), float(self.Vc[g, j])) for j in np.flatnonzero(self.Vc[g])),
-                eps_start + local - 1 if random_effects and local >= 1 else -1,
-            )
-            for local, g in enumerate(range(start, stop))
-        )
-        logc = _log_binomial_coefficients(self.r[start:stop], self.n[start:stop])
+        eps_start = self.eps_sl.start + start - i if random_effects else -1
+        # per arm: events, total, nonzero (column, X entry) pairs, latent position
+        nonzero = [tuple((int(c), float(row[c])) for c in np.flatnonzero(row)) for row in rows]
+        latent = [eps_start + j if random_effects else -1 for j in range(m)]
+        arms = tuple(zip(self.r[start:stop].tolist(), self.n[start:stop].tolist(),
+                         [()] + nonzero, [-1] + latent))
         exp, log1p = math.exp, math.log1p
 
         def loglik(x) -> float:
             item = x.item
             alpha = item(alpha_pos)
-            total = logc
+            total = 0.0
             for r, n, nz, epos in arms:
                 lo = alpha
                 for j, sign in nz:
                     lo += sign * item(j)
                 if epos >= 0:
                     lo += item(epos)
-                if lo >= 0.0:
-                    softplus = lo + log1p(exp(-lo)) if lo < 35.0 else lo
-                else:
-                    softplus = log1p(exp(lo)) if lo > -35.0 else 0.0
+                softplus = lo + log1p(exp(-lo)) if lo >= 0.0 else log1p(exp(lo))
                 total += r * lo - n * softplus
             return total
 
         av = self.spec.priors.alpha_variance
-        alpha_norm = 0.5 * (LOG_2PI + math.log(av))
         v1_cols = tuple(int(j) for j in np.flatnonzero(self.V1[i]))
 
         def alpha_partial(x) -> float:
@@ -366,33 +365,22 @@ class _ArmModel(_Model):
             a = x.item(alpha_pos)
             for j in v1_cols:
                 a -= x.item(j)
-            return loglik(x) + (-0.5 * a * a / av - alpha_norm)
+            return loglik(x) - 0.5 * a * a / av
 
         if not random_effects:
             return alpha_partial, None
 
-        m = stop - start - 1
         eps_positions = tuple(range(eps_start, eps_start + m))
-        logdet = float(self.eps_logdets[i])
         sigma_pos = self.sigma_pos
 
         def eps_partial(x) -> float:
+            s = ss = 0.0
+            for p in eps_positions:
+                v = x.item(p)
+                s += v
+                ss += v * v
             sigma = x.item(sigma_pos)
-            if sigma <= 0.0:
-                return loglik(x) - math.inf
-            if m == 1:
-                e = x.item(eps_start)
-                quad = e * e
-            else:
-                s = ss = 0.0
-                for p in eps_positions:
-                    v = x.item(p)
-                    s += v
-                    ss += v * v
-                quad = 2.0 * (ss - s * s / (m + 1.0))
-            return loglik(x) + -0.5 * (
-                m * (LOG_2PI + 2.0 * math.log(sigma)) + logdet + quad / (sigma * sigma)
-            )
+            return loglik(x) - (ss - s * s / (m + 1.0)) / (sigma * sigma)
 
         return alpha_partial, eps_partial
 
@@ -423,7 +411,7 @@ class _ArmModel(_Model):
                     + tuple(range(self.eps_sl.start, self.eps_sl.stop)),
                     scale=0.3,
                     cov_chol=d_chol,
-                    shift_map=self.Vc[self.eps_arm_positions],
+                    shift_map=self.X,
                 )
             )
             partials.append(
@@ -441,6 +429,7 @@ class _ContrastModel(_Model):
     def __init__(self, blocks, network: Network, spec: ModelSpec):
         super().__init__(network, spec, network.components)
         self.design = ContrastDesign(blocks, network.components)
+        self.X = self.design.X
 
     def loglik(self, x: np.ndarray) -> float:
         sigma2 = x[self.sigma_pos] ** 2 if self.spec.random_effects else 0.0
@@ -572,7 +561,7 @@ def build_model(spec: ModelSpec, data, network: Network):
     else:
         model = _ContrastModel(data, network, spec)
     n_columns = model.d_columns.size
-    rank = int(np.linalg.matrix_rank(model.design.X[:, model.d_columns]))
+    rank = int(np.linalg.matrix_rank(model.X))
     if rank < n_columns:
         raise NotIdentifiable(
             f"{spec.kind}: the contrast design has rank {rank} for "

@@ -1,8 +1,9 @@
 """Design and covariance-structure matrices.
 
 Every design matrix in the package is rows of one treatment x component
-incidence matrix, built by ``incidence_matrix``: an arm-level model's V holds
-its arms' rows, and the stacked regression matrix X holds, per study, each
+incidence matrix, built by ``incidence_matrix``: an arm-level model's V1 holds
+its studies' first arms' rows, and the stacked regression matrix X, of the
+contrast designs and the arm-level models alike, holds, per study, each
 later arm's row minus the first arm's: a study's first treatment is its
 baseline, and ``arm_to_contrast`` puts the chosen one there. A network has
 many arms and few distinct treatments, so the incidence builds one row per
@@ -97,7 +98,7 @@ class GlsSolution(NamedTuple):
     d_hat: np.ndarray
     cov: np.ndarray  # (X'WX)^+
     Q: float  # generalized Q: weighted residual sum of squares at d_hat
-    trace_P: float  # trace of P = W - W X (X'WX)^+ X'W
+    trace_P_Sigma: float  # trace of P Sigma*, with P = W - W X (X'WX)^+ X'W
 
 
 class ContrastDesign:
@@ -119,7 +120,7 @@ class ContrastDesign:
     recent tau2: a sweep asks for the current sigma and a proposal, and
     returns to the current one after a rejection. ``_solve`` is the one GLS
     solve, giving d_hat and (X'WX)^+; ``gls`` adds the generalized Q and
-    trace(P), which only the moment estimator reads.
+    trace(P Sigma*), which only the moment estimator reads.
     """
 
     def __init__(self, blocks, components):
@@ -197,14 +198,19 @@ class ContrastDesign:
 
     def gls(self, tau2: float) -> GlsSolution:
         """Generalized least squares with weights W at ``tau2`` (see
-        ``_solve``), with its generalized Q and trace(P)."""
+        ``_solve``), with its generalized Q and trace(P Sigma*): Sigma*_i is
+        (I + 11')/2, so it is (trace(P) + sum_i 1'P_ii 1) / 2, where
+        1'P_ii 1 = sum(w) - g sum(w)^2 - s_i (X'WX)^+ s_i' and s_i sums study
+        i's rows of WX."""
         d_hat, cov, WX = self._solve(tau2)
         resid = self.y - self.X @ d_hat
         w, g, _ = self._weights(tau2)
-        trace_W = np.sum(w) - g @ np.add.reduceat(w * w, self.starts)
+        sum_w, sum_WX = np.add.reduceat(w, self.starts), np.add.reduceat(WX, self.starts)
+        trace_P = np.sum(w) - g @ np.add.reduceat(w * w, self.starts) - np.sum((WX @ cov) * WX)
+        sum_P = np.sum(sum_w - g * sum_w * sum_w) - np.sum((sum_WX @ cov) * sum_WX)
         return GlsSolution(
             d_hat=d_hat,
             cov=cov,
             Q=float(resid @ self.weigh(tau2, resid)),
-            trace_P=float(trace_W - np.sum((WX @ cov) * WX)),
+            trace_P_Sigma=float(0.5 * (trace_P + sum_P)),
         )

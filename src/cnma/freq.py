@@ -54,7 +54,7 @@ class FreqFit:
 def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
     """Weighted least squares on the stacked contrasts.
 
-    The fixed-effects pass (tau2 = 0) gives Q and trace(P), and so the
+    The fixed-effects pass (tau2 = 0) gives Q and trace(P Sigma*), and so the
     method-of-moments heterogeneity variance. Under random effects the
     weights then hold that variance fixed, and the second pass computes only
     the d_hat and covariance it returns (``ContrastDesign._solve``), equal bit
@@ -72,18 +72,20 @@ def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
         _check_estimable(
             treatments, incidence_matrix(treatments, network.components), design.null_space
         )
-    # generalized method of moments: tau2 = (Q - df) / trace(P) with
-    # P = W - W X (X'WX)^+ X'W, truncated at zero and flagged when negative
-    # or undefined (df <= 0); the classic two-stage estimator when pairwise
+    # generalized method of moments: tau2 = (Q - df) / trace(P Sigma*) with
+    # P = W - W X (X'WX)^+ X'W, since E[Q] = df + tau2 trace(P Sigma*)
+    # (Jackson, White & Riley 2013), truncated at zero and flagged when
+    # negative or undefined (df <= 0); the classic two-stage estimator when
+    # pairwise, where Sigma* = I; trace(P) would also depend on the baselines
     df = design.y.size - design.rank
-    defined = df > 0 and fixed.trace_P > 0
-    tau2 = (fixed.Q - df) / fixed.trace_P if defined else 0.0
+    defined = df > 0 and fixed.trace_P_Sigma > 0
+    tau2 = (fixed.Q - df) / fixed.trace_P_Sigma if defined else 0.0
     truncated = not defined or tau2 < 0.0
     tau2 = max(tau2, 0.0)
     if effects_model == "fixed":
         tau2, d_hat, cov = 0.0, fixed.d_hat, fixed.cov
     else:
-        # Q and trace(P) are read at tau2 = 0 only
+        # Q and trace(P Sigma*) are read at tau2 = 0 only
         d_hat, cov, _ = design._solve(tau2)
     return FreqFit(
         d_hat=d_hat,

@@ -96,6 +96,17 @@ def build_Sigma_star(a: int) -> np.ndarray:
     return sigma
 
 
+def stacked_Sigma_star(blocks) -> np.ndarray:
+    """The block-diagonal Sigma* of the stacked contrasts of ``blocks``."""
+    sizes = [b.y_star.size for b in blocks]
+    out = np.zeros((sum(sizes), sum(sizes)))
+    at = 0
+    for b, m in zip(blocks, sizes):
+        out[at : at + m, at : at + m] = build_Sigma_star(b.n_arms)
+        at += m
+    return out
+
+
 def block_covariance(block) -> np.ndarray:
     """A contrast block's (a-1)x(a-1) sampling covariance: se^2 on the
     diagonal, se_baseline^2 off it."""

@@ -68,6 +68,20 @@ def network(studies):
     return net
 
 
+@pytest.fixture(scope="module")
+def wide_studies(studies):
+    """The twelve studies and two of four arms, one with a zero cell and the
+    anchor A as its second arm, one without A."""
+    four_arm = (
+        ("s12", (("B", 50, 120), ("A", 0, 110), ("C+D", 35, 130), ("B+C", 47, 125))),
+        ("s13", (("D", 30, 100), ("C", 28, 105), ("B+D", 41, 98), ("B+C+D", 44, 101))),
+    )
+    return studies + tuple(
+        Study(id=i, arms=tuple(ArmRecord(parse_treatment(t), r, n) for t, r, n in arms))
+        for i, arms in four_arm
+    )
+
+
 def inputs(kind, studies, effects="random"):
     spec = bayes.ModelSpec(kind, effects, ANCHOR if kind == "anchored-arm" else None)
     if kind == "unanchored-contrast":
@@ -504,30 +518,61 @@ def test_fit_summary_and_sigma_draws(effects, studies, network):
 
 @pytest.mark.parametrize("effects", ["fixed", "random"])
 @pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
-def test_block_partials_track_logpost(kind, effects, studies, network):
-    # a move of one block changes its partial as much as the log posterior
-    spec, data = inputs(kind, studies, effects)
+def test_arm_design_is_the_cc05_design(kind, effects, wide_studies):
+    # the arm kinds' X, the one X the likelihood, the partials and the rank
+    # check read, is the contrast design's on arm 1, bit for bit
+    spec, data = inputs(kind, wide_studies, effects)
+    network = build_network(wide_studies)
     model = bayes.build_model(spec, data, network)
-    blocks, partials = model.blocks_and_partials(bayes._d_preconditioner(model))
-    # d, then alpha per study; under random effects also sigma, eps per study and d-shift
-    assert len(partials) == (3 + 2 * len(studies) if effects == "random" else 1 + len(studies))
-    x = model.to_internal(bayes._initial_vectors(model, McmcConfig(seed=3))[0])
-    rng = np.random.default_rng(3)
-    for block, partial in zip(blocks, partials):
-        y = x.copy()
-        dims = list(block.dims)
-        if block.shift_map is not None:
-            k = block.shift_map.shape[1]
-            delta = 0.3 * rng.standard_normal(k)
-            y[dims[:k]] += delta
-            y[dims[k:]] -= block.shift_map @ delta
-        elif block.log_scale:
-            y[dims] *= np.exp(0.3 * rng.standard_normal(len(dims)))
-        else:
-            y[dims] += 0.3 * rng.standard_normal(len(dims))
-        change = model.logpost(y) - model.logpost(x)
-        assert np.isfinite(change)
-        assert partial(y) - partial(x) == pytest.approx(change, abs=1e-9), block.name
+    if kind == "anchored-arm":
+        assert model.studies[-2].treatments[0] == ANCHOR != wide_studies[-2].treatments[0]
+    contrasts = [arm_to_contrast(s, 0, "cc05") for s in model.studies]
+    X = ContrastDesign(contrasts, network.components).X[:, model.d_columns]
+    V1 = incidence_matrix([s.treatments[0] for s in model.studies], network.components)
+    assert np.array_equal(model.X, X) and model.X.flags.c_contiguous
+    assert np.array_equal(model.V1, V1[:, model.d_columns]) and model.V1.flags.c_contiguous
+    if effects == "random":
+        blocks, _ = model.blocks_and_partials(None)
+        (shift,) = [b for b in blocks if b.name == "d-shift"]
+        assert shift.shift_map is model.X
+
+
+@pytest.mark.parametrize("effects", ["fixed", "random"])
+@pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
+def test_block_partials_track_logpost(kind, effects, studies, wide_studies):
+    # a move of one block changes its partial as much as the log posterior: on
+    # the fixture, with two four-arm studies, and where logits pass +-35
+    for records, past_35 in ((studies, False), (wide_studies, False), (studies, True)):
+        spec, data = inputs(kind, records, effects)
+        model = bayes.build_model(spec, data, build_network(records))
+        blocks, partials = model.blocks_and_partials(bayes._d_preconditioner(model))
+        # d, then alpha per study; under random effects also sigma, eps per
+        # study and d-shift
+        n = len(records)
+        assert len(partials) == (3 + 2 * n if effects == "random" else 1 + n)
+        x = model.to_internal(bayes._initial_vectors(model, McmcConfig(seed=3))[0])
+        if past_35:
+            # every logit of study 0 lies above 35 and of study 1 below -35
+            x[model.alpha_sl.start : model.alpha_sl.start + 2] = (40.0, -40.0)
+            logits = reported_logits(kind, records, model.names, model.reported_draws(x.copy()))
+            n0, n1 = records[0].n_arms, records[1].n_arms
+            assert logits[:n0].min() > 35.0 and logits[n0 : n0 + n1].max() < -35.0
+        rng = np.random.default_rng(3)
+        for block, partial in zip(blocks, partials):
+            y = x.copy()
+            dims = list(block.dims)
+            if block.shift_map is not None:
+                k = block.shift_map.shape[1]
+                delta = 0.3 * rng.standard_normal(k)
+                y[dims[:k]] += delta
+                y[dims[k:]] -= block.shift_map @ delta
+            elif block.log_scale:
+                y[dims] *= np.exp(0.3 * rng.standard_normal(len(dims)))
+            else:
+                y[dims] += 0.3 * rng.standard_normal(len(dims))
+            change = model.logpost(y) - model.logpost(x)
+            assert np.isfinite(change)
+            assert partial(y) - partial(x) == pytest.approx(change, abs=1e-9), block.name
 
 
 @pytest.mark.parametrize("kind", KINDS)

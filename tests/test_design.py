@@ -26,6 +26,7 @@ from dense import (
     contrast_design_arrays,
     incidence_rows,
     mvn_logpdf,
+    stacked_Sigma_star,
 )
 
 
@@ -359,11 +360,12 @@ class TestContrastDesign:
         d_hat = cov @ xtwy
         resid = y - X @ d_hat
         P = W - W @ X @ cov @ X.T @ W
+        Sigma = stacked_Sigma_star(blocks)
         solution = design.gls(tau2)
         close(solution.d_hat, d_hat, np.abs(cov) @ abs_xtwy)
         close(solution.cov, cov, np.abs(cov))
         close(solution.Q, resid @ W @ resid, np.abs(y) @ np.abs(W) @ np.abs(y))
-        close(solution.trace_P, np.trace(P), np.trace(W))
+        close(solution.trace_P_Sigma, np.trace(P @ Sigma), np.trace(W @ Sigma))
 
     @settings(max_examples=100, deadline=None)
     @given(blocks=contrast_blocks(), order=st.permutations(("A", "B", "C", "D", "E")))

@@ -15,10 +15,13 @@ from cnma.network import (
     ContrastBlock,
     Network,
     Study,
+    Treatment,
+    _arm_first,
+    arm_to_contrast,
     build_network,
     parse_treatment,
 )
-from dense import block_covariance, build_Sigma_star, build_U
+from dense import block_covariance, build_Sigma_star, build_U, stacked_Sigma_star
 
 
 def block(study_id, labels, y, se, se_baseline=0.05):
@@ -182,9 +185,10 @@ def random_network_blocks(seed):
 
 
 def dense_gls(blocks, net, effects_model):
-    """The GLS fit and moment estimator through dense n x n W and P. The
-    weights are within a few hundred-fold of each other, so a pseudoinverse
-    cut at 1e-12 of the largest singular value keeps rank(X) of them."""
+    """The GLS fit and moment estimator, tau2 = (Q - df) / trace(P Sigma*),
+    through dense n x n W, P and Sigma*. The weights are within a few
+    hundred-fold of each other, so a pseudoinverse cut at 1e-12 of the largest
+    singular value keeps rank(X) of them."""
     X = stack_X(net)
     y = np.concatenate([b.y_star for b in blocks])
 
@@ -204,7 +208,8 @@ def dense_gls(blocks, net, effects_model):
     Q = resid @ W @ resid
     df = y.size - np.linalg.matrix_rank(X)
     P = W - W @ X @ cov @ X.T @ W
-    tau2 = max(0.0, (Q - df) / np.trace(P)) if effects_model == "random" else 0.0
+    trace_P_Sigma = np.trace(P @ stacked_Sigma_star(blocks))
+    tau2 = max(0.0, (Q - df) / trace_P_Sigma) if effects_model == "random" else 0.0
     W = weights(tau2)
     cov = np.linalg.pinv(X.T @ W @ X, rtol=1e-12)
     return cov @ X.T @ W @ y, cov, tau2, Q, df
@@ -238,6 +243,93 @@ class TestGlsMatchesDense:
             assert fit.tau2 > 0.0
         assert np.array_equal(fit.d_hat, solution.d_hat)
         assert np.array_equal(fit.cov_d, solution.cov)
+
+
+@st.composite
+def arm_networks(draw):
+    """Three to seven studies of 2-4 arms on treatments of POOL, each with A
+    at any arm, so that every treatment contrast is estimable; any cell may
+    be zero."""
+    studies = []
+    for i in range(draw(st.integers(3, 7))):
+        labels = list(draw(st.permutations(POOL[1:]))[: draw(st.integers(1, 3))])
+        labels.insert(draw(st.integers(0, len(labels))), "A")
+        arms = []
+        for label in labels:
+            total = draw(st.integers(1, 200))
+            arms.append(ArmRecord(parse_treatment(label), draw(st.integers(0, total)), total))
+        studies.append(Study(f"s{i}", tuple(arms)))
+    return studies
+
+
+def arm_gls_fit(studies, components, effects_model):
+    """``gls_fit`` of the studies' cc05 contrasts against their first arms."""
+    blocks = [arm_to_contrast(s, 0, "cc05") for s in studies]
+    return gls_fit(blocks, Network(tuple(studies), components), effects_model)
+
+
+class TestGlsInvariance:
+    """What the model does not see: the order of the studies, which arm is
+    each study's baseline, the order of the components and the treatments'
+    label text leave the fit as it is, to 1e-10 relative."""
+
+    @staticmethod
+    def assert_same_fit(fit, reference, order=None):
+        """``fit`` equals ``reference``, whose effects are taken in ``order``."""
+        order = np.arange(reference.d_hat.size) if order is None else np.array(order)
+        d_hat, cov = reference.d_hat[order], reference.cov_d[np.ix_(order, order)]
+        np.testing.assert_allclose(fit.d_hat, d_hat, rtol=1e-10, atol=1e-10 * np.abs(d_hat).max())
+        np.testing.assert_allclose(fit.cov_d, cov, rtol=1e-10, atol=1e-10 * np.abs(cov).max())
+        assert fit.tau2 == pytest.approx(reference.tau2, rel=1e-10, abs=1e-300)
+        assert fit.Q == pytest.approx(reference.Q, rel=1e-10)
+        assert fit.df == reference.df
+
+    @settings(max_examples=60, deadline=None)
+    @given(arm_networks(), st.sampled_from(["fixed", "random"]), st.data())
+    def test_study_order(self, studies, effects_model, data):
+        components = build_network(studies).components
+        shuffled = data.draw(st.permutations(studies))
+        self.assert_same_fit(
+            arm_gls_fit(shuffled, components, effects_model),
+            arm_gls_fit(studies, components, effects_model),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(arm_networks(), st.sampled_from(["fixed", "random"]), st.data())
+    def test_baseline_arm(self, studies, effects_model, data):
+        components = build_network(studies).components
+        moved = [_arm_first(s, data.draw(st.integers(0, s.n_arms - 1))) for s in studies]
+        self.assert_same_fit(
+            arm_gls_fit(moved, components, effects_model),
+            arm_gls_fit(studies, components, effects_model),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(arm_networks(), st.sampled_from(["fixed", "random"]), st.data())
+    def test_component_order(self, studies, effects_model, data):
+        components = build_network(studies).components
+        order = data.draw(st.permutations(range(len(components))))
+        self.assert_same_fit(
+            arm_gls_fit(studies, tuple(components[k] for k in order), effects_model),
+            arm_gls_fit(studies, components, effects_model),
+            order,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(arm_networks(), st.sampled_from(["fixed", "random"]))
+    def test_treatment_label_text(self, studies, effects_model):
+        components = build_network(studies).components
+        relabelled = [
+            Study(s.id, tuple(
+                ArmRecord(Treatment(a.treatment.components, f"{s.id} arm {j}"), a.events, a.total)
+                for j, a in enumerate(s.arms)
+            ))
+            for s in studies
+        ]
+        self.assert_same_fit(
+            arm_gls_fit(relabelled, components, effects_model),
+            arm_gls_fit(studies, components, effects_model),
+        )
 
 
 def sparse_network_blocks(seed):
