@@ -13,11 +13,11 @@ Three model kinds share one fitting path:
 
 Arm-level random effects use the baseline-arm parameterization: the baseline
 arm's latent is fixed at zero and the remaining a-1 latents get the
-compound-symmetry contrast covariance sigma^2 Sigma*. Differencing the full
-a-dimensional compound-symmetry latent against a common arm yields exactly
-this law, and the direction it removes is absorbed by the diffuse per-study
-baseline, so contrast inference is unchanged while sampling loses a redundant
-dimension.
+compound-symmetry contrast covariance sigma^2 Sigma*, with the contrast
+likelihood's density (``design``). Differencing the full a-dimensional
+compound-symmetry latent against a common arm yields exactly this law, and the
+direction it removes is absorbed by the diffuse per-study baseline, so contrast
+inference is unchanged while sampling loses a redundant dimension.
 
 Each model kind has one log likelihood and one log posterior, its ``loglik``
 and ``logpost``. Both take the sampling parameterization that the sampler
@@ -34,13 +34,14 @@ warning on the ``cnma`` logger when they miss ``RHAT_LIMIT`` or ``ESS_LIMIT``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
+from . import design
 from .design import LOG_2PI, ContrastDesign, _baseline_contrasts, incidence_matrix
 from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
 from .mcmc import Block, McmcConfig, PosteriorSample, rng_stream, run_chains, summarize
@@ -208,6 +209,8 @@ class _ArmModel(_Model):
     a study's first arm and a_i + X d + eps on a later one, where X is the
     stacked contrast design of ``design._baseline_contrasts``. The map is
     affine and volume-preserving, so draws are transformed back after sampling.
+    The eps prior is ``design``'s compound-symmetry density, its weights
+    cached for the two latest sigma as the contrast likelihood's are.
     """
 
     def __init__(self, studies, network: Network, spec: ModelSpec):
@@ -252,10 +255,12 @@ class _ArmModel(_Model):
         if spec.random_effects:
             # offset of each study's first latent within the eps block
             self.eps_starts = np.cumsum(self.m) - self.m
-            # log det of the contrast compound-symmetry blocks, summed over studies
-            self.eps_logdet = (np.log(self.m + 1.0) - self.m * math.log(2.0)).sum()
+            # blocks sigma^2 Sigma*_i at tau2 = sigma^2; a cached bound method would make a cycle
+            zeros = np.zeros(n_eps), np.zeros(n_studies)
+            weights = functools.partial(design._compound_symmetry, *zeros, self.eps_starts)
+            self._eps_weights = functools.lru_cache(maxsize=2)(weights)
 
-    @cached_property
+    @functools.cached_property
     def design(self) -> ContrastDesign:
         """The studies' cc05 contrasts against arm 1; only ``_d_preconditioner`` reads them."""
         blocks = [arm_to_contrast(s, 0, "cc05") for s in self.studies]
@@ -299,18 +304,8 @@ class _ArmModel(_Model):
         sigma = x[self.sigma_pos]
         if not 0.0 < sigma:
             return -np.inf
-        e = x[self.eps_sl]
-        sums = np.add.reduceat(e, self.eps_starts)
-        sqs = np.add.reduceat(e * e, self.eps_starts)
-        quads = 2.0 * (sqs - sums * sums / (self.m + 1.0))
-        return float(
-            -0.5
-            * (
-                e.size * (LOG_2PI + 2.0 * math.log(sigma))
-                + self.eps_logdet
-                + quads.sum() / (sigma * sigma)
-            )
-        )
+        weights = self._eps_weights(sigma * sigma)
+        return design._compound_symmetry_logpdf(x[self.eps_sl], weights, self.eps_starts)
 
     def _study_prior(self, x) -> float:
         if self.spec.random_effects:
@@ -327,7 +322,9 @@ class _ArmModel(_Model):
         prior of eps_i, up to the terms the block does not move. They use
         scalar math with the study's constants worked out once, since each
         runs tens of thousands of times per chain; the eps partial is None
-        under fixed effects.
+        under fixed effects. The eps partial keeps its scalar quadratic form
+        rather than call ``design``'s density: it runs twice per study and
+        sweep, and a cache lookup would cost time on each call.
         """
         start, m = int(self.arm_starts[i]), int(self.m[i])
         stop = start + m + 1
@@ -404,19 +401,9 @@ class _ArmModel(_Model):
             # likelihood-invariant translation: move d and let every latent
             # absorb the contrast change, so effects are not pinned by the
             # current latents (acceptance depends on the priors only)
-            blocks.append(
-                Block(
-                    "d-shift",
-                    tuple(range(self.d_sl.start, self.d_sl.stop))
-                    + tuple(range(self.eps_sl.start, self.eps_sl.stop)),
-                    scale=0.3,
-                    cov_chol=d_chol,
-                    shift_map=self.X,
-                )
-            )
-            partials.append(
-                lambda x: self._d_prior(x) + self._alpha_prior(x) + self._eps_prior(x)
-            )
+            dims = (*range(self.d_sl.stop), *range(self.eps_sl.start, self.eps_sl.stop))
+            blocks.append(Block("d-shift", dims, scale=0.3, cov_chol=d_chol, shift_map=self.X))
+            partials.append(lambda x: self._d_prior(x) + self._alpha_prior(x) + self._eps_prior(x))
         return blocks, partials
 
 
@@ -448,12 +435,18 @@ class DicResult:
 
 @dataclass
 class BayesFit:
-    """A fitted model: its spec, reported posterior sample, network and model."""
+    """A fitted model: its reported posterior sample and the model, with its spec and network."""
 
-    spec: ModelSpec
     sample: PosteriorSample
-    network: Network
     model: object
+
+    @property
+    def spec(self) -> ModelSpec:
+        return self.model.spec
+
+    @property
+    def network(self) -> Network:
+        return self.model.network
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -517,12 +510,8 @@ def _d_preconditioner(model) -> np.ndarray | None:
         info += np.eye(keep.size) / model.spec.priors.d_variance
         return np.linalg.cholesky(np.linalg.inv(info))
     except np.linalg.LinAlgError as exc:
-        logger.warning(
-            "%s: no effect-block preconditioner (%s: %s); using an unshaped proposal",
-            model.spec.kind,
-            type(exc).__name__,
-            exc,
-        )
+        logger.warning("%s: no effect-block preconditioner (%s: %s); using an unshaped proposal",
+                       model.spec.kind, type(exc).__name__, exc)
         return None
 
 
@@ -561,7 +550,7 @@ def build_model(spec: ModelSpec, data, network: Network):
     else:
         model = _ContrastModel(data, network, spec)
     n_columns = model.d_columns.size
-    rank = int(np.linalg.matrix_rank(model.X))
+    rank = n_columns - design._null_space(model.X).shape[1]
     if rank < n_columns:
         raise NotIdentifiable(
             f"{spec.kind}: the contrast design has rank {rank} for "
@@ -586,7 +575,7 @@ def fit(
     raw = model.sample(config)
     sample = dataclasses.replace(raw, names=model.names, draws=model.reported_draws(raw.draws))
     _warn_if_unconverged(spec, sample)
-    return BayesFit(spec=spec, sample=sample, network=network, model=model)
+    return BayesFit(sample=sample, model=model)
 
 
 def dic(fit_result: BayesFit) -> DicResult:
@@ -605,9 +594,4 @@ def dic(fit_result: BayesFit) -> DicResult:
     deviance_bar = float(np.mean(-2.0 * model.loglik(model.to_internal(pooled))))
     deviance_at_mean = float(-2.0 * model.loglik(model.to_internal(pooled.mean(axis=0))))
     p_d = deviance_bar - deviance_at_mean
-    return DicResult(
-        deviance_bar=deviance_bar,
-        deviance_at_mean=deviance_at_mean,
-        p_d=p_d,
-        dic=deviance_bar + p_d,
-    )
+    return DicResult(deviance_bar, deviance_at_mean, p_d, dic=deviance_bar + p_d)

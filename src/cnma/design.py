@@ -12,7 +12,9 @@ builder, ``_baseline_contrasts``, takes the arms' treatments in one flat
 sequence with each study's number of arms.
 ``ContrastDesign`` holds the stacked contrasts of a set of contrast blocks,
 read in one pass over the blocks; one helper, ``_compound_symmetry``, gives
-their covariance's closed forms, so no contrast matrix U or compound-symmetry
+the closed forms of a compound-symmetry covariance and one density,
+``_compound_symmetry_logpdf``, reads them, for the contrast likelihood and the
+arm kinds' eps prior alike, so no contrast matrix U or compound-symmetry
 matrix Sigma* is ever formed.
 """
 
@@ -83,13 +85,37 @@ def _compound_symmetry(within, shared, starts, tau2: float):
     """(w, g, logdet) for studies whose covariance blocks, from row
     ``starts[i]``, are diag(within + tau2/2) + s 11' with s = shared + tau2/2:
     read-only w = 1 / diagonal and g = s / (1 + s sum(w)), so that the block
-    of W is diag(w) - g w w', and the log determinant of the covariance."""
+    of W is diag(w) - g w w', and the log determinant of the covariance. The
+    arm kinds' eps prior, sigma^2 Sigma*_i, is the case within = shared = 0,
+    tau2 = sigma^2, with Sigma*_i = (I + 11')/2."""
     w = 1.0 / (within + 0.5 * tau2)
     s = shared + 0.5 * tau2
     denom = 1.0 + s * np.add.reduceat(w, starts)
     g = s / denom
     w.flags.writeable = g.flags.writeable = False
     return w, g, np.sum(np.log(denom)) - np.sum(np.log(w))
+
+
+def _compound_symmetry_logpdf(r, weights, starts) -> float:
+    """Log density of ``r`` under N(0, the blocks from ``starts`` whose
+    (w, g, logdet) ``_compound_symmetry`` gave as ``weights``)."""
+    w, g, logdet = weights
+    wr = w * r
+    sums = np.add.reduceat(wr, starts)
+    quad = wr @ r - g @ (sums * sums)
+    return float(-0.5 * (r.size * LOG_2PI + logdet + quad))
+
+
+def _null_space(X) -> np.ndarray:
+    """Orthonormal basis (c x (c - rank)) of the null space of X, from its
+    SVD alone: the rank counts singular values above numpy's ``matrix_rank``
+    tolerance, s_max * max(X.shape) * eps, so no weight enters it; the one rank rule."""
+    n, c = X.shape
+    # zero rows complete vt to c x c and leave the singular values as they are
+    X = np.vstack([X, np.zeros((max(c - n, 0), c))])
+    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * max(n, c) * np.finfo(float).eps))
+    return vt[rank:].T
 
 
 class GlsSolution(NamedTuple):
@@ -147,15 +173,8 @@ class ContrastDesign:
 
     @functools.cached_property
     def null_space(self) -> np.ndarray:
-        """Orthonormal basis (c x (c - rank)) of the null space of X, from its
-        SVD alone: the rank counts singular values above numpy's ``matrix_rank``
-        tolerance, s_max * max(X.shape) * eps, so no weight enters it."""
-        n, c = self.X.shape
-        # zero rows complete vt to c x c and leave the singular values as they are
-        X = np.vstack([self.X, np.zeros((max(c - n, 0), c))])
-        _, s, vt = np.linalg.svd(X, full_matrices=False)
-        rank = int(np.count_nonzero(s > s[0] * max(n, c) * np.finfo(float).eps))
-        return vt[rank:].T
+        """The null space of X (see ``_null_space``)."""
+        return _null_space(self.X)
 
     @property
     def rank(self) -> int:
@@ -175,12 +194,7 @@ class ContrastDesign:
 
     def logpdf(self, d: np.ndarray, tau2: float) -> float:
         """Log density of y* under N(X d, S* + tau2 Sigma*)."""
-        w, g, logdet = self._weights(tau2)
-        r = self.y - self.X @ d
-        wr = w * r
-        sums = np.add.reduceat(wr, self.starts)
-        quad = wr @ r - g @ (sums * sums)
-        return float(-0.5 * (r.size * LOG_2PI + logdet + quad))
+        return _compound_symmetry_logpdf(self.y - self.X @ d, self._weights(tau2), self.starts)
 
     def _solve(self, tau2: float):
         """(d_hat, cov, WX) of generalized least squares with weights W at

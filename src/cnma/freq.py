@@ -44,11 +44,14 @@ class FreqFit:
     tau2: float
     Q: float
     df: int
-    rank_X: int
     null_space: np.ndarray  # orthonormal basis of the null space of X, c x (c - rank_X)
     components: tuple[str, ...]
     effects_model: str  # "fixed" | "random"
     tau2_truncated: bool
+
+    @property
+    def rank_X(self) -> int:
+        return len(self.components) - self.null_space.shape[1]
 
 
 def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
@@ -93,7 +96,6 @@ def gls_fit(blocks, network: Network, effects_model: str = "random") -> FreqFit:
         tau2=tau2,
         Q=fixed.Q,
         df=df,
-        rank_X=design.rank,
         null_space=design.null_space,
         components=network.components,
         effects_model=effects_model,

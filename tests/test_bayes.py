@@ -209,9 +209,10 @@ def test_contrast_fixed_effects_agrees_with_gls(studies, network):
 
 def test_contrast_fit_computes_the_weights_once_per_sigma(studies, network, monkeypatch):
     # a sweep evaluates the current sigma and one proposal, and returns to the
-    # current sigma after a rejection, so the design's two-entry LRU cache
-    # misses at most once per sweep, once per chain start and once for the
-    # preconditioner's fixed-effects information
+    # current sigma after a rejection, so the two-entry LRU cache of the
+    # contrast likelihood, or of the arm kinds' eps prior, misses at most once
+    # per sweep, once per chain start and once for the preconditioner's
+    # fixed-effects information, for every model kind
     seen = []
     compute = design._compound_symmetry
 
@@ -220,12 +221,14 @@ def test_contrast_fit_computes_the_weights_once_per_sigma(studies, network, monk
         return compute(within, shared, starts, tau2)
 
     monkeypatch.setattr(design, "_compound_symmetry", counted)
-    spec, blocks = inputs("unanchored-contrast", studies)
     config = McmcConfig(burn_in=60, keep=40, seed=5)
-    bayes.fit(spec, blocks, network, config)
     sweeps = config.n_chains * (config.burn_in + config.keep)
-    assert 0.0 in seen
-    assert len(seen) <= sweeps + config.n_chains + 1
+    for kind in KINDS:
+        seen.clear()
+        spec, data = inputs(kind, studies)
+        bayes.fit(spec, data, network, config)
+        assert 0.0 in seen, kind
+        assert len(seen) <= sweeps + config.n_chains + 1, kind
 
 
 def test_anchored_preconditioner_is_information_without_anchor(studies, network):
@@ -689,28 +692,31 @@ def test_dic_rejects_contrast_kind(studies, network):
 
 @pytest.mark.parametrize("effects", ["fixed", "random"])
 @pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
-def test_arm_logpost_matches_dense_reference(kind, effects, studies, network):
-    spec, data = inputs(kind, studies, effects)
-    model = bayes.build_model(spec, data, network)
-    priors = spec.priors
-    rng = np.random.default_rng(8)
-    x = rng.normal(0.0, 0.5, size=model.dim)
-    col = {name: j for j, name in enumerate(model.names)}
-    d = x[[j for name, j in col.items() if name.startswith("d[")]]
-    alpha = x[[col[f"alpha[{s.id}]"] for s in studies]]
-    expected = (
-        binomial_loglik(kind, studies, model.names, x)
-        + norm.logpdf(d, 0.0, np.sqrt(priors.d_variance)).sum()
-        + norm.logpdf(alpha, 0.0, np.sqrt(priors.alpha_variance)).sum()
-    )
-    if effects == "random":
-        sigma = x[col["sigma"]] = rng.uniform(0.1, priors.sigma_upper)
-        for s in studies:
-            eps = x[[col[f"eps[{s.id}:{j}]"] for j in range(1, s.n_arms)]]
-            cov = sigma**2 * build_Sigma_star(s.n_arms)
-            expected += mvn_logpdf(eps, np.zeros(s.n_arms - 1), cov)
-        expected -= np.log(priors.sigma_upper)
-    assert model.logpost(model.to_internal(x)) == pytest.approx(expected, rel=1e-9)
+def test_arm_logpost_matches_dense_reference(kind, effects, studies, wide_studies):
+    # on the fixture, and with two four-arm studies: eps blocks of 3 latents,
+    # a zero cell and the anchor as a study's second arm
+    for records in (studies, wide_studies):
+        spec, data = inputs(kind, records, effects)
+        model = bayes.build_model(spec, data, build_network(records))
+        priors = spec.priors
+        rng = np.random.default_rng(8)
+        x = rng.normal(0.0, 0.5, size=model.dim)
+        col = {name: j for j, name in enumerate(model.names)}
+        d = x[[j for name, j in col.items() if name.startswith("d[")]]
+        alpha = x[[col[f"alpha[{s.id}]"] for s in records]]
+        expected = (
+            binomial_loglik(kind, records, model.names, x)
+            + norm.logpdf(d, 0.0, np.sqrt(priors.d_variance)).sum()
+            + norm.logpdf(alpha, 0.0, np.sqrt(priors.alpha_variance)).sum()
+        )
+        if effects == "random":
+            sigma = x[col["sigma"]] = rng.uniform(0.1, priors.sigma_upper)
+            for s in records:
+                eps = x[[col[f"eps[{s.id}:{j}]"] for j in range(1, s.n_arms)]]
+                cov = sigma**2 * build_Sigma_star(s.n_arms)
+                expected += mvn_logpdf(eps, np.zeros(s.n_arms - 1), cov)
+            expected -= np.log(priors.sigma_upper)
+        assert model.logpost(model.to_internal(x)) == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -494,7 +494,6 @@ class TestPScores:
             tau2=0.0,
             Q=0.0,
             df=0,
-            rank_X=len(components),
             null_space=np.zeros((len(components), 0)),
             components=tuple(components),
             effects_model="fixed",
