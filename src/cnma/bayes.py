@@ -2,10 +2,9 @@
 
 Three model kinds share one fitting path:
 
-- ``anchored-arm``: binomial arm-level likelihood, component effects relative
-  to a fixed single-component anchor treatment (the anchor's column is dropped
-  from the incidence matrix, and a study containing the anchor gets no
-  heterogeneity on that arm).
+- ``anchored-arm``: the ``unanchored-arm`` model with the column of a
+  single-component anchor treatment dropped from the incidence matrix
+  (d_A = 0), so component effects are relative to the anchor.
 - ``unanchored-arm``: binomial arm-level likelihood with the full incidence
   matrix; the comparator level of the effect vector is implicit in the fit.
 - ``unanchored-contrast``: normal likelihood on baseline contrasts with the
@@ -46,7 +45,7 @@ from .design import LOG_2PI, ContrastDesign, _baseline_contrasts, incidence_matr
 from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
 from .mcmc import Block, McmcConfig, PosteriorSample, rng_stream, run_chains, summarize
 from .network import ContrastBlock, Network, Study, Treatment, _check_study_ids
-from .network import _arm_first, _is_real, arm_to_contrast
+from .network import _is_real, arm_to_contrast
 
 logger = logging.getLogger("cnma")
 
@@ -109,10 +108,9 @@ def _log_binomial_coefficients(r: np.ndarray, n: np.ndarray) -> float:
     ]))
 
 
-def _anchor_first(study: Study, anchor: Treatment) -> Study:
-    """Reorder arms so the anchor treatment, when present, is arm 1."""
-    treatments = study.treatments
-    return _arm_first(study, treatments.index(anchor)) if anchor in treatments else study
+def _normal_logpdf(v: np.ndarray, variance: float) -> float:
+    """Log density of v under N(0, variance I): the effects' and baselines' prior."""
+    return float(-0.5 * (v @ v) / variance - 0.5 * v.size * (LOG_2PI + math.log(variance)))
 
 
 class _Model:
@@ -153,9 +151,7 @@ class _Model:
         return draws
 
     def _d_prior(self, x) -> float:
-        dv = self.spec.priors.d_variance
-        d = x[self.d_sl]
-        return float(-0.5 * (d @ d) / dv - 0.5 * d.size * (LOG_2PI + math.log(dv)))
+        return _normal_logpdf(x[self.d_sl], self.spec.priors.d_variance)
 
     def _sigma_bounds(self, x) -> float:
         sigma = x[self.sigma_pos]
@@ -211,15 +207,16 @@ class _ArmModel(_Model):
     affine and volume-preserving, so draws are transformed back after sampling.
     The eps prior is ``design``'s compound-symmetry density, its weights
     cached for the two latest sigma as the contrast likelihood's are.
+
+    The studies keep their arm order. A study's arm order enters only through
+    the alpha prior, which sits on its first arm: sigma^2 Sigma* is the same
+    whichever arm is the baseline, so the likelihood and the eps prior are too.
     """
 
     def __init__(self, studies, network: Network, spec: ModelSpec):
-        if spec.kind == "anchored-arm":
-            studies = [_anchor_first(s, spec.anchor) for s in studies]
-            anchor_comp = spec.anchor.components[0]
-            d_components = [c for c in network.components if c != anchor_comp]
-        else:
-            d_components = network.components
+        d_components = network.components
+        if spec.anchor is not None:
+            d_components = [c for c in d_components if c not in spec.anchor.components]
         self.studies = tuple(studies)
 
         study_names = [f"alpha[{s.id}]" for s in self.studies]
@@ -296,9 +293,8 @@ class _ArmModel(_Model):
 
     def _alpha_prior(self, x) -> float:
         # the normal prior is on the reported baseline alpha_i = a_i - (V d)_{arm 1}
-        av = self.spec.priors.alpha_variance
-        a = x[self.alpha_sl] - self.V1 @ x[self.d_sl]
-        return float(-0.5 * (a @ a) / av - 0.5 * a.size * (LOG_2PI + math.log(av)))
+        alpha = x[self.alpha_sl] - self.V1 @ x[self.d_sl]
+        return _normal_logpdf(alpha, self.spec.priors.alpha_variance)
 
     def _eps_prior(self, x) -> float:
         sigma = x[self.sigma_pos]

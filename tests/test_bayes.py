@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, gammaln
 from scipy.stats import binom, norm
 
@@ -21,11 +23,13 @@ from cnma.network import (
     ArmRecord,
     Network,
     Study,
+    _arm_first,
     arm_to_contrast,
     build_network,
     parse_treatment,
 )
 from dense import block_covariance, build_Sigma_star, mvn_logpdf
+from test_freq import arm_networks
 from test_mcmc import reference_ess, reference_rhat
 
 KINDS = ("anchored-arm", "unanchored-arm", "unanchored-contrast")
@@ -350,19 +354,48 @@ def test_treatments_passed_in_must_be_treatments(call, short_fits, network):
         call(fit, gls, network.components)
 
 
-def test_anchor_moves_to_first_arm(studies, network):
-    # the anchor is the first arm wherever it appears; moved to the last arm,
-    # the anchored model reorders it back and samples the same chain
-    moved = [
-        Study(s.id, s.arms[1:] + s.arms[:1]) if s.arms[0].treatment == ANCHOR else s
-        for s in studies
-    ]
-    assert moved != list(studies)
-    spec, data = inputs("anchored-arm", studies)
-    config = McmcConfig(burn_in=60, keep=40, seed=7)
-    first = bayes.fit(spec, data, network, config)
-    second = bayes.fit(spec, moved, network, config)
-    assert np.array_equal(first.sample.draws, second.sample.draws)
+@settings(max_examples=60, deadline=None)
+@given(arm_networks(), st.sampled_from(["anchored-arm", "unanchored-arm"]),
+       st.sampled_from(["fixed", "random"]), st.data())
+def test_baseline_arm_is_a_convention(studies, kind, effects, data):
+    # with arm j of study i moved to the front, a_i' = a_i + X_ij d + eps_ij
+    # and eps_ik' = eps_ik - eps_ij (X_i0 = 0, eps_i0 = 0) leave every logit
+    # and the eps prior as they were; only the alpha prior, which sits on a
+    # study's first arm, moves, and under fixed effects not at all
+    network = build_network(studies)
+    spec, _ = inputs(kind, studies, effects)
+    try:
+        model = bayes.build_model(spec, studies, network)
+    except NotIdentifiable:
+        assume(False)
+    firsts = [data.draw(st.integers(0, s.n_arms - 1)) for s in studies]
+    moved = bayes.build_model(spec, [_arm_first(s, j) for s, j in zip(studies, firsts)], network)
+    assert moved.names == model.names
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0.0, 0.5, size=model.dim)
+    if effects == "random":
+        x[model.sigma_pos] = rng.uniform(0.1, spec.priors.sigma_upper)
+    col = {name: p for p, name in enumerate(model.names)}
+
+    def level(treatment):
+        # V d; the anchored kind's anchor has no effect coordinate
+        return sum(x[col[f"d[{c}]"]] for c in treatment.components if f"d[{c}]" in col)
+
+    y = x.copy()
+    for s, j in zip(studies, firsts):
+        eps = [0.0] + [x[col[f"eps[{s.id}:{k}]"]] if effects == "random" else 0.0
+                       for k in range(1, s.n_arms)]
+        y[col[f"alpha[{s.id}]"]] += level(s.treatments[j]) - level(s.treatments[0]) + eps[j]
+        if effects == "random":
+            later = [k for k in range(s.n_arms) if k != j]
+            for p, k in enumerate(later, 1):
+                y[col[f"eps[{s.id}:{p}]"]] = eps[k] - eps[j]
+    assert moved.loglik(y) == pytest.approx(model.loglik(x), rel=1e-12)
+    prior_change = moved._alpha_prior(y) - model._alpha_prior(x)
+    change = moved.logpost(y) - model.logpost(x)
+    assert change == pytest.approx(prior_change, abs=1e-12 * abs(model.logpost(x)))
+    if effects == "fixed":
+        assert prior_change == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-contrast"])
@@ -523,15 +556,14 @@ def test_fit_summary_and_sigma_draws(effects, studies, network):
 @pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
 def test_arm_design_is_the_cc05_design(kind, effects, wide_studies):
     # the arm kinds' X, the one X the likelihood, the partials and the rank
-    # check read, is the contrast design's on arm 1, bit for bit
+    # check read, is the contrast design's on each study's first arm in the
+    # data's order, bit for bit
     spec, data = inputs(kind, wide_studies, effects)
     network = build_network(wide_studies)
     model = bayes.build_model(spec, data, network)
-    if kind == "anchored-arm":
-        assert model.studies[-2].treatments[0] == ANCHOR != wide_studies[-2].treatments[0]
-    contrasts = [arm_to_contrast(s, 0, "cc05") for s in model.studies]
+    contrasts = [arm_to_contrast(s, 0, "cc05") for s in wide_studies]
     X = ContrastDesign(contrasts, network.components).X[:, model.d_columns]
-    V1 = incidence_matrix([s.treatments[0] for s in model.studies], network.components)
+    V1 = incidence_matrix([s.treatments[0] for s in wide_studies], network.components)
     assert np.array_equal(model.X, X) and model.X.flags.c_contiguous
     assert np.array_equal(model.V1, V1[:, model.d_columns]) and model.V1.flags.c_contiguous
     if effects == "random":
@@ -557,7 +589,7 @@ def test_block_partials_track_logpost(kind, effects, studies, wide_studies):
         if past_35:
             # every logit of study 0 lies above 35 and of study 1 below -35
             x[model.alpha_sl.start : model.alpha_sl.start + 2] = (40.0, -40.0)
-            logits = reported_logits(kind, records, model.names, model.reported_draws(x.copy()))
+            logits = reported_logits(records, model.names, model.reported_draws(x.copy()))
             n0, n1 = records[0].n_arms, records[1].n_arms
             assert logits[:n0].min() > 35.0 and logits[n0 : n0 + n1].max() < -35.0
         rng = np.random.default_rng(3)
@@ -622,20 +654,13 @@ def test_converged_fit_logs_nothing(studies, network, caplog):
     assert not [r for r in caplog.records if r.name == "cnma"]
 
 
-def arm_order(kind, study):
-    """A study's arms in the arm models' order: the anchor first where present."""
-    if kind != "anchored-arm":
-        return study.arms
-    return tuple(sorted(study.arms, key=lambda arm: arm.treatment != ANCHOR))
-
-
-def reported_logits(kind, studies, names, x):
+def reported_logits(studies, names, x):
     """Per-arm logits alpha_i + V d + eps of reported vectors x (rows), read
     by parameter name; the anchor component has no effect coordinate."""
     col = {name: j for j, name in enumerate(names)}
     logits = []
     for s in studies:
-        for j, arm in enumerate(arm_order(kind, s)):
+        for j, arm in enumerate(s.arms):
             lo = x[..., col[f"alpha[{s.id}]"]].copy()
             for c in arm.treatment.components:
                 if f"d[{c}]" in col:
@@ -646,11 +671,9 @@ def reported_logits(kind, studies, names, x):
     return np.stack(logits, axis=-1)
 
 
-def binomial_loglik(kind, studies, names, x):
-    r, n = np.array(
-        [[arm.events, arm.total] for s in studies for arm in arm_order(kind, s)], dtype=float
-    ).T
-    p = expit(reported_logits(kind, studies, names, x))
+def binomial_loglik(studies, names, x):
+    r, n = np.array([[arm.events, arm.total] for s in studies for arm in s.arms], dtype=float).T
+    p = expit(reported_logits(studies, names, x))
     return binom.logpmf(r, n, p).sum(axis=-1)
 
 
@@ -674,8 +697,8 @@ def test_dic_is_binomial_deviance_of_reported_draws(kind, effects, studies, netw
     fit = bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=6))
     result = bayes.dic(fit)
     pooled = fit.sample.pooled()
-    deviances = -2.0 * binomial_loglik(kind, studies, fit.names, pooled)
-    at_mean = -2.0 * binomial_loglik(kind, studies, fit.names, pooled.mean(axis=0))
+    deviances = -2.0 * binomial_loglik(studies, fit.names, pooled)
+    at_mean = -2.0 * binomial_loglik(studies, fit.names, pooled.mean(axis=0))
     assert result.deviance_bar == pytest.approx(deviances.mean(), rel=1e-9)
     assert result.deviance_at_mean == pytest.approx(at_mean, rel=1e-9)
     assert result.p_d == result.deviance_bar - result.deviance_at_mean
@@ -705,7 +728,7 @@ def test_arm_logpost_matches_dense_reference(kind, effects, studies, wide_studie
         d = x[[j for name, j in col.items() if name.startswith("d[")]]
         alpha = x[[col[f"alpha[{s.id}]"] for s in records]]
         expected = (
-            binomial_loglik(kind, records, model.names, x)
+            binomial_loglik(records, model.names, x)
             + norm.logpdf(d, 0.0, np.sqrt(priors.d_variance)).sum()
             + norm.logpdf(alpha, 0.0, np.sqrt(priors.alpha_variance)).sum()
         )

@@ -303,6 +303,15 @@ class TestGlsInvariance:
             arm_gls_fit(moved, components, effects_model),
             arm_gls_fit(studies, components, effects_model),
         )
+        # so is the contrast kind's likelihood, at any d and tau2
+        designs = [
+            ContrastDesign([arm_to_contrast(s, 0, "cc05") for s in records], components)
+            for records in (moved, studies)
+        ]
+        d = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=len(components))
+        for tau2 in (0.0, data.draw(st.floats(0.01, 4.0))):
+            logpdf = [contrasts.logpdf(d, tau2) for contrasts in designs]
+            assert logpdf[0] == pytest.approx(logpdf[1], rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(arm_networks(), st.sampled_from(["fixed", "random"]), st.data())
