@@ -93,7 +93,7 @@ def _compound_symmetry(within, shared, starts, tau2: float):
     denom = 1.0 + s * np.add.reduceat(w, starts)
     g = s / denom
     w.flags.writeable = g.flags.writeable = False
-    return w, g, np.sum(np.log(denom)) - np.sum(np.log(w))
+    return w, g, np.log(denom).sum() - np.log(w).sum()
 
 
 def _compound_symmetry_logpdf(r, weights, starts) -> float:

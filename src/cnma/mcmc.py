@@ -19,6 +19,11 @@ new coordinates into ``x`` and a rejection writes the saved ones back. A
 partial (or the log posterior) must therefore neither keep a reference to
 ``x`` nor modify it; it may only read it during the call.
 
+Each proposal evaluates its block's partial at the current state before it
+moves ``x``, and that state is the one the previous block left. A partial may
+therefore memoise its latest values, if it is a pure function of ``x``'s
+values and keeps no reference to ``x`` (``bayes`` keys on ``x.tobytes()``).
+
 Convergence diagnostics are functions of the draws alone: ``rhat`` and
 ``ess`` take (n_chains, n_draws, n_params) draws and give one value per
 parameter; a ``PosteriorSample`` derives its ``rhat`` and ``ess`` from its own
@@ -211,7 +216,7 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
                     step = np.concatenate([step, -(shift_map @ step)])
                 if block.log_scale:
                     new = saved * np.exp(step)
-                    jacobian = float(np.sum(step))
+                    jacobian = float(step.sum())
                 else:
                     new = saved + step
                     jacobian = 0.0

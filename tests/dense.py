@@ -2,10 +2,12 @@
 paper's contrast matrices U, the compound-symmetry structures Sigma and
 Sigma*, a contrast block's sampling covariance, the stacked arrays of a
 ``ContrastDesign`` and the multivariate normal log-density, each as an
-explicit matrix or built block by block, and a network's connectivity by
-breadth-first search. The package computes the same quantities in closed form
-or in one pass (see ``cnma.design``, the arm models' eps prior and
-``Network.connected``); the tests check it against these.
+explicit matrix or built block by block, a network's connectivity by
+breadth-first search, and the exact posterior moments of the contrast-level
+model by quadrature over sigma. The package computes the same quantities in
+closed form, in one pass or by sampling (see ``cnma.design``, the arm models'
+eps prior, ``Network.connected`` and ``cnma.bayes``); the tests check it
+against these.
 """
 
 from collections import deque
@@ -116,6 +118,17 @@ def block_covariance(block) -> np.ndarray:
     return cov
 
 
+def stacked_covariance(blocks, tau2: float) -> np.ndarray:
+    """The block-diagonal S* + tau2 Sigma* of the stacked contrasts of ``blocks``."""
+    cov = tau2 * stacked_Sigma_star(blocks)
+    at = 0
+    for b in blocks:
+        m = b.y_star.size
+        cov[at : at + m, at : at + m] += block_covariance(b)
+        at += m
+    return cov
+
+
 def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     """Exact multivariate normal log-density, computed through a Cholesky factor."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -147,3 +160,51 @@ def treatments_connected(network) -> bool:
             seen.add(t)
             queue.append(t)
     return len(seen) == len(neighbours)
+
+
+def contrast_marginals(blocks, components, d_variance: float, sigmas):
+    """The contrast-level model at each heterogeneity SD of ``sigmas``, with
+    the effects d ~ N(0, d_variance I) integrated out exactly: one (m, A,
+    log p(y* | sigma)) per sigma, where d | y*, sigma ~ N(m, A^-1) with
+    A = X'WX + I/v, m = A^-1 X'Wy* and W = (S* + sigma^2 Sigma*)^-1. The
+    evidence is the integrand at its mode times the Gaussian volume of A:
+    log N(y*; Xm, S* + sigma^2 Sigma*) + log N(m; 0, vI) + k/2 log 2 pi
+    - 1/2 log det A."""
+    arrays = contrast_design_arrays(blocks, components)
+    X, y = arrays["X"], arrays["y"]
+    k = X.shape[1]
+    sampling, Sigma_star = stacked_covariance(blocks, 0.0), stacked_Sigma_star(blocks)
+    prior = d_variance * np.eye(k)
+    out = []
+    for sigma in sigmas:
+        cov = sampling + sigma**2 * Sigma_star
+        W = np.linalg.inv(cov)
+        A = X.T @ W @ X + np.eye(k) / d_variance
+        mode = np.linalg.solve(A, X.T @ W @ y)
+        log_evidence = (
+            mvn_logpdf(y, X @ mode, cov)
+            + mvn_logpdf(mode, np.zeros(k), prior)
+            + 0.5 * k * np.log(2.0 * np.pi)
+            - 0.5 * np.linalg.slogdet(A)[1]
+        )
+        out.append((mode, A, log_evidence))
+    return out
+
+
+def contrast_posterior_moments(blocks, components, d_variance: float,
+                               sigma_upper: float, cells: int = 400):
+    """Posterior means and SDs of (d, sigma) under the random-effects
+    contrast-level model with sigma ~ U(0, sigma_upper): midpoint quadrature
+    over sigma on ``cells`` equal cells, with d | sigma exactly normal
+    (``contrast_marginals``). The last entry of each array is sigma's."""
+    sigmas = (np.arange(cells) + 0.5) * sigma_upper / cells
+    parts = contrast_marginals(blocks, components, d_variance, sigmas)
+    log_w = np.array([log_evidence for _, _, log_evidence in parts])
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    d_mean = sum(wi * m for wi, (m, _, _) in zip(w, parts))
+    d_second = sum(wi * (np.linalg.inv(A) + np.outer(m, m)) for wi, (m, A, _) in zip(w, parts))
+    d_sd = np.sqrt(np.diag(d_second) - d_mean**2)
+    sigma_mean = w @ sigmas
+    sigma_sd = np.sqrt(w @ sigmas**2 - sigma_mean**2)
+    return np.append(d_mean, sigma_mean), np.append(d_sd, sigma_sd)

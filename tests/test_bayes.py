@@ -28,7 +28,15 @@ from cnma.network import (
     build_network,
     parse_treatment,
 )
-from dense import block_covariance, build_Sigma_star, mvn_logpdf
+from dense import (
+    block_covariance,
+    build_Sigma_star,
+    contrast_design_arrays,
+    contrast_marginals,
+    contrast_posterior_moments,
+    mvn_logpdf,
+    stacked_covariance,
+)
 from test_freq import arm_networks
 from test_mcmc import reference_ess, reference_rhat
 
@@ -209,6 +217,93 @@ def test_contrast_fixed_effects_agrees_with_gls(studies, network):
         post = draws @ w
         assert abs(post.mean() - w @ gls.d_hat) <= 3.0 * post.std()
         assert post.std() == pytest.approx(np.sqrt(w @ gls.cov_d @ w), rel=0.3)
+
+
+@pytest.mark.parametrize("effects", ["fixed", "random"])
+def test_contrast_partials_evaluate_each_state_once(effects, studies, network):
+    # each block's partial is first asked for the current state, which the
+    # previous block left; the memo answers it, so a sweep evaluates only its
+    # proposals, and a chain adds its start and its first block's current
+    # state. The draws equal those of partials that evaluate every time.
+    spec, blocks = inputs("unanchored-contrast", studies, effects)
+    config = McmcConfig(burn_in=30, keep=20, seed=4)
+    sweeps = config.n_chains * (config.burn_in + config.keep)
+    n_blocks = 2 if effects == "random" else 1
+
+    def sample(memo):
+        """The draws and the number of log-posterior evaluations."""
+        model = bayes.build_model(spec, blocks, network)
+        evaluate, calls = model.logpost, []
+        model.logpost = lambda x: calls.append(1) or evaluate(x)
+        if not memo:
+            memoised = model.blocks_and_partials
+            model.blocks_and_partials = lambda d_chol: (
+                memoised(d_chol)[0], [model.logpost] * n_blocks
+            )
+        return model.sample(config).draws, len(calls)
+
+    (draws, count), (plain_draws, plain_count) = sample(True), sample(False)
+    assert count == n_blocks * sweeps + 2 * config.n_chains
+    assert plain_count == 2 * n_blocks * sweeps + config.n_chains
+    assert np.array_equal(draws, plain_draws)
+
+
+def test_contrast_logpost_keeps_no_memo(studies, network):
+    # the memo is the partials'; the model evaluates on every call
+    spec, blocks = inputs("unanchored-contrast", studies)
+    model = bayes.build_model(spec, blocks, network)
+    loglik, calls = model.loglik, []
+    model.loglik = lambda x: calls.append(1) or loglik(x)
+    x = model.initial_vector()
+    assert model.logpost(x) == model.logpost(x)
+    assert len(calls) == 2
+
+
+# the quadrature reference's tolerances, set from seeds 1-20 of the fit
+# below: max |z| 2.89 over the 5 parameters, SD ratios 0.93-1.13
+REFERENCE_Z = 4.0
+REFERENCE_SD_RATIO = (0.8, 1.25)
+
+
+def test_contrast_random_effects_match_the_quadrature_reference(studies, network):
+    # each posterior mean lies within REFERENCE_Z Monte Carlo SEs, from the
+    # fit's ESS, of the exact mean, and each posterior SD within the band of
+    # the exact SD, for the four effects and sigma alike
+    spec, blocks = inputs("unanchored-contrast", studies)
+    priors = spec.priors
+    mean, sd = contrast_posterior_moments(
+        blocks, network.components, priors.d_variance, priors.sigma_upper
+    )
+    fit = bayes.fit(spec, blocks, network, McmcConfig(burn_in=1000, keep=4000, seed=1))
+    assert fit.names[-1] == "sigma"
+    pooled = fit.sample.pooled()
+    fit_sd = pooled.std(axis=0)
+    z = (pooled.mean(axis=0) - mean) / (fit_sd / np.sqrt(fit.sample.ess))
+    assert np.all(np.abs(z) <= REFERENCE_Z), z
+    ratio = fit_sd / sd
+    assert np.all((REFERENCE_SD_RATIO[0] <= ratio) & (ratio <= REFERENCE_SD_RATIO[1])), ratio
+
+
+def test_quadrature_reference_is_converged_and_its_evidence_exact(studies, network):
+    # 400 cells give the moments of 4000 to well within the fit's Monte Carlo
+    # error; each cell's evidence is the marginal density of y* with d
+    # integrated out, N(0, S* + sigma^2 Sigma* + v XX'), which checks the
+    # sign of its log det A term
+    spec, blocks = inputs("unanchored-contrast", studies)
+    v, upper = spec.priors.d_variance, spec.priors.sigma_upper
+    coarse = contrast_posterior_moments(blocks, network.components, v, upper, cells=400)
+    fine = contrast_posterior_moments(blocks, network.components, v, upper, cells=4000)
+    np.testing.assert_allclose(coarse[0], fine[0], rtol=0, atol=1e-4)
+    np.testing.assert_allclose(coarse[1], fine[1], rtol=1e-3)
+
+    arrays = contrast_design_arrays(blocks, network.components)
+    X, y = arrays["X"], arrays["y"]
+    sigmas = (0.05, 0.3, 1.2)
+    for sigma, (_, _, log_evidence) in zip(
+        sigmas, contrast_marginals(blocks, network.components, v, sigmas)
+    ):
+        cov = stacked_covariance(blocks, sigma**2) + v * X @ X.T
+        assert log_evidence == pytest.approx(mvn_logpdf(y, np.zeros(y.size), cov), abs=1e-8)
 
 
 def test_contrast_fit_computes_the_weights_once_per_sigma(studies, network, monkeypatch):
