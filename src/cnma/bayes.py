@@ -186,7 +186,7 @@ class _Model:
         """
         k = len(self.d_components)
         scale = 2.38 / math.sqrt(max(k, 1))
-        blocks = [Block("d", tuple(range(k)), scale=scale, cov_chol=d_chol)]
+        blocks = [Block("d", tuple(range(k)), scale=scale, factor=d_chol)]
         if self.spec.random_effects:
             blocks.append(Block("sigma", (self.sigma_pos,), scale=0.4, log_scale=True))
         logpost = self.logpost
@@ -407,11 +407,13 @@ class _ArmModel(_Model):
                 dims = tuple(range(start, start + int(self.m[i])))
                 blocks.append(Block(f"eps[{study.id}]", dims, scale=0.3))
                 partials.append(per_study[i][1])
-            # likelihood-invariant translation: move d and let every latent
-            # absorb the contrast change, so effects are not pinned by the
-            # current latents (acceptance depends on the priors only)
+            # likelihood-invariant translation: d moves by C z and the latents
+            # by -X C z, so effects are not pinned by the current latents
+            # (acceptance depends on the priors only)
+            chol = np.eye(self.d_sl.stop) if d_chol is None else d_chol
             dims = (*range(self.d_sl.stop), *range(self.eps_sl.start, self.eps_sl.stop))
-            blocks.append(Block("d-shift", dims, scale=0.3, cov_chol=d_chol, shift_map=self.X))
+            factor = np.vstack([chol, -(self.X @ chol)])
+            blocks.append(Block("d-shift", dims, scale=0.3, factor=factor))
             partials.append(lambda x: self._d_prior(x) + self._alpha_prior(x) + self._eps_prior(x))
         return blocks, partials
 

@@ -1,11 +1,13 @@
 """Adaptive random-walk Metropolis with block updates.
 
 The target is supplied as a log posterior over a flat parameter vector plus a
-partition of the coordinates into blocks. Each block gets a Gaussian random
-walk (optionally shaped by a fixed covariance factor, optionally multiplicative
-for positive parameters) whose scalar step size is tuned by Robbins-Monro
-toward a target acceptance rate during burn-in only; scales are frozen
-afterwards so the kept draws target the exact posterior.
+partition of the coordinates into blocks. Each block gets one additive
+Gaussian random walk, scale * L z with z standard normal and a fixed factor L,
+on its coordinates or, for positive parameters, on their logarithms. The scalar
+step size is tuned by Robbins-Monro toward a target acceptance rate during
+burn-in only; scales are frozen afterwards so the kept draws target the exact
+posterior. A tall L (a translation move, Liu & Sabatti 2000) may overlap the
+partition.
 
 ``run_chains`` takes one start per chain and one partial log posterior per
 block: a block's partial must include every term of the log posterior that
@@ -90,19 +92,18 @@ class McmcConfig:
 class Block:
     """One update block: coordinate indices plus proposal settings.
 
-    With ``shift_map`` M set (shape: len(dims)-k by k), the block proposes a
-    coupled translation: the first k coordinates move by a random step delta
-    and the remaining ones by -M @ delta. The move is volume preserving and
-    symmetric, so no acceptance correction is needed; it is useful when the
-    coupled direction leaves part of the target invariant.
+    The step is scale * L z with z ~ N(0, I_k), where ``factor`` L is
+    len(dims) x k (None means the identity), on the logarithms of the
+    coordinates with ``log_scale``. It is symmetric whatever L is. A tall L
+    (k < len(dims)) moves the coordinates along its columns only, so its
+    block may overlap the partition.
     """
 
     name: str
     dims: tuple[int, ...]
     scale: float = 0.1
     log_scale: bool = False
-    cov_chol: np.ndarray | None = None
-    shift_map: np.ndarray | None = None
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
         # a step of size 0 never moves, yet its chains agree and accept every
@@ -139,20 +140,21 @@ class PosteriorSample:
 
 
 def _check_blocks(blocks, dim: int) -> None:
-    # plain blocks must partition the space; shift blocks may overlap them
+    # blocks with a tall factor may overlap; the others must partition
     seen: set[int] = set()
     for b in blocks:
-        if b.shift_map is not None:
-            k = b.shift_map.shape[1]
-            if b.shift_map.shape[0] != len(b.dims) - k:
-                raise McmcError(f"block {b.name!r}: shift_map shape mismatch")
-            continue
+        if b.factor is not None:
+            shape = np.shape(b.factor)
+            if len(shape) != 2 or shape[0] != len(b.dims):
+                raise McmcError(f"block {b.name!r}: factor needs one row per coordinate")
+            if shape[1] < shape[0]:
+                continue
         for d in b.dims:
             if d in seen:
                 raise McmcError(f"dimension {d} appears in two blocks")
             seen.add(d)
     if seen != set(range(dim)):
-        raise McmcError("plain blocks must partition all dimensions")
+        raise McmcError("blocks without a tall factor must partition all dimensions")
 
 
 def _coordinates(block: Block):
@@ -160,12 +162,7 @@ def _coordinates(block: Block):
     1-coordinate additive block (the sampler's scalar path), a slice when the
     coordinates are contiguous, an index array otherwise."""
     dims = tuple(int(d) for d in block.dims)
-    if (
-        len(dims) == 1
-        and not block.log_scale
-        and block.cov_chol is None
-        and block.shift_map is None
-    ):
+    if len(dims) == 1 and not block.log_scale and block.factor is None:
         return dims[0]
     if dims and dims == tuple(range(dims[0], dims[0] + len(dims))):
         return slice(dims[0], dims[0] + len(dims))
@@ -187,8 +184,8 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
     where = [_coordinates(b) for b in blocks]
 
     accepts = [0] * n_blocks
-    window_accepts = [0] * n_blocks
-    zero_windows = [0] * n_blocks
+    # each block's latest accepted burn-in iteration, for the collapse watch
+    latest = [-1] * n_blocks
 
     burn_in = config.burn_in
     kept = np.empty((config.keep, dim))
@@ -209,11 +206,9 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
                 jacobian = 0.0
             else:
                 saved = x[at].copy()
-                shift_map = block.shift_map
-                z = normal(saved.size if shift_map is None else shift_map.shape[1])
-                step = scales[bi] * (block.cov_chol @ z if block.cov_chol is not None else z)
-                if shift_map is not None:
-                    step = np.concatenate([step, -(shift_map @ step)])
+                factor = block.factor
+                z = normal(saved.size if factor is None else factor.shape[1])
+                step = scales[bi] * (z if factor is None else factor @ z)
                 if block.log_scale:
                     new = saved * np.exp(step)
                     jacobian = float(step.sum())
@@ -228,8 +223,9 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
 
             accepted = math.log(uniform()) < lp_new - lp_old + jacobian
             if accepted:
-                window_accepts[bi] += 1
-                if not adapting:
+                if adapting:
+                    latest[bi] = it
+                else:
                     accepts[bi] += 1
             else:
                 x[at] = saved
@@ -240,16 +236,11 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
             # collapse watch: a block rejecting everything for many windows in
             # a row cannot be rescued by further shrinking
             for bi in range(n_blocks):
-                if window_accepts[bi] == 0:
-                    zero_windows[bi] += 1
-                    if zero_windows[bi] >= COLLAPSE_WINDOWS:
-                        raise McmcError(
-                            f"block {blocks[bi].name!r}: every proposal rejected for "
-                            f"{COLLAPSE_WINDOWS} adaptation windows (scale collapse)"
-                        )
-                else:
-                    zero_windows[bi] = 0
-            window_accepts = [0] * n_blocks
+                if it - latest[bi] >= COLLAPSE_WINDOWS * ADAPTATION_WINDOW:
+                    raise McmcError(
+                        f"block {blocks[bi].name!r}: every proposal rejected for "
+                        f"{COLLAPSE_WINDOWS} adaptation windows (scale collapse)"
+                    )
 
         if not adapting:
             kept[it - burn_in] = x

@@ -1,5 +1,6 @@
 """tools/ab_fit.py: the other checkout loads as a package of its own, and a
-run with both sides set to this checkout draws bit-identical samples."""
+run with both sides set to this checkout draws bit-identical samples, with
+no difference between paired draws and equal acceptance rates."""
 
 import importlib.util
 import subprocess
@@ -23,6 +24,8 @@ def test_ab_fit_against_itself_draws_identical_samples():
     assert out[3].startswith("  ratio this/other ")
     assert float(out[3].split()[-1]) > 0.0
     assert out[4] == "  draws bit-identical: True"
+    assert out[5] == "  max |diff| of paired draws: 0.0"
+    assert out[6] == "  acceptance rates equal: True"
 
 
 def test_other_checkout_loads_as_its_own_package():

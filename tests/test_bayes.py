@@ -184,7 +184,9 @@ def test_arm_fixed_effects_agree_with_gls(kind, studies, network):
 def test_anchored_kind_misfits_truth_not_anchored_at_a(effect_a):
     # the truth is additive, with A's own effect effect_a; the anchored kind
     # fixes that effect at 0, so at 0.5 it misplaces the contrasts against A
-    # and fits worse by DIC, while the anchor-free kind recovers them
+    # and fits worse by DIC, while the anchor-free kind recovers them. At 0
+    # both kinds are correctly specified, and their posterior means of every
+    # contrast against A agree within one combined posterior SD
     effect = dict(EFFECT, A=effect_a)
     studies = additive_studies(effect)
     network = build_network(studies)
@@ -192,12 +194,13 @@ def test_anchored_kind_misfits_truth_not_anchored_at_a(effect_a):
     contrasts = np.array(
         [contrast_vector(ANCHOR, t, network.components) for t in network.treatments if t != ANCHOR]
     )
-    worst, dic = {}, {}
+    worst, dic, mean, sd = {}, {}, {}, {}
     for kind in ("anchored-arm", "unanchored-arm"):
         spec, data = inputs(kind, studies, "fixed")
         fit = bayes.fit(spec, data, network, McmcConfig(burn_in=1000, keep=1000, seed=1))
         post = fit.component_effect_draws() @ contrasts.T
-        worst[kind] = np.max(np.abs(post.mean(axis=0) - contrasts @ truth) / post.std(axis=0))
+        mean[kind], sd[kind] = post.mean(axis=0), post.std(axis=0)
+        worst[kind] = np.max(np.abs(mean[kind] - contrasts @ truth) / sd[kind])
         dic[kind] = bayes.dic(fit).dic
     gap = dic["anchored-arm"] - dic["unanchored-arm"]
     assert worst["unanchored-arm"] < 3.0
@@ -205,6 +208,8 @@ def test_anchored_kind_misfits_truth_not_anchored_at_a(effect_a):
         assert worst["anchored-arm"] > 3.0 and gap > 4.0
     else:
         assert worst["anchored-arm"] < 3.0 and gap < 4.0
+        apart = np.abs(mean["anchored-arm"] - mean["unanchored-arm"])
+        assert np.all(apart < np.hypot(sd["anchored-arm"], sd["unanchored-arm"]))
 
 
 def test_contrast_fixed_effects_agrees_with_gls(studies, network):
@@ -338,13 +343,7 @@ def test_anchored_preconditioner_is_information_without_anchor(studies, network)
     # dense information of the whole network on contrasts against arm 0
     blocks = [arm_to_contrast(s, 0, "cc05") for s in network.studies]
     X = stack_X(network)
-    W = np.zeros((X.shape[0], X.shape[0]))
-    at = 0
-    for b in blocks:
-        m = b.y_star.size
-        W[at : at + m, at : at + m] = np.linalg.inv(block_covariance(b))
-        at += m
-    info = X.T @ W @ X
+    info = X.T @ np.linalg.inv(stacked_covariance(blocks, 0.0)) @ X
     keep = [j for j, comp in enumerate(network.components) if comp != "A"]
     expected = info[np.ix_(keep, keep)] + np.eye(len(keep)) / spec.priors.d_variance
     np.testing.assert_allclose(lower @ lower.T, np.linalg.inv(expected), rtol=1e-10)
@@ -662,9 +661,13 @@ def test_arm_design_is_the_cc05_design(kind, effects, wide_studies):
     assert np.array_equal(model.X, X) and model.X.flags.c_contiguous
     assert np.array_equal(model.V1, V1[:, model.d_columns]) and model.V1.flags.c_contiguous
     if effects == "random":
-        blocks, _ = model.blocks_and_partials(None)
-        (shift,) = [b for b in blocks if b.name == "d-shift"]
-        assert shift.shift_map is model.X
+        # the d-shift moves d by C z and the latents by -X C z, with C the
+        # preconditioner or, without one, the identity
+        for chol in (bayes._d_preconditioner(model), None):
+            blocks, _ = model.blocks_and_partials(chol)
+            (shift,) = [b for b in blocks if b.name == "d-shift"]
+            C = np.eye(model.X.shape[1]) if chol is None else chol
+            assert np.array_equal(shift.factor, np.vstack([C, -(model.X @ C)]))
 
 
 @pytest.mark.parametrize("effects", ["fixed", "random"])
@@ -690,16 +693,13 @@ def test_block_partials_track_logpost(kind, effects, studies, wide_studies):
         rng = np.random.default_rng(3)
         for block, partial in zip(blocks, partials):
             y = x.copy()
-            dims = list(block.dims)
-            if block.shift_map is not None:
-                k = block.shift_map.shape[1]
-                delta = 0.3 * rng.standard_normal(k)
-                y[dims[:k]] += delta
-                y[dims[k:]] -= block.shift_map @ delta
-            elif block.log_scale:
-                y[dims] *= np.exp(0.3 * rng.standard_normal(len(dims)))
+            dims, factor = list(block.dims), block.factor
+            z = 0.3 * rng.standard_normal(len(dims) if factor is None else factor.shape[1])
+            step = z if factor is None else factor @ z
+            if block.log_scale:
+                y[dims] *= np.exp(step)
             else:
-                y[dims] += 0.3 * rng.standard_normal(len(dims))
+                y[dims] += step
             change = model.logpost(y) - model.logpost(x)
             assert np.isfinite(change)
             assert partial(y) - partial(x) == pytest.approx(change, abs=1e-9), block.name

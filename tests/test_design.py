@@ -27,6 +27,7 @@ from dense import (
     incidence_rows,
     mvn_logpdf,
     stacked_Sigma_star,
+    stacked_covariance,
 )
 
 
@@ -274,18 +275,9 @@ def dense_reference(blocks, tau2):
     net = build_network(
         Study(b.study_id, tuple(ArmRecord(t, 1, 10) for t in b.treatments)) for b in blocks
     )
-    X = np.vstack(
-        [build_U(b.n_arms) @ incidence_rows(b.treatments, net.components) for b in blocks]
-    )
-    y = np.concatenate([b.y_star for b in blocks])
-    W = np.zeros((y.size, y.size))
-    at = 0
-    for b in blocks:
-        m = b.y_star.size
-        cov = block_covariance(b) + tau2 * build_Sigma_star(b.n_arms)
-        W[at : at + m, at : at + m] = np.linalg.inv(cov)
-        at += m
-    return net, X, y, W
+    arrays = contrast_design_arrays(blocks, net.components)
+    W = np.linalg.inv(stacked_covariance(blocks, tau2))
+    return net, arrays["X"], arrays["y"], W
 
 
 @st.composite

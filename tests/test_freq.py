@@ -21,7 +21,7 @@ from cnma.network import (
     build_network,
     parse_treatment,
 )
-from dense import block_covariance, build_Sigma_star, build_U, stacked_Sigma_star
+from dense import build_U, stacked_Sigma_star, stacked_covariance
 
 
 def block(study_id, labels, y, se, se_baseline=0.05):
@@ -191,18 +191,7 @@ def dense_gls(blocks, net, effects_model):
     singular value keeps rank(X) of them."""
     X = stack_X(net)
     y = np.concatenate([b.y_star for b in blocks])
-
-    def weights(tau2):
-        W = np.zeros((y.size, y.size))
-        at = 0
-        for b in blocks:
-            m = b.y_star.size
-            cov = block_covariance(b) + tau2 * build_Sigma_star(b.n_arms)
-            W[at : at + m, at : at + m] = np.linalg.inv(cov)
-            at += m
-        return W
-
-    W = weights(0.0)
+    W = np.linalg.inv(stacked_covariance(blocks, 0.0))
     cov = np.linalg.pinv(X.T @ W @ X, rtol=1e-12)
     resid = y - X @ cov @ X.T @ W @ y
     Q = resid @ W @ resid
@@ -210,7 +199,7 @@ def dense_gls(blocks, net, effects_model):
     P = W - W @ X @ cov @ X.T @ W
     trace_P_Sigma = np.trace(P @ stacked_Sigma_star(blocks))
     tau2 = max(0.0, (Q - df) / trace_P_Sigma) if effects_model == "random" else 0.0
-    W = weights(tau2)
+    W = np.linalg.inv(stacked_covariance(blocks, tau2))
     cov = np.linalg.pinv(X.T @ W @ X, rtol=1e-12)
     return cov @ X.T @ W @ y, cov, tau2, Q, df
 

@@ -99,20 +99,11 @@ def _copying_reference(logpost, x0, blocks, config, chain_index):
         for bi, block in enumerate(blocks):
             idx = np.asarray(block.dims)
             cur = x[idx]
-            chol = block.cov_chol
-            if block.shift_map is not None:
-                k = block.shift_map.shape[1]
-                z = rng.standard_normal(k)
-                delta = scales[bi] * (chol @ z if chol is not None else z)
-                new = cur.copy()
-                new[:k] += delta
-                new[k:] -= block.shift_map @ delta
-                jacobian = 0.0
-            else:
-                z = rng.standard_normal(idx.size)
-                step = scales[bi] * (chol @ z if chol is not None else z)
-                new = cur * np.exp(step) if block.log_scale else cur + step
-                jacobian = float(np.sum(step)) if block.log_scale else 0.0
+            factor = block.factor
+            z = rng.standard_normal(idx.size if factor is None else factor.shape[1])
+            step = scales[bi] * (z if factor is None else factor @ z)
+            new = cur * np.exp(step) if block.log_scale else cur + step
+            jacobian = float(np.sum(step)) if block.log_scale else 0.0
             x_prop = x.copy()
             x_prop[idx] = new
             accepted = math.log(rng.random()) < logpost(x_prop) - logpost(x) + jacobian
@@ -240,7 +231,7 @@ class TestRunChains:
         sample = run_from(
             logpost,
             np.zeros(2),
-            [Block("xy", (0, 1), scale=1.0, cov_chol=chol)],
+            [Block("xy", (0, 1), scale=1.0, factor=chol)],
             McmcConfig(n_chains=2, burn_in=1500, keep=6000, seed=5),
         )
         pooled = sample.pooled()
@@ -273,18 +264,48 @@ class TestRunChains:
                 quick_config(burn_in=2000),
             )
 
+    @pytest.mark.parametrize("accept_at", [None, 249, 250, 517])
+    def test_scale_collapse_after_exactly_the_collapse_windows(self, accept_at):
+        # a partial that rejects every proposal, except the one of sweep
+        # ``accept_at``: the sampler raises at the end of the COLLAPSE_WINDOWS-th
+        # adaptation window without an acceptance, counted from the start or
+        # from the window after the acceptance
+        calls = []
+
+        def partial(x):
+            # two calls per sweep: the current state, then the proposal
+            calls.append(None)
+            sweep, proposal = divmod(len(calls) - 1, 2)
+            return -math.inf if proposal and sweep != accept_at else 0.0
+
+        window, windows = mcmc.ADAPTATION_WINDOW, mcmc.COLLAPSE_WINDOWS
+        first = 0 if accept_at is None else accept_at // window + 1
+        config = McmcConfig(n_chains=2, burn_in=(first + windows + 5) * window, keep=4)
+        with pytest.raises(McmcError, match="'x'.*collapse"):
+            run_chains(lambda x: 0.0, np.zeros((2, 1)), [Block("x", (0,), 1.0)], config,
+                       partials=[partial])
+        assert len(calls) == 2 * (first + windows) * window
+
     def test_blocks_must_partition(self):
         # each case: inits, blocks, partials and the error it must raise; the
         # last three break the shapes of inits and partials instead: a
         # single start shared by the chains is refused too
         two = [Block("x", (0,), 0.5), Block("y", (1,), 0.5)]
-        shift = Block("s", (0, 1), 0.5, shift_map=np.ones((2, 1)))
         full = [std_normal_logpost] * 3
         inits = np.zeros((2, 2))
+        # a tall factor may overlap the partition, a square one may not
+        tall = Block("s", (0, 1), 0.5, factor=np.ones((2, 1)))
+        config = quick_config(burn_in=20, keep=20)
+        run_chains(std_normal_logpost, inits, two + [tall], config, partials=full)
+        square = Block("s", (0, 1), 0.5, factor=np.eye(2))
         cases = [
             (inits, [Block("x", (0,), 0.5)], full[:1], "partition"),
             (inits, [Block("x", (0, 1), 0.5), Block("y", (1,), 0.5)], full[:2], "two blocks"),
-            (inits, two + [shift], full, "shift_map"),
+            (inits, two + [square], full, "two blocks"),
+            (inits, [tall], full[:1], "partition"),
+            (inits, two + [Block("s", (0, 1), 0.5, factor=np.ones((1, 1)))], full, "one row"),
+            (inits, two + [Block("s", (0, 1), 0.5, factor=np.ones((3, 1)))], full, "one row"),
+            (inits, two + [Block("s", (0, 1), 0.5, factor=np.ones(2))], full, "one row"),
             (np.zeros((3, 2)), two, full[:2], "init per chain"),
             (np.zeros(2), two, full[:2], "init per chain"),
             (inits, two, full[:1], "partial"),
@@ -346,7 +367,7 @@ class TestRunChains:
 
     def test_rejected_proposals_restore_every_coordinate(self):
         # every block kind: scalar, contiguous with covariance shaping,
-        # multiplicative, and a shift over non-contiguous coordinates; any
+        # multiplicative, and a tall factor over non-contiguous coordinates; any
         # move is rejected, so every evaluation must see the start bit for bit
         x0 = np.array([0.1, -0.7, 1.3, 0.4, 2.5, -1.9])
         seen = []
@@ -357,11 +378,11 @@ class TestRunChains:
 
         blocks = [
             Block("a", (0,), 0.5),
-            Block("bc", (1, 2), 0.5, cov_chol=np.array([[1.0, 0.0], [0.3, 0.9]])),
+            Block("bc", (1, 2), 0.5, factor=np.array([[1.0, 0.0], [0.3, 0.9]])),
             Block("d", (3,), 0.5, log_scale=True),
             Block("e", (4,), 0.5),
             Block("f", (5,), 0.5),
-            Block("shift", (0, 3, 5), 0.5, shift_map=np.array([[1.0], [-0.5]])),
+            Block("shift", (0, 3, 5), 0.5, factor=np.array([[1.0], [-1.0], [0.5]])),
         ]
         config = quick_config(burn_in=30, keep=20)
         sample = run_from(only_start, x0, blocks, config)
@@ -385,10 +406,10 @@ class TestRunChains:
 
         blocks = [
             Block("a", (0,), 0.8),
-            Block("bc", (1, 2), 0.6, cov_chol=np.array([[1.0, 0.0], [0.4, 0.8]])),
+            Block("bc", (1, 2), 0.6, factor=np.array([[1.0, 0.0], [0.4, 0.8]])),
             Block("d", (3,), 0.7),
             Block("s", (4,), 0.4, log_scale=True),
-            Block("shift", (0, 3, 1), 0.3, shift_map=np.array([[0.5], [1.0]])),
+            Block("shift", (0, 3, 1), 0.3, factor=np.array([[1.0], [-0.5], [-1.0]])),
         ]
         config = quick_config(burn_in=200, keep=200)
         x0 = np.array([0.3, -0.2, 0.1, 0.5, 1.2])

@@ -16,7 +16,10 @@ pair, so that both see the same drift of the machine's speed. Each call is
 timed by ``workloads.Meter``, in reference seconds.
 
 It prints each side's median and quartiles, the ratio of the medians
-(this / other) and whether every pair of calls drew bit-identical samples.
+(this / other), whether every pair of calls drew bit-identical samples, the
+largest absolute difference between paired draws (so a change that moves
+draws by rounding alone can show it) and whether every pair had equal
+acceptance rates in every block.
 Process-level numbers of ``bench/run.py`` carry offsets between processes
 that run identical code; here both sides share one process. BLAS is pinned
 to one thread, as in the benchmark, and ``cnma``'s convergence warnings are
@@ -96,8 +99,9 @@ def quartiles(values) -> tuple[float, float, float]:
 
 
 def run(other_root, workload_name, seed, kind, calls) -> dict:
-    """Time ``calls`` fits per side; return each side's times and whether
-    every pair of draws was bit-identical."""
+    """Time ``calls`` fits per side; return each side's times, whether every
+    pair of draws was bit-identical, the largest absolute difference between
+    paired draws and whether every pair's acceptance rates were equal."""
     sides = {"this": cnma, "other": load_other(other_root)}
     workload = WORKLOADS[workload_name]
     reps = setup(workload, seed)
@@ -107,16 +111,20 @@ def run(other_root, workload_name, seed, kind, calls) -> dict:
     }
     meter = Meter()
     times = {name: [] for name in sides}
-    identical = True
+    identical, max_diff, same_acceptance = True, 0.0, True
     for i in range(calls):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        draws = {}
+        samples = {}
         for name in order:
             seconds, fit = meter.time(sides[name].bayes.fit, *inputs[name][i % len(reps)])
             times[name].append(seconds)
-            draws[name] = fit.sample.draws
-        identical &= np.array_equal(draws["this"], draws["other"])
-    return {"times": times, "identical": bool(identical)}
+            samples[name] = fit.sample
+        this, other = samples["this"], samples["other"]
+        identical &= np.array_equal(this.draws, other.draws)
+        max_diff = max(max_diff, float(np.max(np.abs(this.draws - other.draws))))
+        same_acceptance &= this.acceptance == other.acceptance
+    return {"times": times, "identical": bool(identical), "max_diff": max_diff,
+            "same_acceptance": bool(same_acceptance)}
 
 
 def main(argv=None) -> int:
@@ -140,6 +148,8 @@ def main(argv=None) -> int:
               "(reference s)")
     print(f"  ratio this/other {medians['this'] / medians['other']:.3f}")
     print(f"  draws bit-identical: {result['identical']}")
+    print(f"  max |diff| of paired draws: {result['max_diff']!r}")
+    print(f"  acceptance rates equal: {result['same_acceptance']}")
     return 0
 
 
