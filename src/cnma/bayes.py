@@ -20,8 +20,10 @@ inference is unchanged while sampling loses a redundant dimension.
 
 Each model kind has one log likelihood and one log posterior, its ``loglik``
 and ``logpost``. Both take the sampling parameterization that the sampler
-moves through: for the arm kinds the study baselines are arm-1 logits (see
-``_ArmModel``). A model's ``to_internal`` maps reported vectors there, and its
+moves through: sigma is sampled as log sigma, and for the arm kinds the study
+baselines are arm-1 logits (see ``_ArmModel``). ``logpost`` is the density of
+those sampling coordinates, so sigma's uniform prior enters it with the log
+sigma Jacobian. A model's ``to_internal`` maps reported vectors there, and its
 ``reported_draws`` maps the draws back, in place. A model's ``sample`` draws
 in its sampling parameterization; ``fit`` validates, samples, maps the draws
 to the reported parameterization and warns when they have not converged.
@@ -118,9 +120,12 @@ class _Model:
 
     The vector holds the effect block at ``d_sl``, then the kind's per-study
     coordinates, then, under random effects, sigma at ``sigma_pos``. The
-    effects get a normal prior and sigma a uniform one. ``to_internal`` and
-    ``reported_draws`` are the identity unless a kind remaps coordinates.
-    ``sample`` runs the block Metropolis sampler over ``blocks_and_partials``.
+    effects get a normal prior and sigma a uniform one on (0, sigma_upper).
+    sigma is sampled as u = log sigma: ``to_internal`` and ``reported_draws``
+    map sigma to u and back, the arm kinds' overrides chain to them, and
+    ``logpost`` is the density of the sampling coordinates, with u's prior
+    density e^u / sigma_upper. ``sample`` runs the block Metropolis sampler
+    over ``blocks_and_partials``.
     """
 
     def __init__(self, network: Network, spec: ModelSpec, d_components, study_names=()):
@@ -143,21 +148,27 @@ class _Model:
             self.jitter_scale[self.sigma_pos] = 0.0
 
     def to_internal(self, x: np.ndarray) -> np.ndarray:
-        return np.array(x, dtype=float)
+        """Reported vectors, one or a stack, in the sampling parameterization."""
+        y = np.array(x, dtype=float)
+        if self.sigma_pos is not None:
+            y[..., self.sigma_pos] = np.log(y[..., self.sigma_pos])
+        return y
 
     def reported_draws(self, draws: np.ndarray) -> np.ndarray:
         """Map a (..., dim) array of internal draws to the reported
         parameterization, in place, and return it."""
+        if self.sigma_pos is not None:
+            draws[..., self.sigma_pos] = np.exp(draws[..., self.sigma_pos])
         return draws
 
     def _d_prior(self, x) -> float:
         return _normal_logpdf(x[self.d_sl], self.spec.priors.d_variance)
 
-    def _sigma_bounds(self, x) -> float:
-        sigma = x[self.sigma_pos]
-        if 0.0 < sigma < self.spec.priors.sigma_upper:
-            return -math.log(self.spec.priors.sigma_upper)
-        return -np.inf
+    def _log_sigma_prior(self, x) -> float:
+        """Log density of u = log sigma for sigma ~ U(0, sigma_upper):
+        u - log sigma_upper below log sigma_upper, the Jacobian included."""
+        u, log_upper = x[self.sigma_pos], math.log(self.spec.priors.sigma_upper)
+        return u - log_upper if u < log_upper else -math.inf
 
     def _study_prior(self, x) -> float:
         """Prior terms of the per-study coordinates."""
@@ -165,7 +176,7 @@ class _Model:
 
     def logpost(self, x: np.ndarray) -> float:
         """Log posterior at one vector in the sampling parameterization."""
-        bounds = self._sigma_bounds(x) if self.spec.random_effects else 0.0
+        bounds = self._log_sigma_prior(x) if self.spec.random_effects else 0.0
         if bounds == -math.inf:
             return -math.inf
         return float(self.loglik(x) + self._d_prior(x) + self._study_prior(x) + bounds)
@@ -188,7 +199,7 @@ class _Model:
         scale = 2.38 / math.sqrt(max(k, 1))
         blocks = [Block("d", tuple(range(k)), scale=scale, factor=d_chol)]
         if self.spec.random_effects:
-            blocks.append(Block("sigma", (self.sigma_pos,), scale=0.4, log_scale=True))
+            blocks.append(Block("sigma", (self.sigma_pos,), scale=0.4))
         logpost = self.logpost
         at = functools.lru_cache(maxsize=2)(lambda key: logpost(np.frombuffer(key)))
         return blocks, [lambda x: at(x.tobytes())] * len(blocks)
@@ -200,9 +211,10 @@ class _Model:
         return run_chains(self.logpost, inits, blocks, config, partials=partials)
 
     def initial_vector(self) -> np.ndarray:
+        """The neutral point, sampled coordinates: zeros, sigma at half its bound."""
         x = np.zeros(self.dim)
         if self.spec.random_effects:
-            x[self.sigma_pos] = self.spec.priors.sigma_upper / 2.0
+            x[self.sigma_pos] = math.log(self.spec.priors.sigma_upper / 2.0)
         return x
 
 
@@ -280,7 +292,7 @@ class _ArmModel(_Model):
 
     def to_internal(self, x: np.ndarray) -> np.ndarray:
         """(d, alpha, ...) -> (d, arm-1 logit, ...), for one vector or a stack."""
-        y = np.array(x, dtype=float)
+        y = super().to_internal(x)
         # one matrix-vector product per row: a row of a stack gets the same
         # bits as the vector alone
         y[..., self.alpha_sl] += (self.V1 @ y[..., self.d_sl, None])[..., 0]
@@ -288,7 +300,7 @@ class _ArmModel(_Model):
 
     def reported_draws(self, draws: np.ndarray) -> np.ndarray:
         draws[..., self.alpha_sl] -= np.einsum("...k,ik->...i", draws[..., self.d_sl], self.V1)
-        return draws
+        return super().reported_draws(draws)
 
     # --- log likelihood and priors (sampling parameterization) ------------
 
@@ -310,10 +322,7 @@ class _ArmModel(_Model):
         return _normal_logpdf(alpha, self.spec.priors.alpha_variance)
 
     def _eps_prior(self, x) -> float:
-        sigma = x[self.sigma_pos]
-        if not 0.0 < sigma:
-            return -np.inf
-        weights = self._eps_weights(sigma * sigma)
+        weights = self._eps_weights(math.exp(2.0 * x[self.sigma_pos]))
         return design._compound_symmetry_logpdf(x[self.eps_sl], weights, self.eps_starts)
 
     def _study_prior(self, x) -> float:
@@ -385,8 +394,7 @@ class _ArmModel(_Model):
                 v = x.item(p)
                 s += v
                 ss += v * v
-            sigma = x.item(sigma_pos)
-            return loglik(x) - (ss - s * s / (m + 1.0)) / (sigma * sigma)
+            return loglik(x) - (ss - s * s / (m + 1.0)) / exp(2.0 * x.item(sigma_pos))
 
         return alpha_partial, eps_partial
 
@@ -394,7 +402,7 @@ class _ArmModel(_Model):
         blocks, _ = super().blocks_and_partials(d_chol)
         partials = [lambda x: self.loglik(x) + self._d_prior(x) + self._alpha_prior(x)]
         if self.spec.random_effects:
-            partials.append(lambda x: self._eps_prior(x) + self._sigma_bounds(x))
+            partials.append(lambda x: self._eps_prior(x) + self._log_sigma_prior(x))
 
         per_study = [self._study_partials(i) for i in range(len(self.studies))]
         for i, study in enumerate(self.studies):
@@ -421,8 +429,8 @@ class _ArmModel(_Model):
 class _ContrastModel(_Model):
     """Marginalized contrast-level model: y* ~ N(U* V d, S* + sigma^2 Sigma*).
 
-    It has no per-study coordinates, so the sampling and reported
-    parameterizations coincide."""
+    It has no per-study coordinates; its sampling parameterization differs
+    from the reported one in sigma alone, which it samples as log sigma."""
 
     def __init__(self, blocks, network: Network, spec: ModelSpec):
         super().__init__(network, spec, network.components)
@@ -430,7 +438,7 @@ class _ContrastModel(_Model):
         self.X = self.design.X
 
     def loglik(self, x: np.ndarray) -> float:
-        sigma2 = x[self.sigma_pos] ** 2 if self.spec.random_effects else 0.0
+        sigma2 = math.exp(2.0 * x[self.sigma_pos]) if self.spec.random_effects else 0.0
         return self.design.logpdf(x[self.d_sl], sigma2)
 
 
@@ -527,8 +535,8 @@ def _d_preconditioner(model) -> np.ndarray | None:
 
 
 def _initial_vectors(model, config: McmcConfig) -> np.ndarray:
-    """Overdispersed per-chain starts around the neutral point."""
-    base = model.initial_vector()
+    """Overdispersed per-chain starts around the neutral point, as reported vectors."""
+    base = model.reported_draws(model.initial_vector())
     inits = np.tile(base, (config.n_chains, 1))
     for c in range(config.n_chains):
         jitter = rng_stream(config.seed, 90_000 + c).uniform(-0.5, 0.5, size=base.size)

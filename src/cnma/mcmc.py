@@ -2,12 +2,12 @@
 
 The target is supplied as a log posterior over a flat parameter vector plus a
 partition of the coordinates into blocks. Each block gets one additive
-Gaussian random walk, scale * L z with z standard normal and a fixed factor L,
-on its coordinates or, for positive parameters, on their logarithms. The scalar
-step size is tuned by Robbins-Monro toward a target acceptance rate during
-burn-in only; scales are frozen afterwards so the kept draws target the exact
-posterior. A tall L (a translation move, Liu & Sabatti 2000) may overlap the
-partition.
+Gaussian random walk on its coordinates, scale * L z with z standard normal and
+a fixed factor L; a constrained parameter is the model's to map to an
+unconstrained coordinate, Jacobian included. The scalar step size is tuned by
+Robbins-Monro toward a target acceptance rate during burn-in only; scales are
+frozen afterwards so the kept draws target the exact posterior. A tall L (a
+translation move, Liu & Sabatti 2000) may overlap the partition.
 
 ``run_chains`` takes one start per chain and one partial log posterior per
 block: a block's partial must include every term of the log posterior that
@@ -92,17 +92,15 @@ class McmcConfig:
 class Block:
     """One update block: coordinate indices plus proposal settings.
 
-    The step is scale * L z with z ~ N(0, I_k), where ``factor`` L is
-    len(dims) x k (None means the identity), on the logarithms of the
-    coordinates with ``log_scale``. It is symmetric whatever L is. A tall L
-    (k < len(dims)) moves the coordinates along its columns only, so its
-    block may overlap the partition.
+    The step adds scale * L z to the coordinates, with z ~ N(0, I_k) and
+    ``factor`` L len(dims) x k (None means the identity). It is symmetric
+    whatever L is. A tall L (k < len(dims)) moves the coordinates along its
+    columns only, so its block may overlap the partition.
     """
 
     name: str
     dims: tuple[int, ...]
     scale: float = 0.1
-    log_scale: bool = False
     factor: np.ndarray | None = None
 
     def __post_init__(self):
@@ -159,10 +157,10 @@ def _check_blocks(blocks, dim: int) -> None:
 
 def _coordinates(block: Block):
     """Where a block's coordinates sit in the state vector: an int for a
-    1-coordinate additive block (the sampler's scalar path), a slice when the
-    coordinates are contiguous, an index array otherwise."""
+    1-coordinate block without a factor (the sampler's scalar path), a slice
+    when the coordinates are contiguous, an index array otherwise."""
     dims = tuple(int(d) for d in block.dims)
-    if len(dims) == 1 and not block.log_scale and block.factor is None:
+    if len(dims) == 1 and block.factor is None:
         return dims[0]
     if dims and dims == tuple(range(dims[0], dims[0] + len(dims))):
         return slice(dims[0], dims[0] + len(dims))
@@ -201,27 +199,18 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
             if isinstance(at, int):
                 saved = x.item(at)
                 step = scales[bi] * normal()
-                lp_old = evaluate(x)
-                x[at] = saved + step
-                jacobian = 0.0
             else:
                 saved = x[at].copy()
                 factor = block.factor
                 z = normal(saved.size if factor is None else factor.shape[1])
                 step = scales[bi] * (z if factor is None else factor @ z)
-                if block.log_scale:
-                    new = saved * np.exp(step)
-                    jacobian = float(step.sum())
-                else:
-                    new = saved + step
-                    jacobian = 0.0
-                lp_old = evaluate(x)
-                x[at] = new
+            lp_old = evaluate(x)
+            x[at] = saved + step
             lp_new = evaluate(x)
             if math.isnan(lp_old) or math.isnan(lp_new):
                 raise McmcError(f"log posterior returned NaN in block {block.name!r}")
 
-            accepted = math.log(uniform()) < lp_new - lp_old + jacobian
+            accepted = math.log(uniform()) < lp_new - lp_old
             if accepted:
                 if adapting:
                     latest[bi] = it

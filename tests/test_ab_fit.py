@@ -1,6 +1,7 @@
 """tools/ab_fit.py: the other checkout loads as a package of its own, and a
-run with both sides set to this checkout draws bit-identical samples, with
-no difference between paired draws and equal acceptance rates."""
+run on two seeds with both sides set to this checkout draws bit-identical
+samples, with no difference between paired draws and equal acceptance rates,
+on each seed's line and on the summary line."""
 
 import importlib.util
 import subprocess
@@ -16,16 +17,21 @@ TOOL = ROOT / "tools" / "ab_fit.py"
 
 def test_ab_fit_against_itself_draws_identical_samples():
     out = subprocess.run(
-        [sys.executable, str(TOOL), str(ROOT), "--calls", "2"],
+        [sys.executable, str(TOOL), str(ROOT), "--seed", "3", "4", "--calls", "1"],
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.splitlines()
-    assert out[0] == "unanchored-contrast on sim-small, seed 3: 2 calls per side"
-    assert [line.split()[0] for line in out[1:3]] == ["this", "other"]
-    assert out[3].startswith("  ratio this/other ")
-    assert float(out[3].split()[-1]) > 0.0
-    assert out[4] == "  draws bit-identical: True"
-    assert out[5] == "  max |diff| of paired draws: 0.0"
-    assert out[6] == "  acceptance rates equal: True"
+    assert len(out) == 3
+    for seed, line in zip((3, 4), out):
+        assert line.startswith(f"seed {seed}: ratio this/other ")
+        assert line.endswith(
+            ", draws bit-identical True, max |diff| 0.0, acceptance rates equal True"
+        )
+    summary = out[2]
+    assert summary.startswith(
+        "unanchored-contrast on sim-small, seeds 3 4, 1 calls per seed and side: "
+    )
+    assert float(summary.split("ratio this/other ")[1].split(",")[0]) > 0.0
+    assert summary.endswith(", worst max |diff| 0.0, acceptance rates equal True")
 
 
 def test_other_checkout_loads_as_its_own_package():

@@ -101,9 +101,10 @@ def inputs(kind, studies, effects="random"):
     return spec, list(studies)
 
 
+@pytest.mark.parametrize("effects", ["fixed", "random"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_same_seed_bit_identical_draws(kind, studies, network):
-    spec, data = inputs(kind, studies)
+def test_same_seed_bit_identical_draws(kind, effects, studies, network):
+    spec, data = inputs(kind, studies, effects)
     config = McmcConfig(burn_in=60, keep=40, seed=5)
     first = bayes.fit(spec, data, network, config)
     second = bayes.fit(spec, data, network, config)
@@ -350,10 +351,10 @@ def test_anchored_preconditioner_is_information_without_anchor(studies, network)
 
 
 def test_contrast_model_loglik_is_sum_of_block_densities(studies, network):
-    # sigma = 0.7 enters the covariance as sigma^2 Sigma*
+    # sigma = 0.7, sampled as log sigma, enters the covariance as sigma^2 Sigma*
     spec, blocks = inputs("unanchored-contrast", studies)
     model = bayes.build_model(spec, blocks, network)
-    x = np.array([0.1, -0.2, 0.3, 0.05, 0.7])
+    x = np.array([0.1, -0.2, 0.3, 0.05, math.log(0.7)])
     X = stack_X(network)
     expected, at = 0.0, 0
     for b in blocks:
@@ -468,7 +469,8 @@ def test_baseline_arm_is_a_convention(studies, kind, effects, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(0.0, 0.5, size=model.dim)
     if effects == "random":
-        x[model.sigma_pos] = rng.uniform(0.1, spec.priors.sigma_upper)
+        # the sampling coordinate log sigma
+        x[model.sigma_pos] = math.log(rng.uniform(0.1, spec.priors.sigma_upper))
     col = {name: p for p, name in enumerate(model.names)}
 
     def level(treatment):
@@ -622,10 +624,12 @@ def test_validate_rejects_empty_data(network):
         bayes.build_model(bayes.ModelSpec("unanchored-arm"), [], network)
 
 
-def test_preconditioner_fallback_is_logged(studies, network, monkeypatch, caplog):
-    # the inverse of a negative-definite information has no Cholesky factor
+@pytest.mark.parametrize("kind", KINDS)
+def test_preconditioner_fallback_is_logged(kind, studies, network, monkeypatch, caplog):
+    # the inverse of a negative-definite information has no Cholesky factor;
+    # the arm kinds' d-shift then moves d by z and the latents by -X z
     monkeypatch.setattr(ContrastDesign, "information", lambda self, tau2: -np.eye(self.X.shape[1]))
-    spec, data = inputs("unanchored-contrast", studies)
+    spec, data = inputs(kind, studies)
     with caplog.at_level(logging.WARNING, logger="cnma"):
         fit = bayes.fit(spec, data, network, McmcConfig(burn_in=60, keep=40, seed=1))
     assert any(
@@ -695,11 +699,7 @@ def test_block_partials_track_logpost(kind, effects, studies, wide_studies):
             y = x.copy()
             dims, factor = list(block.dims), block.factor
             z = 0.3 * rng.standard_normal(len(dims) if factor is None else factor.shape[1])
-            step = z if factor is None else factor @ z
-            if block.log_scale:
-                y[dims] *= np.exp(step)
-            else:
-                y[dims] += step
+            y[dims] += z if factor is None else factor @ z
             change = model.logpost(y) - model.logpost(x)
             assert np.isfinite(change)
             assert partial(y) - partial(x) == pytest.approx(change, abs=1e-9), block.name
@@ -809,10 +809,13 @@ def test_dic_rejects_contrast_kind(studies, network):
 
 
 @pytest.mark.parametrize("effects", ["fixed", "random"])
-@pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
-def test_arm_logpost_matches_dense_reference(kind, effects, studies, wide_studies):
+@pytest.mark.parametrize("kind", KINDS)
+def test_logpost_matches_dense_reference(kind, effects, studies, wide_studies):
     # on the fixture, and with two four-arm studies: eps blocks of 3 latents,
-    # a zero cell and the anchor as a study's second arm
+    # a zero cell and the anchor as a study's second arm. The log posterior is
+    # the density of the sampling coordinates, so under random effects
+    # sigma's U(0, sigma_upper) prior enters as one of log sigma, with the
+    # Jacobian + log sigma
     for records in (studies, wide_studies):
         spec, data = inputs(kind, records, effects)
         model = bayes.build_model(spec, data, build_network(records))
@@ -821,19 +824,22 @@ def test_arm_logpost_matches_dense_reference(kind, effects, studies, wide_studie
         x = rng.normal(0.0, 0.5, size=model.dim)
         col = {name: j for j, name in enumerate(model.names)}
         d = x[[j for name, j in col.items() if name.startswith("d[")]]
-        alpha = x[[col[f"alpha[{s.id}]"] for s in records]]
-        expected = (
-            binomial_loglik(records, model.names, x)
-            + norm.logpdf(d, 0.0, np.sqrt(priors.d_variance)).sum()
-            + norm.logpdf(alpha, 0.0, np.sqrt(priors.alpha_variance)).sum()
-        )
+        sigma, expected = 0.0, norm.logpdf(d, 0.0, np.sqrt(priors.d_variance)).sum()
         if effects == "random":
             sigma = x[col["sigma"]] = rng.uniform(0.1, priors.sigma_upper)
-            for s in records:
+            expected += np.log(sigma) - np.log(priors.sigma_upper)
+        if kind == "unanchored-contrast":
+            arrays = contrast_design_arrays(data, model.network.components)
+            cov = stacked_covariance(data, sigma**2)
+            expected += mvn_logpdf(arrays["y"], arrays["X"] @ d, cov)
+        else:
+            alpha = x[[col[f"alpha[{s.id}]"] for s in records]]
+            expected += binomial_loglik(records, model.names, x)
+            expected += norm.logpdf(alpha, 0.0, np.sqrt(priors.alpha_variance)).sum()
+            for s in records if effects == "random" else ():
                 eps = x[[col[f"eps[{s.id}:{j}]"] for j in range(1, s.n_arms)]]
                 cov = sigma**2 * build_Sigma_star(s.n_arms)
                 expected += mvn_logpdf(eps, np.zeros(s.n_arms - 1), cov)
-            expected -= np.log(priors.sigma_upper)
         assert model.logpost(model.to_internal(x)) == pytest.approx(expected, rel=1e-9)
 
 
@@ -841,7 +847,9 @@ def test_arm_logpost_matches_dense_reference(kind, effects, studies, wide_studie
 def test_to_internal_and_reported_draws_round_trip(kind, studies, network):
     spec, data = inputs(kind, studies)
     model = bayes.build_model(spec, data, network)
-    stack = np.random.default_rng(9).normal(size=(2, 7, model.dim))
+    rng = np.random.default_rng(9)
+    stack = rng.normal(size=(2, 7, model.dim))
+    stack[..., model.sigma_pos] = rng.uniform(0.1, spec.priors.sigma_upper, size=(2, 7))
     internal = model.to_internal(stack)
     assert internal.shape == stack.shape
     for c in range(2):

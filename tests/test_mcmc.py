@@ -102,11 +102,9 @@ def _copying_reference(logpost, x0, blocks, config, chain_index):
             factor = block.factor
             z = rng.standard_normal(idx.size if factor is None else factor.shape[1])
             step = scales[bi] * (z if factor is None else factor @ z)
-            new = cur * np.exp(step) if block.log_scale else cur + step
-            jacobian = float(np.sum(step)) if block.log_scale else 0.0
             x_prop = x.copy()
-            x_prop[idx] = new
-            accepted = math.log(rng.random()) < logpost(x_prop) - logpost(x) + jacobian
+            x_prop[idx] = cur + step
+            accepted = math.log(rng.random()) < logpost(x_prop) - logpost(x)
             if accepted:
                 x = x_prop
             if it < config.burn_in:
@@ -143,22 +141,25 @@ class TestRunChains:
         assert 0.9 < pooled.var() < 1.1
 
     def test_vague_prior_with_uniform_sigma(self):
-        # d ~ N(0, 1000 I) on 5 dims, sigma ~ Unif(0, 2): no data at all
+        # d ~ N(0, 1000 I) on 5 dims, sigma ~ Unif(0, 2): no data at all; the
+        # chain moves u = log sigma, whose density carries the Jacobian e^u
         def logpost(x):
-            sigma = x[5]
-            if not 0.0 < sigma < 2.0:
+            u = x[5]
+            if not u < math.log(2.0):
                 return -np.inf
-            return float(-np.sum(x[:5] ** 2) / 2000.0)
+            return float(-np.sum(x[:5] ** 2) / 2000.0 + u)
 
         config = McmcConfig(n_chains=2, burn_in=2000, keep=8000, seed=11)
         blocks = [
             Block("d", tuple(range(5)), scale=20.0),
-            Block("sigma", (5,), scale=0.5, log_scale=True),
+            Block("sigma", (5,), scale=0.5),
         ]
-        init = np.array([0.0] * 5 + [1.0])
-        sample = run_from(logpost, init, blocks, config)
-        sigma_draws = sample.pooled()[:, 5]
+        sample = run_from(logpost, np.zeros(6), blocks, config)
+        sigma_draws = np.exp(sample.pooled()[:, 5])
         assert sigma_draws.mean() == pytest.approx(1.0, abs=0.05)
+        quartiles = np.quantile(sigma_draws, [0.25, 0.5, 0.75])
+        assert quartiles == pytest.approx([0.5, 1.0, 1.5], abs=0.08)
+        assert sigma_draws.max() < 2.0
         d_draws = sample.pooled()[:, 0]
         assert abs(d_draws.mean()) < 0.25 * np.sqrt(1000)
 
@@ -366,9 +367,9 @@ class TestRunChains:
             )
 
     def test_rejected_proposals_restore_every_coordinate(self):
-        # every block kind: scalar, contiguous with covariance shaping,
-        # multiplicative, and a tall factor over non-contiguous coordinates; any
-        # move is rejected, so every evaluation must see the start bit for bit
+        # every block kind: scalar, contiguous with covariance shaping, and a
+        # tall factor over non-contiguous coordinates; any move is rejected,
+        # so every evaluation must see the start bit for bit
         x0 = np.array([0.1, -0.7, 1.3, 0.4, 2.5, -1.9])
         seen = []
 
@@ -379,7 +380,7 @@ class TestRunChains:
         blocks = [
             Block("a", (0,), 0.5),
             Block("bc", (1, 2), 0.5, factor=np.array([[1.0, 0.0], [0.3, 0.9]])),
-            Block("d", (3,), 0.5, log_scale=True),
+            Block("d", (3,), 0.5),
             Block("e", (4,), 0.5),
             Block("f", (5,), 0.5),
             Block("shift", (0, 3, 5), 0.5, factor=np.array([[1.0], [-1.0], [0.5]])),
@@ -408,7 +409,7 @@ class TestRunChains:
             Block("a", (0,), 0.8),
             Block("bc", (1, 2), 0.6, factor=np.array([[1.0, 0.0], [0.4, 0.8]])),
             Block("d", (3,), 0.7),
-            Block("s", (4,), 0.4, log_scale=True),
+            Block("s", (4,), 0.4),
             Block("shift", (0, 3, 1), 0.3, factor=np.array([[1.0], [-0.5], [-1.0]])),
         ]
         config = quick_config(burn_in=200, keep=200)

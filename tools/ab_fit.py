@@ -1,25 +1,27 @@
 """In-process A/B timing of one model kind's ``bayes.fit`` between this
 checkout and another.
 
-    python3 tools/ab_fit.py OTHER [--workload sim-small] [--seed 3]
+    python3 tools/ab_fit.py OTHER [--workload sim-small] [--seed 3 [4 ...]]
                             [--kind unanchored-contrast] [--calls 40]
 
 ``OTHER`` is the root of another checkout; its ``src/cnma`` is loaded under
 the package name ``cnma_other`` (every import inside the package is
 relative), beside this checkout's ``cnma``. The benchmark workload's seeded
-networks are set up once with ``bench/`` of this checkout, and each side
-rebuilds their studies, network and contrast blocks through its own
-``network`` API. The tool then calls the two sides' ``bayes.fit`` in turn,
-``--calls`` times each, cycling over the workload's networks with the
-workload's chains and seeds, and switching which side goes first every
-pair, so that both see the same drift of the machine's speed. Each call is
-timed by ``workloads.Meter``, in reference seconds.
+networks are set up once per ``--seed`` with ``bench/`` of this checkout,
+and each side rebuilds their studies, network and contrast blocks through
+its own ``network`` API. For each seed the tool then calls the two sides'
+``bayes.fit`` in turn, ``--calls`` times each, cycling over the workload's
+networks with the workload's chains and seeds, and switching which side goes
+first every pair, so that both see the same drift of the machine's speed.
+Each call is timed by ``workloads.Meter``, in reference seconds.
 
-It prints each side's median and quartiles, the ratio of the medians
+It prints one line per seed: the ratio of the two sides' medians
 (this / other), whether every pair of calls drew bit-identical samples, the
 largest absolute difference between paired draws (so a change that moves
 draws by rounding alone can show it) and whether every pair had equal
-acceptance rates in every block.
+acceptance rates in every block. A last line sums up every seed: each
+side's median and quartiles over all calls, their ratio, the worst max
+|diff| and whether every acceptance rate was equal.
 Process-level numbers of ``bench/run.py`` carry offsets between processes
 that run identical code; here both sides share one process. BLAS is pinned
 to one thread, as in the benchmark, and ``cnma``'s convergence warnings are
@@ -98,11 +100,11 @@ def quartiles(values) -> tuple[float, float, float]:
     return float(q1), float(q2), float(q3)
 
 
-def run(other_root, workload_name, seed, kind, calls) -> dict:
-    """Time ``calls`` fits per side; return each side's times, whether every
-    pair of draws was bit-identical, the largest absolute difference between
-    paired draws and whether every pair's acceptance rates were equal."""
-    sides = {"this": cnma, "other": load_other(other_root)}
+def run(sides, workload_name, seed, kind, calls) -> dict:
+    """Time ``calls`` fits per side of ``sides`` (name -> package); return
+    each side's times, whether every pair of draws was bit-identical, the
+    largest absolute difference between paired draws and whether every
+    pair's acceptance rates were equal."""
     workload = WORKLOADS[workload_name]
     reps = setup(workload, seed)
     inputs = {
@@ -131,7 +133,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", help="root of the other checkout")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="sim-small")
-    parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--seed", type=int, nargs="+", default=[3])
     parser.add_argument("--kind", choices=KINDS, default="unanchored-contrast")
     parser.add_argument("--calls", type=int, default=40)
     args = parser.parse_args(argv)
@@ -139,17 +141,26 @@ def main(argv=None) -> int:
         parser.error("--calls must be at least 1")
     logging.getLogger("cnma").setLevel(logging.ERROR)
 
-    result = run(args.other, args.workload, args.seed, args.kind, args.calls)
-    print(f"{args.kind} on {args.workload}, seed {args.seed}: {args.calls} calls per side")
-    medians = {}
-    for name, times in result["times"].items():
-        q1, medians[name], q3 = quartiles(times)
-        print(f"  {name:5s} median {medians[name]:.6f} s, quartiles {q1:.6f} {q3:.6f} "
-              "(reference s)")
-    print(f"  ratio this/other {medians['this'] / medians['other']:.3f}")
-    print(f"  draws bit-identical: {result['identical']}")
-    print(f"  max |diff| of paired draws: {result['max_diff']!r}")
-    print(f"  acceptance rates equal: {result['same_acceptance']}")
+    sides = {"this": cnma, "other": load_other(args.other)}
+    times = {name: [] for name in sides}
+    worst, same_acceptance = 0.0, True
+    for seed in args.seed:
+        result = run(sides, args.workload, seed, args.kind, args.calls)
+        for name in sides:
+            times[name] += result["times"][name]
+        worst = max(worst, result["max_diff"])
+        same_acceptance &= result["same_acceptance"]
+        ratio = np.median(result["times"]["this"]) / np.median(result["times"]["other"])
+        print(f"seed {seed}: ratio this/other {ratio:.3f}, "
+              f"draws bit-identical {result['identical']}, "
+              f"max |diff| {result['max_diff']!r}, "
+              f"acceptance rates equal {result['same_acceptance']}")
+    (q1, this, q3), (p1, other, p3) = quartiles(times["this"]), quartiles(times["other"])
+    print(f"{args.kind} on {args.workload}, seeds {' '.join(map(str, args.seed))}, "
+          f"{args.calls} calls per seed and side: this median {this:.6f} s [{q1:.6f}, {q3:.6f}], "
+          f"other {other:.6f} s [{p1:.6f}, {p3:.6f}] (reference s), "
+          f"ratio this/other {this / other:.3f}, worst max |diff| {worst!r}, "
+          f"acceptance rates equal {same_acceptance}")
     return 0
 
 
