@@ -10,6 +10,9 @@ Three model kinds share one fitting path:
 - ``unanchored-contrast``: normal likelihood on baseline contrasts with the
   heterogeneity integrated out analytically, y* ~ N(U* V d, S* + sigma^2 Sigma*).
 
+Every kind reads its X from one ``ContrastDesign``, the model's ``design``:
+the contrast kind's data, or an arm kind's studies as cc05 contrasts.
+
 Arm-level random effects use the baseline-arm parameterization: the baseline
 arm's latent is fixed at zero and the remaining a-1 latents get the
 compound-symmetry contrast covariance sigma^2 Sigma*, with the contrast
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import design
-from .design import LOG_2PI, ContrastDesign, _baseline_contrasts, incidence_matrix
+from .design import LOG_2PI, ContrastDesign, incidence_matrix
 from .errors import CnmaError, EmptyNetwork, NotIdentifiable, UnknownAnchor
 from .mcmc import Block, McmcConfig, PosteriorSample, rng_stream, run_chains, summarize
 from .network import ContrastBlock, Network, Study, Treatment, _check_study_ids
@@ -118,6 +121,7 @@ def _normal_logpdf(v: np.ndarray, variance: float) -> float:
 class _Model:
     """Terms shared by the model kinds.
 
+    X is the X of the kind's ``design`` without an anchor's column (d_A = 0).
     The vector holds the effect block at ``d_sl``, then the kind's per-study
     coordinates, then, under random effects, sigma at ``sigma_pos``. The
     effects get a normal prior and sigma a uniform one on (0, sigma_upper).
@@ -128,12 +132,17 @@ class _Model:
     over ``blocks_and_partials``.
     """
 
-    def __init__(self, network: Network, spec: ModelSpec, d_components, study_names=()):
+    def __init__(self, network: Network, spec: ModelSpec, contrasts: ContrastDesign,
+                 study_names=()):
         self.network = network
         self.spec = spec
-        self.d_components = tuple(d_components)
+        self.design = contrasts
+        anchor = spec.anchor.components if spec.anchor is not None else ()
+        self.d_components = tuple(c for c in network.components if c not in anchor)
         # each effect coordinate's column among network.components
         self.d_columns = np.array([network.components.index(c) for c in self.d_components], int)
+        # BLAS takes another path, and so other bits, on an F-ordered matrix
+        self.X = np.ascontiguousarray(contrasts.X[:, self.d_columns])
         self.d_sl = slice(0, len(self.d_components))
         names = [f"d[{c}]" for c in self.d_components] + list(study_names)
         self.sigma_pos = len(names) if spec.random_effects else None
@@ -227,11 +236,11 @@ class _ArmModel(_Model):
     Sampling parameterization: alpha is replaced by the arm-1 logit
     a_i = alpha_i + (V d)_{arm 1}, so the effect block changes only contrast
     predictions and the baseline block absorbs the level: the logit is a_i on
-    a study's first arm and a_i + X d + eps on a later one, where X is the
-    stacked contrast design of ``design._baseline_contrasts``. The map is
-    affine and volume-preserving, so draws are transformed back after sampling.
-    The eps prior is ``design``'s compound-symmetry density, its weights
-    cached for the two latest sigma as the contrast likelihood's are.
+    a study's first arm and a_i + X d + eps on a later one, with the X of
+    ``design``, the studies' cc05 contrasts against arm 1. The map is affine and
+    volume-preserving, so draws are transformed back after sampling. The eps
+    prior is ``design``'s compound-symmetry density, its weights cached for
+    the two latest sigma as the contrast likelihood's are.
 
     The studies keep their arm order. A study's arm order enters only through
     the alpha prior, which sits on its first arm: sigma^2 Sigma* is the same
@@ -239,16 +248,14 @@ class _ArmModel(_Model):
     """
 
     def __init__(self, studies, network: Network, spec: ModelSpec):
-        d_components = network.components
-        if spec.anchor is not None:
-            d_components = [c for c in d_components if c not in spec.anchor.components]
         self.studies = tuple(studies)
+        contrasts = [arm_to_contrast(s, 0, "cc05") for s in self.studies]
 
         study_names = [f"alpha[{s.id}]" for s in self.studies]
         if spec.random_effects:
             for study in self.studies:
                 study_names += [f"eps[{study.id}:{j + 1}]" for j in range(study.n_arms - 1)]
-        super().__init__(network, spec, d_components, study_names)
+        super().__init__(network, spec, ContrastDesign(contrasts, network.components), study_names)
 
         arms = [(i, arm) for i, study in enumerate(self.studies) for arm in study.arms]
         self.arm_study = np.array([i for i, _ in arms], dtype=int)
@@ -259,12 +266,7 @@ class _ArmModel(_Model):
         self.arm_starts = np.cumsum(self.m + 1) - (self.m + 1)
         # every arm but each study's first: the rows of X, and the arms with a latent
         self.later_arms = np.setdiff1d(np.arange(self.r.size), self.arm_starts)
-        # the anchored kind has no column for the anchor component; BLAS takes
-        # another path, and so other bits, on an F-ordered matrix
-        components = network.components
-        X = _baseline_contrasts([arm.treatment for _, arm in arms], self.m + 1, components)
-        self.X = np.ascontiguousarray(X[:, self.d_columns])
-        V1 = incidence_matrix([s.arms[0].treatment for s in self.studies], components)
+        V1 = incidence_matrix([s.arms[0].treatment for s in self.studies], network.components)
         self.V1 = np.ascontiguousarray(V1[:, self.d_columns])
         self.logc_total = _log_binomial_coefficients(self.r, self.n)
 
@@ -275,18 +277,10 @@ class _ArmModel(_Model):
         self.jitter_scale[self.eps_sl] = 0.2
 
         if spec.random_effects:
-            # offset of each study's first latent within the eps block
-            self.eps_starts = np.cumsum(self.m) - self.m
             # blocks sigma^2 Sigma*_i at tau2 = sigma^2; a cached bound method would make a cycle
             zeros = np.zeros(n_eps), np.zeros(n_studies)
-            weights = functools.partial(design._compound_symmetry, *zeros, self.eps_starts)
+            weights = functools.partial(design._compound_symmetry, *zeros, self.design.starts)
             self._eps_weights = functools.lru_cache(maxsize=2)(weights)
-
-    @functools.cached_property
-    def design(self) -> ContrastDesign:
-        """The studies' cc05 contrasts against arm 1; only ``_d_preconditioner`` reads them."""
-        blocks = [arm_to_contrast(s, 0, "cc05") for s in self.studies]
-        return ContrastDesign(blocks, self.network.components)
 
     # --- parameterization maps -------------------------------------------
 
@@ -323,7 +317,7 @@ class _ArmModel(_Model):
 
     def _eps_prior(self, x) -> float:
         weights = self._eps_weights(math.exp(2.0 * x[self.sigma_pos]))
-        return design._compound_symmetry_logpdf(x[self.eps_sl], weights, self.eps_starts)
+        return design._compound_symmetry_logpdf(x[self.eps_sl], weights, self.design.starts)
 
     def _study_prior(self, x) -> float:
         if self.spec.random_effects:
@@ -411,7 +405,7 @@ class _ArmModel(_Model):
 
         if self.spec.random_effects:
             for i, study in enumerate(self.studies):
-                start = self.eps_sl.start + int(self.eps_starts[i])
+                start = self.eps_sl.start + int(self.design.starts[i])
                 dims = tuple(range(start, start + int(self.m[i])))
                 blocks.append(Block(f"eps[{study.id}]", dims, scale=0.3))
                 partials.append(per_study[i][1])
@@ -433,9 +427,7 @@ class _ContrastModel(_Model):
     from the reported one in sigma alone, which it samples as log sigma."""
 
     def __init__(self, blocks, network: Network, spec: ModelSpec):
-        super().__init__(network, spec, network.components)
-        self.design = ContrastDesign(blocks, network.components)
-        self.X = self.design.X
+        super().__init__(network, spec, ContrastDesign(blocks, network.components))
 
     def loglik(self, x: np.ndarray) -> float:
         sigma2 = math.exp(2.0 * x[self.sigma_pos]) if self.spec.random_effects else 0.0
@@ -517,16 +509,15 @@ def _validate(spec: ModelSpec, data, network: Network):
 
 def _d_preconditioner(model) -> np.ndarray | None:
     """Proposal shape for the effect block: the Cholesky factor of the inverse
-    of the fixed-effects GLS information X'WX of ``model.design`` plus the
-    prior precision.
-
-    For the anchored kind the anchor's row and column are dropped. On failure
-    the effect block falls back to an unshaped proposal, with a warning.
+    of the fixed-effects GLS information X'WX of the model's X, with W that of
+    ``model.design``, plus the prior precision. X has a column per sampled
+    effect, so every kind takes the same path. On failure the effect block
+    falls back to an unshaped proposal, with a warning.
     """
     try:
-        keep = model.d_columns
-        info = model.design.information(0.0)[np.ix_(keep, keep)]
-        info += np.eye(keep.size) / model.spec.priors.d_variance
+        X = model.X
+        info = X.T @ model.design.weigh(0.0, X)
+        info += np.eye(X.shape[1]) / model.spec.priors.d_variance
         return np.linalg.cholesky(np.linalg.inv(info))
     except np.linalg.LinAlgError as exc:
         logger.warning("%s: no effect-block preconditioner (%s: %s); using an unshaped proposal",

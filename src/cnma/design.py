@@ -11,7 +11,10 @@ distinct component set and copies it to every arm with that set; one row
 builder, ``_baseline_contrasts``, takes the arms' treatments in one flat
 sequence with each study's number of arms.
 ``ContrastDesign`` holds the stacked contrasts of a set of contrast blocks,
-read in one pass over the blocks; one helper, ``_compound_symmetry``, gives
+read in one pass over the blocks. It builds every X a fit reads: GLS solves
+on one, and each Bayesian model holds one, of its contrast blocks or of its
+arm-level studies' cc05 contrasts against their first arm, and takes its X
+from it, less an anchor's column. One helper, ``_compound_symmetry``, gives
 the closed forms of a compound-symmetry covariance and one density,
 ``_compound_symmetry_logpdf``, reads them, for the contrast likelihood and the
 arm kinds' eps prior alike, so no contrast matrix U or compound-symmetry
@@ -187,10 +190,6 @@ class ContrastDesign:
         sums = np.add.reduceat(wm, self.starts)
         out = wm - (w * g[self.study])[:, None] * sums[self.study]
         return out.reshape(m.shape)
-
-    def information(self, tau2: float) -> np.ndarray:
-        """X'WX."""
-        return self.X.T @ self.weigh(tau2, self.X)
 
     def logpdf(self, d: np.ndarray, tau2: float) -> float:
         """Log density of y* under N(X d, S* + tau2 Sigma*)."""

@@ -100,7 +100,7 @@ class Block:
 
     name: str
     dims: tuple[int, ...]
-    scale: float = 0.1
+    scale: float
     factor: np.ndarray | None = None
 
     def __post_init__(self):
@@ -210,7 +210,10 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
             if math.isnan(lp_old) or math.isnan(lp_new):
                 raise McmcError(f"log posterior returned NaN in block {block.name!r}")
 
-            accepted = math.log(uniform()) < lp_new - lp_old
+            # random() draws from [0, 1); log 0 is -inf, so a uniform of 0
+            # accepts any finite proposal
+            u = uniform()
+            accepted = (math.log(u) if u > 0.0 else -math.inf) < lp_new - lp_old
             if accepted:
                 if adapting:
                     latest[bi] = it

@@ -1,7 +1,7 @@
 """tools/ab_fit.py: the other checkout loads as a package of its own, and a
-run on two seeds with both sides set to this checkout draws bit-identical
-samples, with no difference between paired draws and equal acceptance rates,
-on each seed's line and on the summary line."""
+run of two kinds on two seeds with both sides set to this checkout draws
+bit-identical samples, with no difference between paired draws and equal
+acceptance rates, on each seed's line and on each kind's summary line."""
 
 import importlib.util
 import subprocess
@@ -16,22 +16,23 @@ TOOL = ROOT / "tools" / "ab_fit.py"
 
 
 def test_ab_fit_against_itself_draws_identical_samples():
+    kinds = ("unanchored-contrast", "anchored-arm")
     out = subprocess.run(
-        [sys.executable, str(TOOL), str(ROOT), "--seed", "3", "4", "--calls", "1"],
-        capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, str(TOOL), str(ROOT), "--seed", "3", "4", "--kind", *kinds,
+         "--calls", "2"],
+        capture_output=True, text=True, check=True, timeout=120,
     ).stdout.splitlines()
-    assert len(out) == 3
-    for seed, line in zip((3, 4), out):
-        assert line.startswith(f"seed {seed}: ratio this/other ")
-        assert line.endswith(
-            ", draws bit-identical True, max |diff| 0.0, acceptance rates equal True"
-        )
-    summary = out[2]
-    assert summary.startswith(
-        "unanchored-contrast on sim-small, seeds 3 4, 1 calls per seed and side: "
-    )
-    assert float(summary.split("ratio this/other ")[1].split(",")[0]) > 0.0
-    assert summary.endswith(", worst max |diff| 0.0, acceptance rates equal True")
+    assert len(out) == 6
+    for kind, lines in zip(kinds, (out[:3], out[3:])):
+        for seed, line in zip((3, 4), lines):
+            assert line.startswith(f"seed {seed}: ratio this/other ")
+            assert line.endswith(
+                ", draws bit-identical True, max |diff| 0.0, acceptance rates equal True"
+            )
+        summary = lines[2]
+        assert summary.startswith(f"{kind} on sim-small, seeds 3 4, 2 calls per seed and side: ")
+        assert float(summary.split("ratio this/other ")[1].split(",")[0]) > 0.0
+        assert summary.endswith(", worst max |diff| 0.0, acceptance rates equal True")
 
 
 def test_other_checkout_loads_as_its_own_package():

@@ -427,7 +427,8 @@ class TestWeightsDoNotDecideRank:
         blocks = self.rank_deficient_blocks(0.2, 0.3)
         net = network_of(blocks)
         fit = gls_fit(blocks, net, "fixed")
-        m = ContrastDesign(blocks, net.components).information(0.0)
+        design = ContrastDesign(blocks, net.components)
+        m = design.X.T @ design.weigh(0.0, design.X)
         p = fit.cov_d
         assert np.allclose(m @ p @ m, m, atol=1e-10 * np.abs(m).max())
         assert np.allclose(p @ m @ p, p, atol=1e-10 * np.abs(p).max())

@@ -366,6 +366,44 @@ class TestRunChains:
                 lambda x: 0.0, np.zeros(1), [Block("x", (0,), scale=1e308)], quick_config()
             )
 
+    def test_uniform_of_zero_accepts_finite_and_rejects_impossible_proposals(
+        self, monkeypatch
+    ):
+        # Generator.random() draws from [0, 1), so 0.0 can come up; log 0 is
+        # -inf, so that uniform accepts every proposal with a finite log
+        # posterior and rejects every one outside the support
+        class ZeroUniform:
+            def __init__(self, rng):
+                self.standard_normal = rng.standard_normal
+
+            def random(self):
+                return 0.0
+
+        stream = mcmc.rng_stream
+        monkeypatch.setattr(mcmc, "rng_stream", lambda *key: ZeroUniform(stream(*key)))
+        seen = []
+
+        def logpost(x):
+            seen.append(x.item(0))
+            return 0.0 if abs(x.item(0)) < 1.0 else -math.inf
+
+        config = quick_config(burn_in=50, keep=200)
+        sample = run_from(logpost, np.zeros(1), [Block("x", (0,), 0.5)], config)
+        # each chain's first call is its start's, then an (old, new) pair per proposal
+        calls = 1 + 2 * (config.burn_in + config.keep)
+        finite = 0
+        for c in range(config.n_chains):
+            chain = seen[c * calls + 1 : (c + 1) * calls]
+            olds, news = chain[0::2], chain[1::2]
+            for i in range(len(news) - 1):
+                inside = abs(news[i]) < 1.0
+                assert olds[i + 1] == (news[i] if inside else olds[i])
+                finite += inside and i >= config.burn_in
+            finite += abs(news[-1]) < 1.0
+        assert 0.0 < sample.acceptance["x"] < 1.0
+        assert sample.acceptance["x"] == pytest.approx(finite / (config.n_chains * config.keep))
+        assert np.all(np.abs(sample.draws) < 1.0)
+
     def test_rejected_proposals_restore_every_coordinate(self):
         # every block kind: scalar, contiguous with covariance shaping, and a
         # tall factor over non-contiguous coordinates; any move is rejected,

@@ -1,27 +1,29 @@
-"""In-process A/B timing of one model kind's ``bayes.fit`` between this
+"""In-process A/B timing of model kinds' ``bayes.fit`` between this
 checkout and another.
 
     python3 tools/ab_fit.py OTHER [--workload sim-small] [--seed 3 [4 ...]]
-                            [--kind unanchored-contrast] [--calls 40]
+                            [--kind unanchored-contrast [anchored-arm ...]]
+                            [--calls 40]
 
 ``OTHER`` is the root of another checkout; its ``src/cnma`` is loaded under
 the package name ``cnma_other`` (every import inside the package is
 relative), beside this checkout's ``cnma``. The benchmark workload's seeded
 networks are set up once per ``--seed`` with ``bench/`` of this checkout,
 and each side rebuilds their studies, network and contrast blocks through
-its own ``network`` API. For each seed the tool then calls the two sides'
-``bayes.fit`` in turn, ``--calls`` times each, cycling over the workload's
+its own ``network`` API. For each kind and seed the tool then calls the two
+sides' ``bayes.fit`` in turn, ``--calls`` times each, cycling over the workload's
 networks with the workload's chains and seeds, and switching which side goes
 first every pair, so that both see the same drift of the machine's speed.
 Each call is timed by ``workloads.Meter``, in reference seconds.
 
-It prints one line per seed: the ratio of the two sides' medians
-(this / other), whether every pair of calls drew bit-identical samples, the
-largest absolute difference between paired draws (so a change that moves
-draws by rounding alone can show it) and whether every pair had equal
-acceptance rates in every block. A last line sums up every seed: each
-side's median and quartiles over all calls, their ratio, the worst max
-|diff| and whether every acceptance rate was equal.
+For each kind in turn it prints one line per seed: the ratio of the two
+sides' medians (this / other), whether every pair of calls drew
+bit-identical samples, the largest absolute difference between paired draws
+(so a change that moves draws by rounding alone can show it) and whether
+every pair had equal acceptance rates in every block. Then one line, naming
+the kind, sums up its seeds: each side's median and quartiles over all its
+calls, their ratio, the worst max |diff| and whether every acceptance rate
+was equal.
 Process-level numbers of ``bench/run.py`` carry offsets between processes
 that run identical code; here both sides share one process. BLAS is pinned
 to one thread, as in the benchmark, and ``cnma``'s convergence warnings are
@@ -134,7 +136,7 @@ def main(argv=None) -> int:
     parser.add_argument("other", help="root of the other checkout")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="sim-small")
     parser.add_argument("--seed", type=int, nargs="+", default=[3])
-    parser.add_argument("--kind", choices=KINDS, default="unanchored-contrast")
+    parser.add_argument("--kind", choices=KINDS, nargs="+", default=["unanchored-contrast"])
     parser.add_argument("--calls", type=int, default=40)
     args = parser.parse_args(argv)
     if args.calls < 1:
@@ -142,25 +144,27 @@ def main(argv=None) -> int:
     logging.getLogger("cnma").setLevel(logging.ERROR)
 
     sides = {"this": cnma, "other": load_other(args.other)}
-    times = {name: [] for name in sides}
-    worst, same_acceptance = 0.0, True
-    for seed in args.seed:
-        result = run(sides, args.workload, seed, args.kind, args.calls)
-        for name in sides:
-            times[name] += result["times"][name]
-        worst = max(worst, result["max_diff"])
-        same_acceptance &= result["same_acceptance"]
-        ratio = np.median(result["times"]["this"]) / np.median(result["times"]["other"])
-        print(f"seed {seed}: ratio this/other {ratio:.3f}, "
-              f"draws bit-identical {result['identical']}, "
-              f"max |diff| {result['max_diff']!r}, "
-              f"acceptance rates equal {result['same_acceptance']}")
-    (q1, this, q3), (p1, other, p3) = quartiles(times["this"]), quartiles(times["other"])
-    print(f"{args.kind} on {args.workload}, seeds {' '.join(map(str, args.seed))}, "
-          f"{args.calls} calls per seed and side: this median {this:.6f} s [{q1:.6f}, {q3:.6f}], "
-          f"other {other:.6f} s [{p1:.6f}, {p3:.6f}] (reference s), "
-          f"ratio this/other {this / other:.3f}, worst max |diff| {worst!r}, "
-          f"acceptance rates equal {same_acceptance}")
+    for kind in args.kind:
+        times = {name: [] for name in sides}
+        worst, same_acceptance = 0.0, True
+        for seed in args.seed:
+            result = run(sides, args.workload, seed, kind, args.calls)
+            for name in sides:
+                times[name] += result["times"][name]
+            worst = max(worst, result["max_diff"])
+            same_acceptance &= result["same_acceptance"]
+            ratio = np.median(result["times"]["this"]) / np.median(result["times"]["other"])
+            print(f"seed {seed}: ratio this/other {ratio:.3f}, "
+                  f"draws bit-identical {result['identical']}, "
+                  f"max |diff| {result['max_diff']!r}, "
+                  f"acceptance rates equal {result['same_acceptance']}")
+        (q1, this, q3), (p1, other, p3) = quartiles(times["this"]), quartiles(times["other"])
+        print(f"{kind} on {args.workload}, seeds {' '.join(map(str, args.seed))}, "
+              f"{args.calls} calls per seed and side: "
+              f"this median {this:.6f} s [{q1:.6f}, {q3:.6f}], "
+              f"other {other:.6f} s [{p1:.6f}, {p3:.6f}] (reference s), "
+              f"ratio this/other {this / other:.3f}, worst max |diff| {worst!r}, "
+              f"acceptance rates equal {same_acceptance}")
     return 0
 
 
