@@ -337,6 +337,14 @@ class _ArmModel(_Model):
         under fixed effects. The eps partial keeps its scalar quadratic form
         rather than call ``design``'s density: it runs twice per study and
         sweep, and a cache lookup would cost time on each call.
+
+        Each partial holds the study's log-likelihood inline, with no nested
+        call, and reads its baseline and each of its latents once per call;
+        an effect is read where a logit or the alpha prior uses it, since a
+        per-call container of effects costs more than the repeat reads it
+        would save. The arithmetic is the study log-likelihood's, in its
+        order: arms in order, each logit the baseline plus X entry * effect in
+        column order plus the latent, the total from 0.0, then the prior term.
         """
         start, m = int(self.arm_starts[i]), int(self.m[i])
         stop = start + m + 1
@@ -351,8 +359,10 @@ class _ArmModel(_Model):
         arms = tuple(zip(self.r[start:stop].tolist(), self.n[start:stop].tolist(),
                          [()] + nonzero, [-1] + latent))
         exp, log1p = math.exp, math.log1p
+        av = self.spec.priors.alpha_variance
+        v1_cols = tuple(int(j) for j in np.flatnonzero(self.V1[i]))
 
-        def loglik(x) -> float:
+        def alpha_partial(x) -> float:
             item = x.item
             alpha = item(alpha_pos)
             total = 0.0
@@ -364,31 +374,34 @@ class _ArmModel(_Model):
                     lo += item(epos)
                 softplus = lo + log1p(exp(-lo)) if lo >= 0.0 else log1p(exp(lo))
                 total += r * lo - n * softplus
-            return total
-
-        av = self.spec.priors.alpha_variance
-        v1_cols = tuple(int(j) for j in np.flatnonzero(self.V1[i]))
-
-        def alpha_partial(x) -> float:
             # the reported baseline alpha_i = a_i - (V d)_{arm 1}
-            a = x.item(alpha_pos)
+            a = alpha
             for j in v1_cols:
-                a -= x.item(j)
-            return loglik(x) - 0.5 * a * a / av
+                a -= item(j)
+            return total - 0.5 * a * a / av
 
         if not random_effects:
             return alpha_partial, None
 
-        eps_positions = tuple(range(eps_start, eps_start + m))
         sigma_pos = self.sigma_pos
 
         def eps_partial(x) -> float:
-            s = ss = 0.0
-            for p in eps_positions:
-                v = x.item(p)
-                s += v
-                ss += v * v
-            return loglik(x) - (ss - s * s / (m + 1.0)) / exp(2.0 * x.item(sigma_pos))
+            item = x.item
+            alpha = item(alpha_pos)
+            # the quadratic form's sums take the latents in order, as the logits do
+            total = s = ss = 0.0
+            for r, n, nz, epos in arms:
+                lo = alpha
+                for j, sign in nz:
+                    lo += sign * item(j)
+                if epos >= 0:
+                    v = item(epos)
+                    lo += v
+                    s += v
+                    ss += v * v
+                softplus = lo + log1p(exp(-lo)) if lo >= 0.0 else log1p(exp(lo))
+                total += r * lo - n * softplus
+            return total - (ss - s * s / (m + 1.0)) / exp(2.0 * item(sigma_pos))
 
         return alpha_partial, eps_partial
 

@@ -21,6 +21,13 @@ new coordinates into ``x`` and a rejection writes the saved ones back. A
 partial (or the log posterior) must therefore neither keep a reference to
 ``x`` nor modify it; it may only read it during the call.
 
+Each chain resolves every block once into a plan (``_plans``). A block of
+one coordinate without a factor takes the scalar path: its coordinate is
+read and written as a Python float through a memoryview of ``x``, and its
+step is one scalar normal draw. Every other block moves a slice or an index
+array of ``x``. Per block and sweep, either path draws its normals, then
+one uniform for the acceptance test.
+
 Each proposal evaluates its block's partial at the current state before it
 moves ``x``, and that state is the one the previous block left. A partial may
 therefore memoise its latest values, if it is a pure function of ``x``'s
@@ -155,21 +162,37 @@ def _check_blocks(blocks, dim: int) -> None:
         raise McmcError("blocks without a tall factor must partition all dimensions")
 
 
-def _coordinates(block: Block):
-    """Where a block's coordinates sit in the state vector: an int for a
-    1-coordinate block without a factor (the sampler's scalar path), a slice
-    when the coordinates are contiguous, an index array otherwise."""
-    dims = tuple(int(d) for d in block.dims)
-    if len(dims) == 1 and block.factor is None:
-        return dims[0]
-    if dims and dims == tuple(range(dims[0], dims[0] + len(dims))):
-        return slice(dims[0], dims[0] + len(dims))
-    return np.array(dims, dtype=int)
+def _plans(blocks, partials) -> list[tuple]:
+    """Each block resolved once per chain into the tuple the sampler's loop
+    unpacks: (index, partial, target rate, pos, at, factor, size).
+
+    A block of one coordinate without a factor takes the scalar path: pos is
+    its coordinate, which the loop reads and writes as a Python float through
+    a memoryview of the state, and it draws one scalar normal. Every other
+    block has pos -1 and moves its coordinates ``at``, a slice when they are
+    contiguous and an index array otherwise, by scale * L z with ``size``
+    normals in z.
+    """
+    plans = []
+    for bi, (block, partial) in enumerate(zip(blocks, partials)):
+        dims, factor = tuple(int(d) for d in block.dims), block.factor
+        target = TARGET_RATE_SCALAR if len(dims) == 1 else TARGET_RATE_BLOCK
+        if len(dims) == 1 and factor is None:
+            plans.append((bi, partial, target, dims[0], None, None, 1))
+            continue
+        if dims and dims == tuple(range(dims[0], dims[0] + len(dims))):
+            at = slice(dims[0], dims[0] + len(dims))
+        else:
+            at = np.array(dims, dtype=int)
+        size = len(dims) if factor is None else factor.shape[1]
+        plans.append((bi, partial, target, -1, at, factor, size))
+    return plans
 
 
 def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
     rng = rng_stream(config.seed, chain_index)
     normal, uniform = rng.standard_normal, rng.random
+    log, exp, inf = math.log, math.exp, math.inf
     x = np.array(x0, dtype=float)
     dim = x.size
     lp0 = logpost(x)
@@ -178,8 +201,9 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
 
     n_blocks = len(blocks)
     scales = [float(b.scale) for b in blocks]
-    targets = [TARGET_RATE_SCALAR if len(b.dims) == 1 else TARGET_RATE_BLOCK for b in blocks]
-    where = [_coordinates(b) for b in blocks]
+    plans = _plans(blocks, partials)
+    # the scalar path's view of x; it reads and writes Python floats
+    state = memoryview(x)
 
     accepts = [0] * n_blocks
     # each block's latest accepted burn-in iteration, for the collapse watch
@@ -193,36 +217,40 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
         if adapting:
             # Robbins-Monro gain, decaying per proposal; damped at the start
             gain = (10.0 + it) ** -0.6
-        for bi in range(n_blocks):
-            block, at, evaluate = blocks[bi], where[bi], partials[bi]
+        for bi, evaluate, target, pos, at, factor, size in plans:
+            scale = scales[bi]
             # propose in place; ``saved`` restores the block on rejection
-            if isinstance(at, int):
-                saved = x.item(at)
-                step = scales[bi] * normal()
+            if pos >= 0:
+                saved = state[pos]
+                step = scale * normal()
+                lp_old = evaluate(x)
+                state[pos] = saved + step
             else:
                 saved = x[at].copy()
-                factor = block.factor
-                z = normal(saved.size if factor is None else factor.shape[1])
-                step = scales[bi] * (z if factor is None else factor @ z)
-            lp_old = evaluate(x)
-            x[at] = saved + step
+                z = normal(size)
+                step = scale * (z if factor is None else factor @ z)
+                lp_old = evaluate(x)
+                x[at] = saved + step
             lp_new = evaluate(x)
-            if math.isnan(lp_old) or math.isnan(lp_new):
-                raise McmcError(f"log posterior returned NaN in block {block.name!r}")
+            # NaN is the one value unequal to itself
+            if lp_old != lp_old or lp_new != lp_new:
+                raise McmcError(f"log posterior returned NaN in block {blocks[bi].name!r}")
 
             # random() draws from [0, 1); log 0 is -inf, so a uniform of 0
             # accepts any finite proposal
             u = uniform()
-            accepted = (math.log(u) if u > 0.0 else -math.inf) < lp_new - lp_old
+            accepted = (log(u) if u > 0.0 else -inf) < lp_new - lp_old
             if accepted:
                 if adapting:
                     latest[bi] = it
                 else:
                     accepts[bi] += 1
+            elif pos >= 0:
+                state[pos] = saved
             else:
                 x[at] = saved
             if adapting:
-                scales[bi] *= math.exp(gain * ((1.0 if accepted else 0.0) - targets[bi]))
+                scales[bi] = scale * exp(gain * ((1.0 if accepted else 0.0) - target))
 
         if adapting and (it + 1) % ADAPTATION_WINDOW == 0:
             # collapse watch: a block rejecting everything for many windows in

@@ -3,13 +3,15 @@ paper's contrast matrices U, the compound-symmetry structures Sigma and
 Sigma*, a contrast block's sampling covariance, the stacked arrays of a
 ``ContrastDesign`` and the multivariate normal log-density, each as an
 explicit matrix or built block by block, a network's connectivity by
-breadth-first search, and the exact posterior moments of the contrast-level
-model by quadrature over sigma. The package computes the same quantities in
-closed form, in one pass or by sampling (see ``cnma.design``, the arm models'
-eps prior, ``Network.connected`` and ``cnma.bayes``); the tests check it
-against these.
+breadth-first search, the exact posterior moments of the contrast-level
+model by quadrature over sigma, and an arm model's per-study partial log
+posteriors in plain scalar arithmetic. The package computes the same
+quantities in closed form, in one pass or by sampling (see ``cnma.design``,
+the arm models' eps prior, ``Network.connected`` and ``cnma.bayes``); the
+tests check it against these.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -208,3 +210,59 @@ def contrast_posterior_moments(blocks, components, d_variance: float,
     sigma_mean = w @ sigmas
     sigma_sd = np.sqrt(w @ sigmas**2 - sigma_mean**2)
     return np.append(d_mean, sigma_mean), np.append(d_sd, sigma_sd)
+
+
+def arm_study_partials(study, names, x, alpha_variance: float):
+    """The partials of ``study``'s alpha and eps blocks in an arm model whose
+    parameters are ``names``, at x in the sampling parameterization, one
+    scalar operation at a time: study i's binomial log likelihood without its
+    constant, plus alpha_i's prior term -a^2 / (2 alpha_variance) with a the
+    reported baseline, or plus eps_i's quadratic form -(sum v^2 - (sum v)^2
+    / n_arms) / sigma^2. The eps partial is None without eps names (fixed
+    effects).
+
+    Each logit starts at the baseline a_i; on a later arm it adds, in the
+    order of the effects' names, X entry * d for each nonzero entry of X (the
+    arm's incidence minus the first arm's, so +-1), then the arm's latent.
+    The total starts at 0.0 and adds r * logit - n * softplus(logit) arm by
+    arm, softplus on the branch that keeps exp from overflowing. The reported
+    baseline is a_i less the effects of the first arm's components, in the
+    same order. Coordinates are read by name; an anchored model's anchor has
+    no effect name, so it drops out of X and of V.
+    """
+    col = {name: p for p, name in enumerate(names)}
+    effects = [name[2:-1] for name in names if name.startswith("d[")]
+    values = [float(v) for v in x]
+    first = study.arms[0].treatment.components
+    alpha = values[col[f"alpha[{study.id}]"]]
+    random_effects = "sigma" in col
+    eps = [values[col[f"eps[{study.id}:{j}]"]] for j in range(1, study.n_arms)
+           if random_effects]
+    total = 0.0
+    for j, arm in enumerate(study.arms):
+        logit = alpha
+        if j > 0:
+            for c in effects:
+                entry = float(c in arm.treatment.components) - float(c in first)
+                if entry != 0.0:
+                    logit += entry * values[col[f"d[{c}]"]]
+            if random_effects:
+                logit += eps[j - 1]
+        if logit >= 0.0:
+            softplus = logit + math.log1p(math.exp(-logit))
+        else:
+            softplus = math.log1p(math.exp(logit))
+        total += float(arm.events) * logit - float(arm.total) * softplus
+    a = alpha
+    for c in effects:
+        if c in first:
+            a -= values[col[f"d[{c}]"]]
+    alpha_partial = total - 0.5 * a * a / alpha_variance
+    if not random_effects:
+        return alpha_partial, None
+    s = ss = 0.0
+    for v in eps:
+        s += v
+        ss += v * v
+    sigma2 = math.exp(2.0 * values[col["sigma"]])
+    return alpha_partial, total - (ss - s * s / float(study.n_arms)) / sigma2

@@ -1,12 +1,15 @@
 """tools/ab_fit.py: the other checkout loads as a package of its own, and a
 run of two kinds on two seeds with both sides set to this checkout draws
 bit-identical samples, with no difference between paired draws and equal
-acceptance rates, on each seed's line and on each kind's summary line."""
+acceptance rates, on each seed's line and on each kind's summary line; each
+seed's line gives both sides' retained KB per fit, which agree."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cnma.bayes
 import cnma.network
@@ -29,6 +32,10 @@ def test_ab_fit_against_itself_draws_identical_samples():
             assert line.endswith(
                 ", draws bit-identical True, max |diff| 0.0, acceptance rates equal True"
             )
+            words = line.split("retained KB per fit this ")[1].split(",")[0].split()
+            assert words[1] == "other"
+            this_kb, other_kb = float(words[0]), float(words[2])
+            assert this_kb > 0.0 and other_kb == pytest.approx(this_kb, rel=0.2)
         summary = lines[2]
         assert summary.startswith(f"{kind} on sim-small, seeds 3 4, 2 calls per seed and side: ")
         assert float(summary.split("ratio this/other ")[1].split(",")[0]) > 0.0

@@ -1,5 +1,7 @@
+import gc
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from cnma.network import (
     parse_treatment,
 )
 from dense import (
+    arm_study_partials,
     build_Sigma_star,
     contrast_design_arrays,
     contrast_marginals,
@@ -730,6 +733,59 @@ def test_block_partials_track_logpost(kind, effects, studies, wide_studies):
             change = model.logpost(y) - model.logpost(x)
             assert np.isfinite(change)
             assert partial(y) - partial(x) == pytest.approx(change, abs=1e-9), block.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(arm_networks(), st.sampled_from(["anchored-arm", "unanchored-arm"]),
+       st.sampled_from(["fixed", "random"]), st.data())
+def test_study_partials_equal_the_scalar_reference(studies, kind, effects, data):
+    # each study's alpha and eps partials equal the plain scalar arithmetic
+    # of tests/dense.py bit for bit: 2-4 arms, zero cells, the anchor at any
+    # arm, and some baselines scaled by 60 so that logits pass +-35 both
+    # ways. A reordered sum changes the last bit at a few per cent of the
+    # points, so each example checks 20 of them
+    network = build_network(studies)
+    spec, _ = inputs(kind, studies, effects)
+    try:
+        model = bayes.build_model(spec, studies, network)
+    except NotIdentifiable:
+        assume(False)
+    partials = [model._study_partials(i) for i in range(len(studies))]
+    assert all((eps is None) == (effects == "fixed") for _, eps in partials)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(20):
+        x = rng.normal(0.0, 1.0, size=model.dim)
+        x[model.alpha_sl] *= rng.choice([1.0, 60.0], size=len(studies))
+        for study, (alpha_partial, eps_partial) in zip(studies, partials):
+            expected = arm_study_partials(study, model.names, x, spec.priors.alpha_variance)
+            assert alpha_partial(x) == expected[0]
+            if eps_partial is not None:
+                assert eps_partial(x) == expected[1]
+
+
+@pytest.mark.parametrize("effects", ["fixed", "random"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_keeps_none_of_the_partials(kind, effects, studies, network, monkeypatch):
+    # the sampler's partials, the per-study closures included, are built for
+    # one fit; the returned fit, its model included, keeps none of them, so
+    # reference counting alone frees them once fit returns
+    refs = []
+    run_chains = bayes.run_chains
+
+    def recording(*args, partials, **kwargs):
+        refs.extend(weakref.ref(p) for p in partials)
+        return run_chains(*args, partials=partials, **kwargs)
+
+    monkeypatch.setattr(bayes, "run_chains", recording)
+    spec, data = inputs(kind, studies, effects)
+    gc.disable()
+    try:
+        # the fit is held while the references are read
+        fit = bayes.fit(spec, data, network, McmcConfig(burn_in=30, keep=20, seed=4))
+        assert isinstance(fit, bayes.BayesFit) and refs
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -16,14 +16,20 @@ networks with the workload's chains and seeds, and switching which side goes
 first every pair, so that both see the same drift of the machine's speed.
 Each call is timed by ``workloads.Meter``, in reference seconds.
 
+After the timed calls, each side makes two more fits of the first network,
+untimed, under ``tracemalloc``: what is still allocated when one returns,
+with the fit held, is what it retains, and the smaller of the two is the
+side's retained KB per fit. A change that grows it shows here before the
+benchmark's ``peak_rss_mb`` does.
+
 For each kind in turn it prints one line per seed: the ratio of the two
-sides' medians (this / other), whether every pair of calls drew
-bit-identical samples, the largest absolute difference between paired draws
-(so a change that moves draws by rounding alone can show it) and whether
-every pair had equal acceptance rates in every block. Then one line, naming
-the kind, sums up its seeds: each side's median and quartiles over all its
-calls, their ratio, the worst max |diff| and whether every acceptance rate
-was equal.
+sides' medians (this / other), each side's retained KB per fit, whether
+every pair of calls drew bit-identical samples, the largest absolute
+difference between paired draws (so a change that moves draws by rounding
+alone can show it) and whether every pair had equal acceptance rates in
+every block. Then one line, naming the kind, sums up its seeds: each side's
+median and quartiles over all its calls, their ratio, the worst max |diff|
+and whether every acceptance rate was equal.
 Process-level numbers of ``bench/run.py`` carry offsets between processes
 that run identical code; here both sides share one process. BLAS is pinned
 to one thread, as in the benchmark, and ``cnma``'s convergence warnings are
@@ -37,10 +43,12 @@ if __name__ == "__main__":
         os.environ[_var] = "1"
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import logging
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,11 +110,27 @@ def quartiles(values) -> tuple[float, float, float]:
     return float(q1), float(q2), float(q3)
 
 
+def retained_kb(fit, inputs) -> float:
+    """KB that ``fit(*inputs)`` leaves allocated while its result is held:
+    the memory traced from just before the call to just after it returns
+    and a full collection, which also empties the interpreter's free lists."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fit(*inputs)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / 1024
+
+
 def run(sides, workload_name, seed, kind, calls) -> dict:
     """Time ``calls`` fits per side of ``sides`` (name -> package); return
-    each side's times, whether every pair of draws was bit-identical, the
-    largest absolute difference between paired draws and whether every
-    pair's acceptance rates were equal."""
+    each side's times and retained KB per fit (``retained_kb``), whether
+    every pair of draws was bit-identical, the largest absolute difference
+    between paired draws and whether every pair's acceptance rates were
+    equal."""
     workload = WORKLOADS[workload_name]
     reps = setup(workload, seed)
     inputs = {
@@ -127,8 +151,12 @@ def run(sides, workload_name, seed, kind, calls) -> dict:
         identical &= np.array_equal(this.draws, other.draws)
         max_diff = max(max_diff, float(np.max(np.abs(this.draws - other.draws))))
         same_acceptance &= this.acceptance == other.acceptance
-    return {"times": times, "identical": bool(identical), "max_diff": max_diff,
-            "same_acceptance": bool(same_acceptance)}
+    # the smaller of two: a side's first traced fit can allocate a one-off
+    # buffer, such as numpy's when design.py marks its weights read-only
+    retained = {name: min(retained_kb(sides[name].bayes.fit, inputs[name][0]) for _ in range(2))
+                for name in sides}
+    return {"times": times, "retained_kb": retained, "identical": bool(identical),
+            "max_diff": max_diff, "same_acceptance": bool(same_acceptance)}
 
 
 def main(argv=None) -> int:
@@ -154,7 +182,9 @@ def main(argv=None) -> int:
             worst = max(worst, result["max_diff"])
             same_acceptance &= result["same_acceptance"]
             ratio = np.median(result["times"]["this"]) / np.median(result["times"]["other"])
+            kb = result["retained_kb"]
             print(f"seed {seed}: ratio this/other {ratio:.3f}, "
+                  f"retained KB per fit this {kb['this']:.1f} other {kb['other']:.1f}, "
                   f"draws bit-identical {result['identical']}, "
                   f"max |diff| {result['max_diff']!r}, "
                   f"acceptance rates equal {result['same_acceptance']}")
