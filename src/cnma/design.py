@@ -95,7 +95,8 @@ def _compound_symmetry(within, shared, starts, tau2: float):
     s = shared + 0.5 * tau2
     denom = 1.0 + s * np.add.reduceat(w, starts)
     g = s / denom
-    w.flags.writeable = g.flags.writeable = False
+    w.setflags(write=False)
+    g.setflags(write=False)
     return w, g, np.log(denom).sum() - np.log(w).sum()
 
 

@@ -119,8 +119,8 @@ class Block:
 
 @dataclass
 class PosteriorSample:
-    """Kept draws with the sampler's acceptance rates and the step sizes
-    burn-in adapted, which the kept draws were taken with.
+    """Kept draws with each block's acceptance rate after burn-in, averaged
+    over the chains.
 
     ``rhat`` and ``ess`` are computed from ``draws`` on first use, one value
     per parameter, so they always describe the draws the sample holds.
@@ -129,7 +129,6 @@ class PosteriorSample:
     names: tuple[str, ...]
     draws: np.ndarray  # (n_chains, kept, dims)
     acceptance: dict[str, float]
-    scales_after_burnin: dict[str, float]
 
     @cached_property
     def rhat(self) -> np.ndarray:
@@ -145,9 +144,16 @@ class PosteriorSample:
 
 
 def _check_blocks(blocks, dim: int) -> None:
-    # blocks with a tall factor may overlap; the others must partition
+    # every block moves distinct coordinates of x; blocks with a tall factor
+    # may overlap, the others must partition
     seen: set[int] = set()
     for b in blocks:
+        if len(set(b.dims)) != len(b.dims) or not all(
+            isinstance(d, numbers.Integral) and 0 <= d < dim for d in b.dims
+        ):
+            raise McmcError(
+                f"block {b.name!r}: dims must be distinct integers in [0, {dim}), got {b.dims}"
+            )
         if b.factor is not None:
             shape = np.shape(b.factor)
             if len(shape) != 2 or shape[0] != len(b.dims):
@@ -189,12 +195,14 @@ def _plans(blocks, partials) -> list[tuple]:
     return plans
 
 
-def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
+def _run_single_chain(logpost, x0, blocks, config, partials, chain_index, kept):
+    """Run chain ``chain_index`` and write its draws after burn-in into the
+    rows of ``kept``, (keep, dim); return each block's acceptance rate after
+    burn-in."""
     rng = rng_stream(config.seed, chain_index)
     normal, uniform = rng.standard_normal, rng.random
     log, exp, inf = math.log, math.exp, math.inf
     x = np.array(x0, dtype=float)
-    dim = x.size
     lp0 = logpost(x)
     if not np.isfinite(lp0):
         raise McmcError(f"log posterior not finite at init of chain {chain_index}")
@@ -210,7 +218,6 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
     latest = [-1] * n_blocks
 
     burn_in = config.burn_in
-    kept = np.empty((config.keep, dim))
 
     for it in range(burn_in + config.keep):
         adapting = it < burn_in
@@ -265,9 +272,7 @@ def _run_single_chain(logpost, x0, blocks, config, partials, chain_index):
         if not adapting:
             kept[it - burn_in] = x
 
-    rates = np.array(accepts) / config.keep
-    # adaptation stops with burn-in, so these are the scales after it
-    return kept, rates, scales
+    return np.array(accepts) / config.keep
 
 
 def run_chains(logpost, inits, blocks, config: McmcConfig, *, partials) -> PosteriorSample:
@@ -287,15 +292,9 @@ def run_chains(logpost, inits, blocks, config: McmcConfig, *, partials) -> Poste
 
     draws = np.empty((config.n_chains, config.keep, dim))
     rates = np.zeros(len(blocks))
-    scales: dict[str, float] = {}
     for c in range(config.n_chains):
-        kept, chain_rates, chain_scales = _run_single_chain(
-            logpost, inits[c], blocks, config, partials, c
-        )
-        draws[c] = kept
+        chain_rates = _run_single_chain(logpost, inits[c], blocks, config, partials, c, draws[c])
         rates += chain_rates / config.n_chains
-        for bi, b in enumerate(blocks):
-            scales[f"{b.name}[{c}]"] = chain_scales[bi]
 
     if not np.all(np.isfinite(draws)):
         raise McmcError("non-finite draws")
@@ -304,7 +303,6 @@ def run_chains(logpost, inits, blocks, config: McmcConfig, *, partials) -> Poste
         names=tuple(f"p{i}" for i in range(dim)),
         draws=draws,
         acceptance={b.name: float(rates[bi]) for bi, b in enumerate(blocks)},
-        scales_after_burnin=scales,
     )
 
 

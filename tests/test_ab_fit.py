@@ -2,7 +2,8 @@
 run of two kinds on two seeds with both sides set to this checkout draws
 bit-identical samples, with no difference between paired draws and equal
 acceptance rates, on each seed's line and on each kind's summary line; each
-seed's line gives both sides' retained KB per fit, which agree."""
+seed's line gives both sides' retained KB per fit, which agree, and their
+non-draw KB, above 0 and at most the retained KB."""
 
 import importlib.util
 import subprocess
@@ -36,6 +37,9 @@ def test_ab_fit_against_itself_draws_identical_samples():
             assert words[1] == "other"
             this_kb, other_kb = float(words[0]), float(words[2])
             assert this_kb > 0.0 and other_kb == pytest.approx(this_kb, rel=0.2)
+            words = line.split("non-draw KB this ")[1].split(",")[0].split()
+            assert words[1] == "other"
+            assert 0.0 < float(words[0]) <= this_kb and 0.0 < float(words[2]) <= other_kb
         summary = lines[2]
         assert summary.startswith(f"{kind} on sim-small, seeds 3 4, 2 calls per seed and side: ")
         assert float(summary.split("ratio this/other ")[1].split(",")[0]) > 0.0

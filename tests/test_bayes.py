@@ -1,6 +1,7 @@
 import gc
 import logging
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -786,6 +787,30 @@ def test_fit_keeps_none_of_the_partials(kind, effects, studies, network, monkeyp
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
+def test_fit_keeps_nothing_per_chain_but_draws(kind, studies, network, caplog):
+    # what a fit keeps besides its draws is the same at 2 chains as at 8;
+    # each count takes the smaller of two fits, as a first traced fit can
+    # allocate a one-off buffer
+    caplog.set_level(logging.ERROR, logger="cnma")
+    spec, data = inputs(kind, studies)
+
+    def kept_besides_draws(n_chains):
+        config = McmcConfig(n_chains=n_chains, burn_in=1, keep=4, seed=4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit = bayes.fit(spec, data, network, config)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return retained - fit.sample.draws.nbytes
+
+    two, eight = (min(kept_besides_draws(n) for _ in range(2)) for n in (2, 8))
+    assert abs(eight - two) < 2048
 
 
 @pytest.mark.parametrize("kind", KINDS)

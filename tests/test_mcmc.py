@@ -90,10 +90,11 @@ def run_from(logpost, x0, blocks, config):
 
 def _copying_reference(logpost, x0, blocks, config, chain_index):
     """The sampler's sweep with a copied state per proposal: kept draws and
-    final scales of one chain."""
+    each block's accepted proposals after burn-in, of one chain."""
     rng = rng_stream(config.seed, chain_index)
     x = np.array(x0, dtype=float)
     scales = np.array([b.scale for b in blocks])
+    accepted_after = [0] * len(blocks)
     kept = []
     for it in range(config.burn_in + config.keep):
         for bi, block in enumerate(blocks):
@@ -107,12 +108,25 @@ def _copying_reference(logpost, x0, blocks, config, chain_index):
             accepted = math.log(rng.random()) < logpost(x_prop) - logpost(x)
             if accepted:
                 x = x_prop
+                accepted_after[bi] += it >= config.burn_in
             if it < config.burn_in:
                 target = TARGET_RATE_SCALAR if idx.size == 1 else TARGET_RATE_BLOCK
                 scales[bi] *= math.exp((10.0 + it) ** -0.6 * (float(accepted) - target))
         if it >= config.burn_in:
             kept.append(x)
-    return np.array(kept), scales.tolist()
+    return np.array(kept), accepted_after
+
+
+def assert_copying_reference_chains(logpost, x0, blocks, config, sample):
+    """Assert that every chain of ``sample`` is the copying reference's, and
+    that its acceptance rates are the reference's, averaged over the chains
+    as ``run_chains`` averages them."""
+    rates = np.zeros(len(blocks))
+    for c in range(config.n_chains):
+        kept, accepted = _copying_reference(logpost, x0, blocks, config, c)
+        assert np.array_equal(sample.draws[c], kept)
+        rates += np.array(accepted) / config.keep / config.n_chains
+    assert sample.acceptance == {b.name: float(rates[bi]) for bi, b in enumerate(blocks)}
 
 
 class TestRngStream:
@@ -191,15 +205,12 @@ class TestRunChains:
         assert np.array_equal(a.draws, b.draws)
 
     def test_adaptation_frozen_after_burnin(self):
-        # the kept draws are those of a chain whose scales, after burn-in,
-        # stay at the reported ones
+        # the kept draws and acceptance rates are those of a chain whose
+        # scales stay fixed after burn-in
         blocks = [Block("x", (0,), scale=2.0)]
         config = quick_config(keep=4000)
         sample = run_from(std_normal_logpost, np.array([0.0]), blocks, config)
-        for c in range(config.n_chains):
-            kept, final = _copying_reference(std_normal_logpost, [0.0], blocks, config, c)
-            assert np.array_equal(sample.draws[c], kept)
-            assert [sample.scales_after_burnin[f"x[{c}]"]] == final
+        assert_copying_reference_chains(std_normal_logpost, [0.0], blocks, config, sample)
 
     def test_partials_match_full_logpost(self):
         # two independent coordinates; partials ignore the other coordinate
@@ -299,6 +310,12 @@ class TestRunChains:
         config = quick_config(burn_in=20, keep=20)
         run_chains(std_normal_logpost, inits, two + [tall], config, partials=full)
         square = Block("s", (0, 1), 0.5, factor=np.eye(2))
+        # a tall factor's dims too must be distinct coordinates of x, here
+        # a 3-vector: -1, 7 and a repeated 0 are not
+        three = [Block(name, (d,), 0.5) for d, name in enumerate("xyz")]
+        shifts = [
+            Block("s", dims, 0.5, factor=np.ones((2, 1))) for dims in ((0, -1), (0, 7), (0, 0))
+        ]
         cases = [
             (inits, [Block("x", (0,), 0.5)], full[:1], "partition"),
             (inits, [Block("x", (0, 1), 0.5), Block("y", (1,), 0.5)], full[:2], "two blocks"),
@@ -307,6 +324,7 @@ class TestRunChains:
             (inits, two + [Block("s", (0, 1), 0.5, factor=np.ones((1, 1)))], full, "one row"),
             (inits, two + [Block("s", (0, 1), 0.5, factor=np.ones((3, 1)))], full, "one row"),
             (inits, two + [Block("s", (0, 1), 0.5, factor=np.ones(2))], full, "one row"),
+            *((np.zeros((2, 3)), three + [s], full + full[:1], "distinct") for s in shifts),
             (np.zeros((3, 2)), two, full[:2], "init per chain"),
             (np.zeros(2), two, full[:2], "init per chain"),
             (inits, two, full[:1], "partial"),
@@ -453,10 +471,7 @@ class TestRunChains:
         config = quick_config(burn_in=200, keep=200)
         x0 = np.array([0.3, -0.2, 0.1, 0.5, 1.2])
         sample = run_from(logpost, x0, blocks, config)
-        for c in range(config.n_chains):
-            kept, scales = _copying_reference(logpost, x0, blocks, config, c)
-            assert np.array_equal(sample.draws[c], kept)
-            assert [sample.scales_after_burnin[f"{b.name}[{c}]"] for b in blocks] == scales
+        assert_copying_reference_chains(logpost, x0, blocks, config, sample)
 
     def test_per_chain_inits(self):
         inits = np.array([[5.0], [-5.0]])
@@ -643,7 +658,6 @@ class TestSummarize:
             names=tuple(f"p{i}" for i in range(draws.shape[-1])),
             draws=draws,
             acceptance={},
-            scales_after_burnin={},
         )
 
     def test_median_interpolation(self):

@@ -20,16 +20,18 @@ After the timed calls, each side makes two more fits of the first network,
 untimed, under ``tracemalloc``: what is still allocated when one returns,
 with the fit held, is what it retains, and the smaller of the two is the
 side's retained KB per fit. A change that grows it shows here before the
-benchmark's ``peak_rss_mb`` does.
+benchmark's ``peak_rss_mb`` does. The draws are most of what a fit retains
+and hide changes to the rest, so the side's non-draw KB per fit, retained
+less the draws' bytes, is given beside it.
 
 For each kind in turn it prints one line per seed: the ratio of the two
-sides' medians (this / other), each side's retained KB per fit, whether
-every pair of calls drew bit-identical samples, the largest absolute
-difference between paired draws (so a change that moves draws by rounding
-alone can show it) and whether every pair had equal acceptance rates in
-every block. Then one line, naming the kind, sums up its seeds: each side's
-median and quartiles over all its calls, their ratio, the worst max |diff|
-and whether every acceptance rate was equal.
+sides' medians (this / other), each side's retained and non-draw KB per
+fit, whether every pair of calls drew bit-identical samples, the largest
+absolute difference between paired draws (so a change that moves draws by
+rounding alone can show it) and whether every pair had equal acceptance
+rates in every block. Then one line, naming the kind, sums up its seeds:
+each side's median and quartiles over all its calls, their ratio, the worst
+max |diff| and whether every acceptance rate was equal.
 Process-level numbers of ``bench/run.py`` carry offsets between processes
 that run identical code; here both sides share one process. BLAS is pinned
 to one thread, as in the benchmark, and ``cnma``'s convergence warnings are
@@ -110,10 +112,11 @@ def quartiles(values) -> tuple[float, float, float]:
     return float(q1), float(q2), float(q3)
 
 
-def retained_kb(fit, inputs) -> float:
-    """KB that ``fit(*inputs)`` leaves allocated while its result is held:
-    the memory traced from just before the call to just after it returns
-    and a full collection, which also empties the interpreter's free lists."""
+def retained_kb(fit, inputs) -> tuple[float, float]:
+    """KB that ``fit(*inputs)`` leaves allocated while its result is held,
+    and that less its draws: the memory traced from just before the call to
+    just after it returns and a full collection, which also empties the
+    interpreter's free lists."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -122,15 +125,15 @@ def retained_kb(fit, inputs) -> float:
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    return retained / 1024
+    return retained / 1024, (retained - result.sample.draws.nbytes) / 1024
 
 
 def run(sides, workload_name, seed, kind, calls) -> dict:
     """Time ``calls`` fits per side of ``sides`` (name -> package); return
-    each side's times and retained KB per fit (``retained_kb``), whether
-    every pair of draws was bit-identical, the largest absolute difference
-    between paired draws and whether every pair's acceptance rates were
-    equal."""
+    each side's times and (retained, non-draw) KB per fit (``retained_kb``),
+    whether every pair of draws was bit-identical, the largest absolute
+    difference between paired draws and whether every pair's acceptance
+    rates were equal."""
     workload = WORKLOADS[workload_name]
     reps = setup(workload, seed)
     inputs = {
@@ -184,7 +187,8 @@ def main(argv=None) -> int:
             ratio = np.median(result["times"]["this"]) / np.median(result["times"]["other"])
             kb = result["retained_kb"]
             print(f"seed {seed}: ratio this/other {ratio:.3f}, "
-                  f"retained KB per fit this {kb['this']:.1f} other {kb['other']:.1f}, "
+                  f"retained KB per fit this {kb['this'][0]:.1f} other {kb['other'][0]:.1f}, "
+                  f"non-draw KB this {kb['this'][1]:.1f} other {kb['other'][1]:.1f}, "
                   f"draws bit-identical {result['identical']}, "
                   f"max |diff| {result['max_diff']!r}, "
                   f"acceptance rates equal {result['same_acceptance']}")
