@@ -31,6 +31,13 @@ sigma Jacobian. A model's ``to_internal`` maps reported vectors there, and its
 in its sampling parameterization; ``fit`` validates, samples, maps the draws
 to the reported parameterization and warns when they have not converged.
 
+A model works out its log posterior's constants once, when it is built: its
+effects mode, each normal prior's log normaliser (the effects' in ``_Model``,
+the baselines' in ``_ArmModel``) and log sigma_upper. The compound-symmetry
+weights and log determinant come from ``design``'s cache, once per sigma.
+An evaluation does its scalar arithmetic in Python floats, which round as
+numpy's float64 scalars do but cost less per operation.
+
 A fit's R-hat and ESS are those of its reported draws. ``fit`` logs one
 warning on the ``cnma`` logger when they miss ``RHAT_LIMIT`` or ``ESS_LIMIT``.
 """
@@ -113,23 +120,32 @@ def _log_binomial_coefficients(r: np.ndarray, n: np.ndarray) -> float:
     ]))
 
 
-def _normal_logpdf(v: np.ndarray, variance: float) -> float:
-    """Log density of v under N(0, variance I): the effects' and baselines' prior."""
-    return float(-0.5 * (v @ v) / variance - 0.5 * v.size * (LOG_2PI + math.log(variance)))
+def _normal_log_normaliser(size: int, variance: float) -> float:
+    """Log normaliser of N(0, variance I) in ``size`` dimensions, which
+    ``_normal_logpdf`` subtracts: a model works it out once per prior."""
+    return 0.5 * size * (LOG_2PI + math.log(variance))
+
+
+def _normal_logpdf(v: np.ndarray, variance: float, log_normaliser: float) -> float:
+    """Log density of v under N(0, variance I), given its log normaliser
+    (``_normal_log_normaliser``): the effects' and baselines' prior."""
+    return -0.5 * float(v @ v) / variance - log_normaliser
 
 
 class _Model:
     """Terms shared by the model kinds.
 
-    X is the X of the kind's ``design`` without an anchor's column (d_A = 0).
+    X is the X of the kind's ``design`` without an anchor's column (d_A = 0);
+    without an anchor it is the design's X itself, not a copy.
     The vector holds the effect block at ``d_sl``, then the kind's per-study
     coordinates, then, under random effects, sigma at ``sigma_pos``. The
     effects get a normal prior and sigma a uniform one on (0, sigma_upper).
     sigma is sampled as u = log sigma: ``to_internal`` and ``reported_draws``
     map sigma to u and back, the arm kinds' overrides chain to them, and
     ``logpost`` is the density of the sampling coordinates, with u's prior
-    density e^u / sigma_upper. ``sample`` runs the block Metropolis sampler
-    over ``blocks_and_partials``.
+    density e^u / sigma_upper. The effects mode, the effects' prior's log
+    normaliser and log sigma_upper are set here, once per model. ``sample``
+    runs the block Metropolis sampler over ``blocks_and_partials``.
     """
 
     def __init__(self, network: Network, spec: ModelSpec, contrasts: ContrastDesign,
@@ -137,13 +153,18 @@ class _Model:
         self.network = network
         self.spec = spec
         self.design = contrasts
+        self.random_effects = spec.random_effects
         anchor = spec.anchor.components if spec.anchor is not None else ()
         self.d_components = tuple(c for c in network.components if c not in anchor)
         # each effect coordinate's column among network.components
         self.d_columns = np.array([network.components.index(c) for c in self.d_components], int)
-        # BLAS takes another path, and so other bits, on an F-ordered matrix
-        self.X = np.ascontiguousarray(contrasts.X[:, self.d_columns])
+        # BLAS takes another path, and so other bits, on an F-ordered matrix;
+        # without an anchor X is the design's own, which is C-ordered
+        self.X = np.ascontiguousarray(contrasts.X[:, self.d_columns] if anchor else contrasts.X)
         self.d_sl = slice(0, len(self.d_components))
+        self.d_log_normaliser = _normal_log_normaliser(
+            len(self.d_components), spec.priors.d_variance)
+        self.log_sigma_upper = math.log(spec.priors.sigma_upper)
         names = [f"d[{c}]" for c in self.d_components] + list(study_names)
         self.sigma_pos = len(names) if spec.random_effects else None
         if spec.random_effects:
@@ -171,12 +192,12 @@ class _Model:
         return draws
 
     def _d_prior(self, x) -> float:
-        return _normal_logpdf(x[self.d_sl], self.spec.priors.d_variance)
+        return _normal_logpdf(x[self.d_sl], self.spec.priors.d_variance, self.d_log_normaliser)
 
     def _log_sigma_prior(self, x) -> float:
         """Log density of u = log sigma for sigma ~ U(0, sigma_upper):
         u - log sigma_upper below log sigma_upper, the Jacobian included."""
-        u, log_upper = x[self.sigma_pos], math.log(self.spec.priors.sigma_upper)
+        u, log_upper = x.item(self.sigma_pos), self.log_sigma_upper
         return u - log_upper if u < log_upper else -math.inf
 
     def _study_prior(self, x) -> float:
@@ -185,10 +206,10 @@ class _Model:
 
     def logpost(self, x: np.ndarray) -> float:
         """Log posterior at one vector in the sampling parameterization."""
-        bounds = self._log_sigma_prior(x) if self.spec.random_effects else 0.0
+        bounds = self._log_sigma_prior(x) if self.random_effects else 0.0
         if bounds == -math.inf:
             return -math.inf
-        return float(self.loglik(x) + self._d_prior(x) + self._study_prior(x) + bounds)
+        return float(self.loglik(x)) + self._d_prior(x) + self._study_prior(x) + bounds
 
     def blocks_and_partials(self, d_chol):
         """The effect block and, under random effects, the sigma block, each
@@ -207,7 +228,7 @@ class _Model:
         k = len(self.d_components)
         scale = 2.38 / math.sqrt(max(k, 1))
         blocks = [Block("d", tuple(range(k)), scale=scale, factor=d_chol)]
-        if self.spec.random_effects:
+        if self.random_effects:
             blocks.append(Block("sigma", (self.sigma_pos,), scale=0.4))
         logpost = self.logpost
         at = functools.lru_cache(maxsize=2)(lambda key: logpost(np.frombuffer(key)))
@@ -222,7 +243,7 @@ class _Model:
     def initial_vector(self) -> np.ndarray:
         """The neutral point, sampled coordinates: zeros, sigma at half its bound."""
         x = np.zeros(self.dim)
-        if self.spec.random_effects:
+        if self.random_effects:
             x[self.sigma_pos] = math.log(self.spec.priors.sigma_upper / 2.0)
         return x
 
@@ -269,6 +290,8 @@ class _ArmModel(_Model):
         V1 = incidence_matrix([s.arms[0].treatment for s in self.studies], network.components)
         self.V1 = np.ascontiguousarray(V1[:, self.d_columns])
         self.logc_total = _log_binomial_coefficients(self.r, self.n)
+        self.alpha_log_normaliser = _normal_log_normaliser(
+            len(self.studies), spec.priors.alpha_variance)
 
         k, n_studies = self.d_sl.stop, len(self.studies)
         n_eps = int(self.m.sum()) if spec.random_effects else 0
@@ -306,21 +329,21 @@ class _ArmModel(_Model):
         xt = x.T
         logits = xt[self.alpha_sl][self.arm_study]
         logits[self.later_arms] += self.X @ xt[self.d_sl]
-        if self.spec.random_effects:
+        if self.random_effects:
             logits[self.later_arms] += xt[self.eps_sl]
         return self.r @ logits - self.n @ np.logaddexp(0.0, logits) + self.logc_total
 
     def _alpha_prior(self, x) -> float:
         # the normal prior is on the reported baseline alpha_i = a_i - (V d)_{arm 1}
         alpha = x[self.alpha_sl] - self.V1 @ x[self.d_sl]
-        return _normal_logpdf(alpha, self.spec.priors.alpha_variance)
+        return _normal_logpdf(alpha, self.spec.priors.alpha_variance, self.alpha_log_normaliser)
 
     def _eps_prior(self, x) -> float:
-        weights = self._eps_weights(math.exp(2.0 * x[self.sigma_pos]))
+        weights = self._eps_weights(math.exp(2.0 * x.item(self.sigma_pos)))
         return design._compound_symmetry_logpdf(x[self.eps_sl], weights, self.design.starts)
 
     def _study_prior(self, x) -> float:
-        if self.spec.random_effects:
+        if self.random_effects:
             return self._alpha_prior(x) + self._eps_prior(x)
         return self._alpha_prior(x)
 
@@ -351,7 +374,7 @@ class _ArmModel(_Model):
         # study i's rows of X start at its first latent's offset, arm_starts[i] - i
         rows = self.X[start - i : stop - i - 1]
         alpha_pos = self.alpha_sl.start + i
-        random_effects = self.spec.random_effects
+        random_effects = self.random_effects
         eps_start = self.eps_sl.start + start - i if random_effects else -1
         # per arm: events, total, nonzero (column, X entry) pairs, latent position
         nonzero = [tuple((int(c), float(row[c])) for c in np.flatnonzero(row)) for row in rows]
@@ -408,7 +431,7 @@ class _ArmModel(_Model):
     def blocks_and_partials(self, d_chol):
         blocks, _ = super().blocks_and_partials(d_chol)
         partials = [lambda x: self.loglik(x) + self._d_prior(x) + self._alpha_prior(x)]
-        if self.spec.random_effects:
+        if self.random_effects:
             partials.append(lambda x: self._eps_prior(x) + self._log_sigma_prior(x))
 
         per_study = [self._study_partials(i) for i in range(len(self.studies))]
@@ -416,7 +439,7 @@ class _ArmModel(_Model):
             blocks.append(Block(f"alpha[{study.id}]", (self.alpha_sl.start + i,), scale=0.3))
             partials.append(per_study[i][0])
 
-        if self.spec.random_effects:
+        if self.random_effects:
             for i, study in enumerate(self.studies):
                 start = self.eps_sl.start + int(self.design.starts[i])
                 dims = tuple(range(start, start + int(self.m[i])))
@@ -443,7 +466,7 @@ class _ContrastModel(_Model):
         super().__init__(network, spec, ContrastDesign(blocks, network.components))
 
     def loglik(self, x: np.ndarray) -> float:
-        sigma2 = math.exp(2.0 * x[self.sigma_pos]) if self.spec.random_effects else 0.0
+        sigma2 = math.exp(2.0 * x.item(self.sigma_pos)) if self.random_effects else 0.0
         return self.design.logpdf(x[self.d_sl], sigma2)
 
 

@@ -88,26 +88,28 @@ def _compound_symmetry(within, shared, starts, tau2: float):
     """(w, g, logdet) for studies whose covariance blocks, from row
     ``starts[i]``, are diag(within + tau2/2) + s 11' with s = shared + tau2/2:
     read-only w = 1 / diagonal and g = s / (1 + s sum(w)), so that the block
-    of W is diag(w) - g w w', and the log determinant of the covariance. The
-    arm kinds' eps prior, sigma^2 Sigma*_i, is the case within = shared = 0,
-    tau2 = sigma^2, with Sigma*_i = (I + 11')/2."""
+    of W is diag(w) - g w w', and the log determinant of the covariance, one
+    float. The arm kinds' eps prior, sigma^2 Sigma*_i, is the case
+    within = shared = 0, tau2 = sigma^2, with Sigma*_i = (I + 11')/2."""
     w = 1.0 / (within + 0.5 * tau2)
     s = shared + 0.5 * tau2
     denom = 1.0 + s * np.add.reduceat(w, starts)
     g = s / denom
     w.setflags(write=False)
     g.setflags(write=False)
-    return w, g, np.log(denom).sum() - np.log(w).sum()
+    # np.add.reduce is the pairwise sum that ndarray.sum wraps
+    return w, g, float(np.add.reduce(np.log(denom)) - np.add.reduce(np.log(w)))
 
 
 def _compound_symmetry_logpdf(r, weights, starts) -> float:
     """Log density of ``r`` under N(0, the blocks from ``starts`` whose
-    (w, g, logdet) ``_compound_symmetry`` gave as ``weights``)."""
+    (w, g, logdet) ``_compound_symmetry`` gave as ``weights``). Its vector
+    work is three products and one per-study sum; the rest is float math."""
     w, g, logdet = weights
     wr = w * r
     sums = np.add.reduceat(wr, starts)
-    quad = wr @ r - g @ (sums * sums)
-    return float(-0.5 * (r.size * LOG_2PI + logdet + quad))
+    quad = float(wr @ r) - float(g @ (sums * sums))
+    return -0.5 * (r.size * LOG_2PI + logdet + quad)
 
 
 def _null_space(X) -> np.ndarray:

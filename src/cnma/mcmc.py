@@ -61,8 +61,11 @@ ADAPTATION_WINDOW = 50
 COLLAPSE_WINDOWS = 20
 # the per-parameter statistics take the parameters in chunks whose draws fill
 # at most this many bytes (one parameter at least), so their scratch memory, a
-# few times one chunk, does not grow with the number of parameters
-CHUNK_BYTES = 2**23
+# few times one chunk, does not grow with the number of parameters. At 256 KB
+# the draws of an arm fit with a few hundred parameters (about 800 KB) take a
+# few chunks, so the scratch stays near 1 MB, and each chunk is large enough
+# that the loop over them costs no measurable time
+CHUNK_BYTES = 2**18
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import itertools
 import logging
 import math
 import tracemalloc
@@ -679,6 +681,16 @@ def test_fit_summary_and_sigma_draws(effects, studies, network):
         assert np.array_equal(fit.sigma_draws(), sigma)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_an_anchor_copies_the_design_X(kind, studies, network):
+    # without an anchor column to drop, a model reads its design's X itself,
+    # so a fit holds one X; the anchored kind holds its columns, C-ordered
+    spec, data = inputs(kind, studies)
+    model = bayes.build_model(spec, data, network)
+    assert (model.X is model.design.X) == (kind != "anchored-arm")
+    assert model.X.flags.c_contiguous
+
+
 @pytest.mark.parametrize("effects", ["fixed", "random"])
 @pytest.mark.parametrize("kind", ["anchored-arm", "unanchored-arm"])
 def test_arm_design_is_the_cc05_design(kind, effects, wide_studies):
@@ -920,14 +932,17 @@ def test_dic_rejects_contrast_kind(studies, network):
 @pytest.mark.parametrize("kind", KINDS)
 def test_logpost_matches_dense_reference(kind, effects, studies, wide_studies):
     # on the fixture, and with two four-arm studies: eps blocks of 3 latents,
-    # a zero cell and the anchor as a study's second arm. The log posterior is
-    # the density of the sampling coordinates, so under random effects
-    # sigma's U(0, sigma_upper) prior enters as one of log sigma, with the
-    # Jacobian + log sigma
-    for records in (studies, wide_studies):
+    # a zero cell and the anchor as a study's second arm; at the default
+    # priors, and at priors whose effect and baseline variances differ, so
+    # that each normal prior's normaliser and sigma's bound are told apart.
+    # The log posterior is the density of the sampling coordinates, so under
+    # random effects sigma's U(0, sigma_upper) prior enters as one of log
+    # sigma, with the Jacobian + log sigma
+    distinct = bayes.Priors(d_variance=40.0, alpha_variance=250.0, sigma_upper=3.0)
+    for records, priors in itertools.product((studies, wide_studies), (bayes.Priors(), distinct)):
         spec, data = inputs(kind, records, effects)
+        spec = dataclasses.replace(spec, priors=priors)
         model = bayes.build_model(spec, data, build_network(records))
-        priors = spec.priors
         rng = np.random.default_rng(8)
         x = rng.normal(0.0, 0.5, size=model.dim)
         col = {name: j for j, name in enumerate(model.names)}
@@ -948,7 +963,15 @@ def test_logpost_matches_dense_reference(kind, effects, studies, wide_studies):
                 eps = x[[col[f"eps[{s.id}:{j}]"] for j in range(1, s.n_arms)]]
                 cov = sigma**2 * build_Sigma_star(s.n_arms)
                 expected += mvn_logpdf(eps, np.zeros(s.n_arms - 1), cov)
-        assert model.logpost(model.to_internal(x)) == pytest.approx(expected, rel=1e-9)
+        internal = model.to_internal(x)
+        assert model.logpost(internal) == pytest.approx(expected, rel=1e-9)
+        if effects == "random":
+            # -inf from u = log sigma_upper on, finite just below it
+            log_upper = math.log(priors.sigma_upper)
+            internal[model.sigma_pos] = np.nextafter(log_upper, -math.inf)
+            assert math.isfinite(model.logpost(internal))
+            internal[model.sigma_pos] = log_upper
+            assert model.logpost(internal) == -math.inf
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -80,7 +80,8 @@ def test_unknown_answer_refused(digest):
 def test_subtotals_hash_each_kind_as_the_total_is(tool):
     whats = ["gls-random", "gls-fixed", "unanchored-arm", "gls-random", "new-kind"]
     lines = [f"{i:064x} sim-small 1 {what}" for i, what in enumerate(whats)]
-    subtotals = tool.subtotals(whats, lines)
+    failed = [False] * len(whats)
+    subtotals = tool.subtotals(whats, lines, failed)
     kinds = [line.split(":")[0] for line in subtotals]
     assert kinds == [
         "anchored-arm", "unanchored-arm", "unanchored-contrast",
@@ -88,13 +89,27 @@ def test_subtotals_hash_each_kind_as_the_total_is(tool):
     ]
     random = [lines[0], lines[3]]
     sha = hashlib.sha256("\n".join(random).encode()).hexdigest()
-    assert subtotals[3] == f"gls-random: 2 calls, subtotal {sha}"
+    assert subtotals[3] == f"gls-random: 2 calls, 0 failed, subtotal {sha}"
     # a kind with no calls hashes nothing; the subtotals of a one-kind round
     # hash what its total hashes
     empty = hashlib.sha256(b"").hexdigest()
-    assert subtotals[0] == f"anchored-arm: 0 calls, subtotal {empty}"
-    assert tool.subtotals(whats[:1], lines[:1])[3].endswith(tool._sha(lines[:1]))
+    assert subtotals[0] == f"anchored-arm: 0 calls, 0 failed, subtotal {empty}"
+    assert tool.subtotals(whats[:1], lines[:1], failed[:1])[3].endswith(tool._sha(lines[:1]))
     # a changed line changes its own kind's subtotal and no other
     changed = lines[:2] + ["f" + lines[2][1:]] + lines[3:]
-    moved = [a != b for a, b in zip(subtotals, tool.subtotals(whats, changed))]
+    moved = [a != b for a, b in zip(subtotals, tool.subtotals(whats, changed, failed))]
     assert moved == [k == "unanchored-arm" for k in kinds]
+
+
+def test_subtotals_count_each_kinds_failed_calls(tool):
+    # the failed calls are counted per kind, and hashed with their lines as
+    # the total hashes them
+    whats = ["gls-fixed", "gls-random", "gls-fixed", "gls-fixed"]
+    failed = [True, False, False, True]
+    lines = [f"{i:064x} sim-small 40 {what}" + (" FAILED gate" if bad else "")
+             for i, (what, bad) in enumerate(zip(whats, failed))]
+    subtotals = dict(line.split(": ", 1) for line in tool.subtotals(whats, lines, failed))
+    fixed = [line for what, line in zip(whats, lines) if what == "gls-fixed"]
+    assert subtotals["gls-fixed"] == f"3 calls, 2 failed, subtotal {tool._sha(fixed)}"
+    assert subtotals["gls-random"].startswith("1 calls, 0 failed, subtotal ")
+    assert subtotals["sucra"].startswith("0 calls, 0 failed, subtotal ")

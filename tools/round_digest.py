@@ -6,13 +6,14 @@ leaves every draw, GLS fit and ranking bit-identical.
 Run the copy in each of two checkouts and compare the last lines. For every
 workload and seed it sets up the workload's networks and runs
 ``workloads.run_round`` once, importing ``bench/``'s modules and ``cnma``
-from ``src/`` of the checkout the script sits in; it changes neither. It prints one SHA-256 per
-call (see ``digest``); then, per call kind (each model kind, ``gls-random``,
-``gls-fixed``, ``sucra`` and ``p_scores``), its number of calls and one SHA-256
-over its lines (see ``subtotals``), so a change can show which kinds it left
-identical; last, the number of calls and one SHA-256 over all the per-call
-lines. BLAS is pinned to one thread, as in the benchmark, and ``cnma``'s
-convergence warnings are silenced.
+from ``src/`` of the checkout the script sits in; it changes neither. It
+prints one SHA-256 per call (see ``digest``); then, per call kind (each model
+kind, ``gls-random``, ``gls-fixed``, ``sucra`` and ``p_scores``), its number
+of calls, how many of them failed and one SHA-256 over its lines (see
+``subtotals``), so a change can show which kinds it left identical and a
+refusal shows without a search through the per-call lines; last, the number
+of calls and one SHA-256 over all the per-call lines. BLAS is pinned to one
+thread, as in the benchmark, and ``cnma``'s convergence warnings are silenced.
 """
 
 import os
@@ -66,16 +67,19 @@ def _sha(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def subtotals(whats, lines) -> list[str]:
+def subtotals(whats, lines, failed) -> list[str]:
     """One line per call kind: the number of ``lines`` whose call was that kind
-    (``whats`` names each line's kind) and one SHA-256 over them, hashed as the
+    (``whats`` names each line's kind), how many of those calls failed
+    (``failed`` flags each line's) and one SHA-256 over them, hashed as the
     total is. Every kind a round makes is listed, in a fixed order and even
     with no calls; a kind outside that list follows in first appearance."""
     kinds = dict.fromkeys((*KINDS, "gls-random", "gls-fixed", "sucra", "p_scores", *whats))
     out = []
     for kind in kinds:
-        mine = [line for what, line in zip(whats, lines) if what == kind]
-        out.append(f"{kind}: {len(mine)} calls, subtotal {_sha(mine)}")
+        mine = [(line, bad) for what, line, bad in zip(whats, lines, failed) if what == kind]
+        n_failed = sum(bad for _, bad in mine)
+        subtotal = _sha([line for line, _ in mine])
+        out.append(f"{kind}: {len(mine)} calls, {n_failed} failed, subtotal {subtotal}")
     return out
 
 
@@ -89,7 +93,7 @@ def main(argv=None) -> int:
     logging.getLogger("cnma").setLevel(logging.ERROR)
 
     meter = Meter()
-    whats, lines = [], []
+    whats, lines, failed = [], [], []
     for name in args.workloads:
         workload = WORKLOADS[name]
         for seed in args.seeds:
@@ -100,7 +104,8 @@ def main(argv=None) -> int:
                 print(line)
                 whats.append(call.what)
                 lines.append(line)
-    print("\n".join(subtotals(whats, lines)))
+                failed.append(bool(call.failure))
+    print("\n".join(subtotals(whats, lines, failed)))
     print(f"{len(lines)} calls, total {_sha(lines)}")
     return 0
 
